@@ -19,6 +19,12 @@ __all__ = [
 ]
 
 
+# Integrand evaluations one adaptive_simpson call may spend. The largest
+# call in the test suite takes about 8e3; a tolerance the integrand cannot
+# meet would otherwise split panels down to max_depth, up to 2^48 of them.
+_MAX_EVALS = 100_000
+
+
 def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
@@ -33,7 +39,9 @@ def adaptive_simpson(
     Classic adaptive Simpson with Richardson correction. A subinterval that
     still disagrees at max_depth raises QuadratureError unless its estimate
     gap is below floor: boundary layers narrower than the depth limit then
-    contribute a controlled absolute error instead of a hard failure.
+    contribute a controlled absolute error instead of a hard failure. A call
+    that would exceed _MAX_EVALS integrand evaluations raises
+    QuadratureError.
     """
     if not b > a:
         if b == a:
@@ -45,7 +53,9 @@ def adaptive_simpson(
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     total = 0.0
     stack = [(a, m, b, fa, fm, fb, whole, tol, 0)]
-    while stack:
+    for _ in range((_MAX_EVALS - 3) // 2):  # two evaluations per subinterval
+        if not stack:
+            return total
         a0, m0, b0, fa0, fm0, fb0, s0, t0, depth = stack.pop()
         lm = 0.5 * (a0 + m0)
         rm = 0.5 * (m0 + b0)
@@ -64,7 +74,12 @@ def adaptive_simpson(
             half = 0.5 * t0
             stack.append((a0, lm, m0, fa0, flm, fm0, sl, half, depth + 1))
             stack.append((m0, rm, b0, fm0, frm, fb0, sr, half, depth + 1))
-    return total
+    if not stack:
+        return total
+    raise QuadratureError(
+        f"quadrature failure: [{a:g}, {b:g}] not integrated to {tol:.3e} "
+        f"within {_MAX_EVALS} evaluations"
+    )
 
 
 def golden_max(

@@ -22,13 +22,14 @@ scalar response of that system. This module provides:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from ._quad import adaptive_simpson, golden_max, reciprocal_integral
+from ._quad import adaptive_simpson, reciprocal_integral
 from .dgf import AdmissibilityConstants, GeneratingFunction, ParamTriple, invert_phi, nu1
 from .errors import (
     BoundNotApplicableError,
@@ -532,63 +533,353 @@ class GlobalConvtime:
         return self.value
 
 
-def _integrate_growing_left(
-    f: Callable[[float], float],
-    resp: _Response,
-    tol: float,
-) -> float:
-    """integral_-inf^0 f(tau) d tau where |h| grows (and may oscillate) leftward."""
-    if resp.kind == _COMPLEX:
-        period = math.pi / resp.omega
-        total = 0.0
-        prev = None
-        right = 0.0
-        for n in range(2000):
-            left = right - period
-            contrib = adaptive_simpson(f, left, right, 0.25 * tol, floor=1e-6 * tol)
-            total += contrib
-            right = left
-            if prev is not None and 0.0 < contrib < prev:
-                rho = contrib / prev
-                if contrib * rho / (1.0 - rho) < 0.25 * tol:
-                    return total + contrib * rho / (1.0 - rho)
-            if contrib == 0.0 and prev == 0.0:
-                return total
-            prev = contrib
-        raise QuadratureError("quadrature failure: oscillatory left tail did not converge")
+# ---------------------------------------------------------------------------
+# batched full-line integrals
+#
+# Every response the search visits is h = A E(u) for a shape E shared by the
+# whole batch, up to a time shift, which leaves a full-line integral
+# unchanged: complex eigenvalues give E(s) = e^(mu s/omega) cos s in
+# s = omega t - phase, distinct real ones E(t) = e^(lam1 t) +/- e^(lam2 t),
+# a repeated one E(t) = t e^(lam t) with t measured from the zero of h
+# (a row whose zero lies far out gets its own shape, see _circle_values). The
+# kernel evaluates 1/2 Psi'(A E) for all rows at once on Gauss-Kronrod
+# panels whose nodes every row shares, in log|h| so that neither A nor E
+# overflows, and walks outward one block of panels at a time.
 
-    total = 0.0
-    b = 0.0
-    width = 1.0
-    small_streak = 0
-    for j in range(200):
-        a = b - width
-        contrib = adaptive_simpson(f, a, b, 0.25 * tol, floor=1e-6 * tol)
-        total += contrib
-        b = a
-        if width < 64.0:
-            width *= 2.0
-        if abs(contrib) < 0.25 * tol:
-            small_streak += 1
-            if small_streak >= 2:
-                return total
+# QUADPACK's 15-point Kronrod rule on [-1, 1], nodes from the edge to the
+# centre, and the weights of its embedded 7-point Gauss rule (zero at the
+# Kronrod-only nodes)
+_XK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245, 0.0])
+_WK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+                0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
+_GK_X = np.concatenate([-_XK, _XK[-2::-1]])
+_GK_WK = np.concatenate([_WK, _WK[-2::-1]])
+_GK_WG = np.concatenate([_WG, _WG[-2::-1]])
+
+_GRADED_PANELS = 8  # GK15 panels, halving toward a zero of h, per graded stretch
+_MAX_LEVEL = 3  # rows over tolerance are redone with 2x, 4x, 8x the panels
+_MAX_BLOCKS = 2000  # blocks per side before a row counts as unconverged
+_CHUNK = 1 << 14  # Psi' values per slice of rows: 128 kB per temporary
+_ZOOM_OFFSETS = np.delete(np.linspace(-1.0, 1.0, 9), 4)  # probes per zoom round
+_ZOOM_ROUNDS = 7  # 4x narrower per round; the argmax ends within 1e-4 grid steps
+_FAR_ZERO = 100.0  # |lam tz| past which a repeated-case row is walked from t = 0
+
+
+class _Block(NamedTuple):
+    """Panels of one walking step: log|E| at the nodes and the weights, shape (P, 15).
+
+    The weights carry the panel Jacobians and the factor 1/2 of 1/2 Psi'.
+    On the right side log_env and log_tail bound |E| beyond the block and
+    the time integral of that bound; on the left both are None.
+    """
+
+    log_e: np.ndarray
+    wk: np.ndarray
+    wg: np.ndarray
+    log_env: Optional[float]
+    log_tail: Optional[float]
+
+
+def _gk_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GK15 nodes, Kronrod and Gauss weights on consecutive panels, each (P, 15)."""
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return mid + half * _GK_X, half * _GK_WK, half * _GK_WG
+
+
+def _graded(length: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets length*v^3 from a zero of h, v on panels halving toward 0.
+
+    Where |h| is large, Psi' decays only like |h|^(-1/3), so each zero
+    crossing is a cusp of width about 1/|h'|; the cubic map turns its power
+    law into a ramp in v, and the halving panels resolve the ramp's corner
+    at whatever scale it sits.
+    """
+    v = np.concatenate([[0.0], 0.5 ** np.arange(_GRADED_PANELS - 1, -1, -1)])
+    v = np.interp(np.arange((v.size - 1 << level) + 1) / (1 << level), np.arange(v.size), v)
+    v, wk, wg = _gk_panels(v)
+    jac = 1.5 * length * v * v  # 3 length v^2, times the 1/2 of 1/2 Psi'
+    return length * v ** 3, wk * jac, wg * jac
+
+
+def _complex_blocks(mu: float, omega: float, level: int, right: bool) -> Iterator[_Block]:
+    """Half periods between the zeros s = -pi/2 + n pi of cos s, outward from s = -pi/2.
+
+    Every half period has the same nodes, graded toward both of its zeros;
+    |cos| there is the sine of the offset, free of cancellation.
+    """
+    off, wk, wg = _graded(0.5 * math.pi, level)
+    d = np.concatenate([off, math.pi - off])
+    log_sin = np.log(np.sin(np.concatenate([off, off])))
+    wk = np.concatenate([wk, wk]) / omega
+    wg = np.concatenate([wg, wg]) / omega
+    rate = mu / omega
+    for n in range(_MAX_BLOCKS):
+        z = -0.5 * math.pi + (n if right else -1 - n) * math.pi
+        log_e = rate * (z + d) + log_sin
+        if right:
+            end = rate * (z + math.pi)
+            yield _Block(log_e, wk, wg, end, end - math.log(-mu))
         else:
-            small_streak = 0
-    raise QuadratureError("quadrature failure: left tail did not converge")
+            yield _Block(log_e, wk, wg, None, None)
 
 
-def _full_line_time(
-    psi: Callable[[float], float],
-    resp: _Response,
-    delta0: float,
+def _walk(
+    log_e: Callable[[np.ndarray], np.ndarray],
+    graded: float,
+    widths: Iterator[float],
+    level: int,
+    right: bool,
+    bound: Callable[[float], tuple[float, float]],
+) -> Iterator[_Block]:
+    """A stretch graded toward the zero at t = 0, then panels of the given widths."""
+    sign = 1.0 if right else -1.0
+    off, wk, wg = _graded(graded, level)
+    yield _Block(log_e(sign * off), wk, wg, *(bound(graded) if right else (None, None)))
+    pos = graded
+    for _ in range(_MAX_BLOCKS - 1):
+        width = next(widths)
+        t, wk, wg = _gk_panels(pos + width * np.linspace(0.0, 1.0, (1 << level) + 1))
+        pos += width
+        yield _Block(log_e(sign * t), 0.5 * wk, 0.5 * wg,
+                     *(bound(pos) if right else (None, None)))
+
+
+def _distinct_blocks(
+    lam1: float, lam2: float, sign: float, level: int, right: bool
+) -> Iterator[_Block]:
+    """E(t) = e^(lam1 t) + sign e^(lam2 t); its only possible zero is t = 0."""
+    gap = lam1 - lam2
+
+    def log_e(t: np.ndarray) -> np.ndarray:
+        # factor out the dominant mode: lam1 rightward, lam2 leftward
+        x = -gap * np.abs(t)
+        rest = np.log1p(np.exp(x)) if sign > 0.0 else np.log(-np.expm1(x))
+        return (lam1 if right else lam2) * t + rest
+
+    def bound(t: float) -> tuple[float, float]:
+        x = -gap * t
+        return (lam1 * t + math.log1p(math.exp(x)),
+                lam1 * t + math.log(1.0 / -lam1 + math.exp(x) / -lam2))
+
+    graded = min(1.0 / gap, 1.0 / -lam1)
+    if right:
+        widths = (min(graded * 2.0 ** k, 1.0 / -lam1) for k in itertools.count())
+    else:
+        widths = itertools.repeat(1.0 / -lam2)
+    return _walk(log_e, graded, widths, level, right, bound)
+
+
+def _repeated_blocks(lam: float, level: int, right: bool) -> Iterator[_Block]:
+    """E(t) = t e^(lam t): the zero is at t = 0 and |E| peaks at t = 1/|lam|."""
+    scale = 1.0 / -lam
+
+    def log_e(t: np.ndarray) -> np.ndarray:
+        return np.log(np.abs(t)) + lam * t
+
+    def bound(t: float) -> tuple[float, float]:
+        if t < scale:
+            return math.inf, math.inf  # envelope still rising: no certificate yet
+        return math.log(t) + lam * t, lam * t + math.log(t * scale + scale * scale)
+
+    return _walk(log_e, scale, itertools.repeat(scale), level, right, bound)
+
+
+def _far_zero_blocks(lam: float, eps: float, level: int, right: bool) -> Iterator[_Block]:
+    """E(t) = e^(lam t) (1 + eps t) with |eps| < |lam| / _FAR_ZERO.
+
+    The zero -1/eps lies where |h| is negligible (right) or far past the
+    peak of Psi' (left), so both walks end before reaching it and nothing
+    is graded toward it. The envelope e^(lam t) (1 + |eps| t) decreases on
+    t >= 0 because |eps| < |lam|.
+    """
+    scale = 1.0 / -lam
+
+    def log_e(t: np.ndarray) -> np.ndarray:
+        return lam * t + np.log(np.abs(1.0 + eps * t))
+
+    def bound(t: float) -> tuple[float, float]:
+        m = 1.0 + abs(eps) * t
+        return lam * t + math.log(m), lam * t + math.log((m + abs(eps) * scale) * scale)
+
+    return _walk(log_e, scale, itertools.repeat(scale), level, right, bound)
+
+
+def _panel_sums(
+    psi: Callable[[np.ndarray], np.ndarray], loga: np.ndarray, blk: _Block
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod and Gauss sums of every row on every panel of a block, each (rows, P).
+
+    Rows go through Psi' in slices of at most _CHUNK values, which bounds
+    the temporaries whatever the batch size.
+    """
+    k = np.empty((loga.size, blk.log_e.shape[0]))
+    gauss = np.empty_like(k)
+    step = max(1, _CHUNK // blk.log_e.size)
+    for i in range(0, loga.size, step):
+        g = psi(np.exp(loga[i:i + step, None, None] + blk.log_e))
+        k[i:i + step] = (g * blk.wk).sum(axis=-1)
+        gauss[i:i + step] = (g * blk.wg).sum(axis=-1)
+    return k, gauss
+
+
+def _integrate_side(
+    psi: Callable[[np.ndarray], np.ndarray],
+    loga: np.ndarray,
+    blocks: Iterator[_Block],
     tol: float,
-) -> float:
-    def f(t: float) -> float:
-        return 0.5 * psi(resp.h(t))
+    log_delta0: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """integral of 1/2 Psi'(e^loga E) over one side for every row, with error estimates.
 
-    right = _integrate_decaying(f, resp, delta0, tol)
-    left = _integrate_growing_left(f, resp, tol)
-    return left + right
+    Walks the blocks outward and drops each row once its side is done. The
+    right side ends, as in _integrate_decaying, when |h| <= delta0 beyond the
+    block and 1.5 times the envelope tail is below tol/10; that bound joins
+    the error. The left side ends after two blocks below tol/4 whose
+    geometric remainder is below tol/4 (or both exactly zero); the
+    remainder is added to the value and to the error. Each panel adds
+    |Kronrod - Gauss| to its row's error.
+    """
+    value = np.zeros(loga.size)
+    err = np.zeros(loga.size)
+    prev = np.full(loga.size, math.inf)
+    rows = np.arange(loga.size)
+    # overflow makes |h| inf (Psi' = 0 there); a diverging integral makes the
+    # sums inf or nan, which no stopping rule or error check accepts
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for blk in blocks:
+            la = loga[rows]
+            k, gauss = _panel_sums(psi, la, blk)
+            c = k.sum(axis=-1)
+            value[rows] += c
+            err[rows] += np.abs(k - gauss).sum(axis=-1)
+            if blk.log_env is not None:
+                tail = 1.5 * np.exp(la + blk.log_tail)
+                done = (la + blk.log_env <= log_delta0) & (tail < 0.1 * tol)
+                err[rows[done]] += tail[done]
+            else:
+                p = prev[rows]
+                shrinking = (0.0 < c) & (c < p)
+                rest = np.where(shrinking, c * c / (p - c), 0.0)  # c rho / (1 - rho)
+                done = (c < 0.25 * tol) & (p < 0.25 * tol) & (
+                    (shrinking & (rest < 0.25 * tol)) | ((c == 0.0) & (p == 0.0)))
+                value[rows[done]] += rest[done]
+                err[rows[done]] += rest[done]
+                prev[rows] = c
+            rows = rows[~done]
+            if rows.size == 0:
+                return value, err
+    side = "right" if blk.log_env is not None else "left"
+    raise QuadratureError(
+        f"quadrature failure: {side} tail of {rows.size} responses did not converge "
+        f"within {_MAX_BLOCKS} blocks"
+    )
+
+
+def _full_line(
+    psi: Callable[[np.ndarray], np.ndarray],
+    blocks: Callable[[int, bool], Iterator[_Block]],
+    loga: np.ndarray,
+    tol: float,
+    log_delta0: float,
+) -> np.ndarray:
+    """Full-line integrals of 1/2 Psi'(h) for rows h = e^loga E, each within tol.
+
+    Rows whose error estimate exceeds tol are redone with twice the panels,
+    up to _MAX_LEVEL times; a row still over tol raises QuadratureError
+    rather than being accepted.
+    """
+    values = np.empty(loga.size)
+    rows = np.arange(loga.size)
+    for level in range(_MAX_LEVEL + 1):
+        right, err_r = _integrate_side(psi, loga[rows], blocks(level, True), tol, log_delta0)
+        left, err_l = _integrate_side(psi, loga[rows], blocks(level, False), tol, log_delta0)
+        values[rows] = right + left
+        err = err_r + err_l
+        rows = rows[~(err <= tol)]  # a nan estimate is not converged either
+        if rows.size == 0:
+            return values
+    raise QuadratureError(
+        f"quadrature failure: {rows.size} full-line integrals kept an error estimate "
+        f"up to {err.max():.3e} above tolerance {tol:g} at {_MAX_LEVEL + 1} panel levels"
+    )
+
+
+def _psi_prime_array(dgf: GeneratingFunction, k3: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Psi' of the scaled map on an array of |z| >= 0; 0 at z = 0 and z = inf.
+
+    Psi'_k3(z) = Psi'_1(k3 z) / k3. Without a closed-form inverse slope the
+    scalar closure runs once per element.
+    """
+    slope = dgf._inverse_slope
+    if slope is None:
+        return np.vectorize(_psi_prime_closure(dgf, k3), otypes=[float])
+
+    def psi(z: np.ndarray) -> np.ndarray:
+        w = k3 * z
+        return np.where((w > 0.0) & (w < math.inf), slope(w) / k3, 0.0)
+
+    return psi
+
+
+def _circle_values(
+    sys: SystemMatrix,
+    psi: Callable[[np.ndarray], np.ndarray],
+    theta: np.ndarray,
+    tol: float,
+    log_delta0: float,
+) -> np.ndarray:
+    """Full-line integrals from the unit states at angles theta, complex or repeated case."""
+    v1, v2 = np.cos(theta), np.sin(theta)
+    if sys.kind == _COMPLEX:
+        # h = R e^(mu t) cos(omega t - phase), R = |(v1, c2)|
+        c2 = (sys.mu * v1 + 0.5 * v2) / sys.omega
+        loga = np.log(np.hypot(v1, c2)) + sys.mu / sys.omega * np.arctan2(c2, v1)
+        blocks = functools.partial(_complex_blocks, sys.mu, sys.omega)
+        return _full_line(psi, blocks, loga, tol, log_delta0)
+
+    # h = e^(lam t) (v1 + c2 t) = c2 e^(lam tz) (t - tz) e^(lam (t - tz)),
+    # tz = -v1/c2. From the zero, |h| settles only about |lam tz| blocks out,
+    # and e^(lam tz) underflows once lam tz < -745; rows whose zero lies past
+    # |lam tz| = _FAR_ZERO are walked from t = 0 instead, one at a time.
+    lam = sys.lam1
+    c2 = lam * v1 + 0.5 * v2
+    far = np.abs(lam * v1) > _FAR_ZERO * np.abs(c2)
+    out = np.empty(theta.size)
+    near = ~far
+    if near.any():
+        loga = np.log(np.abs(c2[near])) - lam * v1[near] / c2[near]
+        blocks = functools.partial(_repeated_blocks, lam)
+        out[near] = _full_line(psi, blocks, loga, tol, log_delta0)
+    for i in np.flatnonzero(far):
+        blocks = functools.partial(_far_zero_blocks, lam, c2[i] / v1[i])
+        out[i] = _full_line(psi, blocks, np.log(np.abs(v1[i:i + 1])), tol, log_delta0)[0]
+    return out
+
+
+def _zoom(
+    f: Callable[[np.ndarray], np.ndarray], x: float, v: float, step: float
+) -> tuple[float, float]:
+    """Refine a grid maximum (x, v) with batched rounds of probes across x +/- step.
+
+    Each round moves to its best probe, if better, and shrinks the bracket
+    to one probe spacing. Returns the best (argument, value) seen.
+    """
+    for _ in range(_ZOOM_ROUNDS):
+        xs = x + step * _ZOOM_OFFSETS
+        vals = f(xs)
+        i = int(np.argmax(vals))
+        if vals[i] > v:
+            x, v = float(xs[i]), float(vals[i])
+        step *= _ZOOM_OFFSETS[-1] - _ZOOM_OFFSETS[-2]
+    return x, v
 
 
 def global_convtime_numeric(
@@ -603,18 +894,19 @@ def global_convtime_numeric(
     For distinct real eigenvalues the search runs over the sign-symmetric
     two-exponential family |a| e^(lam1 t) + a e^(lam2 t) on a log grid in
     |a| (time shifts make this family exhaustive); otherwise directly over
-    angles on the unit circle. Either way: coarse grid, then golden-section
-    refinement around the best point.
+    angles on the unit circle. Either way: a coarse grid, then batched zoom
+    rounds around the best point. Every full-line integral comes from one
+    batched Gauss-Kronrod kernel and is accurate to inner_tol by its own
+    error estimate.
     """
     sys = system_matrix(kappa.k1, kappa.k2)
-    psi = _psi_prime_closure(dgf, kappa.k3)
-    delta0 = _delta0(dgf, kappa.k3)
+    psi = _psi_prime_array(dgf, kappa.k3)
+    log_delta0 = math.log(_delta0(dgf, kappa.k3))
 
     if sys.kind == _REAL_DISTINCT:
-        def value_at(log_b: float, sign: float) -> float:
-            b = 10.0 ** log_b
-            resp = _Response(_REAL_DISTINCT, b, sign * b, sys.lam1, sys.lam2)
-            return _full_line_time(psi, resp, delta0, inner_tol)
+        def values(log_b: np.ndarray, sign: float) -> np.ndarray:
+            blocks = functools.partial(_distinct_blocks, sys.lam1, sys.lam2, sign)
+            return _full_line(psi, blocks, math.log(10.0) * log_b, inner_tol, log_delta0)
 
         # Degenerate single-mode profiles are the b -> inf / b -> 0 limits of
         # the family; their full-line values have the closed reduction
@@ -626,25 +918,17 @@ def global_convtime_numeric(
 
         half = grid_points // 2
         lo_edge, hi_edge = -8.0, 8.0
-        best = (-math.inf, 0.0, 1.0)  # (value, log_b, sign)
         for attempt in range(2):
-            for sign in (1.0, -1.0):
-                for i in range(half):
-                    lb = lo_edge + (hi_edge - lo_edge) * i / (half - 1)
-                    v = value_at(lb, sign)
-                    if v > best[0]:
-                        best = (v, lb, sign)
-            at_edge = best[1] <= lo_edge + 1e-9 or best[1] >= hi_edge - 1e-9
-            if not (at_edge and best[0] > max(lim_slow, lim_fast)) or attempt == 1:
+            grid = np.linspace(lo_edge, hi_edge, half)
+            vals = np.concatenate([values(grid, 1.0), values(grid, -1.0)])
+            i = int(np.argmax(vals))
+            best_v, best_lb, sgn = float(vals[i]), float(grid[i % half]), 1.0 if i < half else -1.0
+            at_edge = i % half in (0, half - 1)
+            if not (at_edge and best_v > max(lim_slow, lim_fast)) or attempt == 1:
                 break
             lo_edge, hi_edge = 2.0 * lo_edge, 2.0 * hi_edge  # widen and rescan
         step = (hi_edge - lo_edge) / (half - 1)
-        sgn = best[2]
-        arg, val = golden_max(
-            lambda lb: value_at(lb, sgn), best[1] - step, best[1] + step, iters=40
-        )
-        if val < best[0]:
-            arg, val = best[1], best[0]
+        arg, val = _zoom(lambda lb: values(lb, sgn), best_lb, best_v, step)
         argmax = sgn * 10.0 ** arg
         if lim_fast > val:
             val, argmax = lim_fast, 0.0
@@ -655,20 +939,14 @@ def global_convtime_numeric(
             argmax=argmax, grid_points=grid_points, inner_tol=inner_tol,
         )
 
-    def value_at_angle(theta: float) -> float:
-        resp = _response_for(sys, math.cos(theta), math.sin(theta))
-        return _full_line_time(psi, resp, delta0, inner_tol)
+    def values(theta: np.ndarray) -> np.ndarray:
+        # Psi' is even, so v and -v coincide and [0, pi) covers the circle
+        return _circle_values(sys, psi, theta, inner_tol, log_delta0)
 
-    best_v, best_t = -math.inf, 0.0
-    for i in range(grid_points):
-        theta = math.pi * i / grid_points  # Psi' even: v and -v coincide
-        v = value_at_angle(theta)
-        if v > best_v:
-            best_v, best_t = v, theta
-    step = math.pi / grid_points
-    arg, val = golden_max(value_at_angle, best_t - step, best_t + step, iters=40)
-    if val < best_v:
-        arg, val = best_t, best_v
+    thetas = math.pi * np.arange(grid_points) / grid_points
+    vals = values(thetas)
+    i = int(np.argmax(vals))
+    arg, val = _zoom(values, float(thetas[i]), float(vals[i]), math.pi / grid_points)
     return GlobalConvtime(
         value=val, dgf_name=dgf.name, kappa=kappa, search="unit-circle",
         argmax=arg, grid_points=grid_points, inner_tol=inner_tol,

@@ -20,8 +20,10 @@ convergence, which is what the admissibility constants (B, C, D) certify:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from ._quad import adaptive_simpson, golden_max, reciprocal_integral
 from .errors import (
@@ -117,6 +119,11 @@ class GeneratingFunction:
     phi_second: ScalarMap
     inverse: Optional[ScalarMap] = None
     claimed_constants: Optional[AdmissibilityConstants] = None
+    # built-ins only: w >= 0 |-> 1/phi'(phi^-1(w)) elementwise on numpy arrays,
+    # which lets the worst-case search evaluate Psi' without scalar calls
+    _inverse_slope: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, repr=False
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +174,10 @@ def _sqrt_inverse(z: float) -> float:
     return math.copysign(z * z, z)
 
 
+def _sqrt_inverse_slope(w: np.ndarray) -> np.ndarray:
+    return 2.0 * w
+
+
 def _ured_phi(x: float) -> float:
     ax = abs(x)
     return math.copysign(math.sqrt(ax) * (1.0 + ax), x)
@@ -198,6 +209,16 @@ def _ured_inverse(z: float) -> float:
     for _ in range(2):
         s -= (s * (s * s + 1.0) - az) / (3.0 * s * s + 1.0)
     return math.copysign(s * s, z)
+
+
+def _ured_inverse_slope(w: np.ndarray) -> np.ndarray:
+    # 1/phi'(s^2) = 2s/(1 + 3s^2) with s^3 + s = w, solved as in _ured_inverse
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.sqrt(0.25 * w * w + 1.0 / 27.0)
+        s = np.where(w > 1e100, np.cbrt(w), np.cbrt(r + 0.5 * w) - np.cbrt(r - 0.5 * w))
+        for _ in range(2):
+            s -= (s * (s * s + 1.0) - w) / (3.0 * s * s + 1.0)
+        return 2.0 * s / (1.0 + 3.0 * s * s)
 
 
 def _exp_phi(x: float) -> float:
@@ -238,6 +259,12 @@ def _exp_inverse(z: float) -> float:
     return math.copysign(math.log1p(az * az), z)
 
 
+def _exp_inverse_slope(w: np.ndarray) -> np.ndarray:
+    # phi^-1(w) = log(1 + w^2), so 1/phi' = 2w/(1 + w^2)
+    with np.errstate(divide="ignore"):
+        return 2.0 / (w + 1.0 / w)
+
+
 _BUILTINS = {
     "sqrt": GeneratingFunction(
         name="sqrt",
@@ -246,6 +273,7 @@ _BUILTINS = {
         phi_second=_sqrt_phi_second,
         inverse=_sqrt_inverse,
         claimed_constants=None,  # reciprocal integral diverges: no uniform bound
+        _inverse_slope=_sqrt_inverse_slope,
     ),
     "ured": GeneratingFunction(
         name="ured",
@@ -256,6 +284,7 @@ _BUILTINS = {
         claimed_constants=AdmissibilityConstants(
             B=math.pi, C=1.0 / math.sqrt(3.0), D=1.0, exact=True
         ),
+        _inverse_slope=_ured_inverse_slope,
     ),
     "exp": GeneratingFunction(
         name="exp",
@@ -264,6 +293,7 @@ _BUILTINS = {
         phi_second=_exp_phi_second,
         inverse=_exp_inverse,
         claimed_constants=AdmissibilityConstants(B=math.pi, C=1.0, D=1.0, exact=True),
+        _inverse_slope=_exp_inverse_slope,
     ),
 }
 

@@ -14,7 +14,6 @@ detected and reported rather than silently propagated.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -369,32 +368,25 @@ def sweep_slopes(
     """Convergence time versus initial slope for the cosine ramp family.
 
     Each row starts at y1 = f(0), y2 = 0, so the initial error is purely in
-    the derivative channel with magnitude |c|. Rows run concurrently; a
-    diverging row is recorded and the sweep continues.
+    the derivative channel with magnitude |c|. With noise, row idx draws it
+    from the (seed, idx) stream. A diverging row is recorded and the sweep
+    continues.
     """
-
-    def one(idx_c: tuple[int, float]) -> SlopeSweepRow:
-        idx, c = idx_c
+    n = int(round(config.horizon / config.Ts)) + 1
+    rows = []
+    for idx, c in enumerate(slopes):
         sig = SlopeSignal(omega, c)
         f0 = float(sig.f(np.array([0.0]))[0])
-        cfg = SimConfig(
-            Ts=config.Ts, horizon=config.horizon,
-            conv_tol_x1=config.conv_tol_x1, conv_tol_x2=config.conv_tol_x2,
-            noise=config.noise, seed=config.seed, steady_window=config.steady_window,
-        )
         noise = None
         if config.noise is not None and config.noise.amplitude > 0.0:
-            n = int(round(config.horizon / config.Ts)) + 1
             rng = np.random.default_rng((config.seed, idx))
             noise = rng.uniform(-config.noise.amplitude, config.noise.amplitude, n)
         res = run(
-            dgf, kappa, sig, cfg, DifferentiatorState(f0, 0.0),
+            dgf, kappa, sig, config, DifferentiatorState(f0, 0.0),
             noise_samples=noise, raise_on_divergence=False,
         )
-        return SlopeSweepRow(c=c, tau=res.tau, diverged=res.diverged)
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(slopes)))) as pool:
-        return list(pool.map(one, enumerate(slopes)))
+        rows.append(SlopeSweepRow(c=c, tau=res.tau, diverged=res.diverged))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -419,29 +411,26 @@ def noise_sweep(
 
     Row i draws one unit noise array from the (seed, i) stream and scales
     it by the amplitude, so both differentiators in a row see identical
-    noise. Rows run concurrently.
+    noise.
     """
     kappa_fixed, kappa_sta = kappa_pair
     n = int(round(config.horizon / config.Ts)) + 1
-
-    def one(idx_a: tuple[int, float]) -> NoiseSweepRow:
-        idx, amp = idx_a
+    rows = []
+    for idx, amp in enumerate(amplitudes):
         rng = np.random.default_rng((config.seed, idx))
         noise = amp * rng.uniform(-1.0, 1.0, n)
         rf = run(dgf_fixed_time, kappa_fixed, signal, config, init,
                  noise_samples=noise, raise_on_divergence=False)
         rs = run(dgf_sta_reference, kappa_sta, signal, config, init,
                  noise_samples=noise, raise_on_divergence=False)
-        return NoiseSweepRow(
+        rows.append(NoiseSweepRow(
             amplitude=amp,
             steady_err_fixed=rf.steady_error,
             steady_err_sta=rs.steady_error,
             diverged_fixed=rf.diverged,
             diverged_sta=rs.diverged,
-        )
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(amplitudes)))) as pool:
-        return list(pool.map(one, enumerate(amplitudes)))
+        ))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +441,9 @@ def result_to_csv(result: SimResult) -> str:
     """Series as CSV: t, f, f_dot, y1, y2, x1, x2 (f reconstructed from x1+y1)."""
     f = result.x1_series + result.y1_series
     fd = result.x2_series + result.y2_series
-    lines = ["t,f,f_dot,y1,y2,x1,x2"]
-    for i in range(result.times.size):
-        lines.append(
-            f"{result.times[i]:.10g},{f[i]:.17g},{fd[i]:.17g},"
-            f"{result.y1_series[i]:.17g},{result.y2_series[i]:.17g},"
-            f"{result.x1_series[i]:.17g},{result.x2_series[i]:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    cols = (result.times, f, fd, result.y1_series, result.y2_series,
+            result.x1_series, result.x2_series)
+    # one %-format per row over plain floats; numpy scalars format far slower
+    row = "%.10g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+    lines = map(row.__mod__, zip(*(c.tolist() for c in cols)))
+    return "\n".join(["t,f,f_dot,y1,y2,x1,x2", *lines]) + "\n"

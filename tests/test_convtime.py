@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +10,13 @@ import scipy.integrate
 import scipy.linalg
 import scipy.optimize
 
+import ftdiff
 from ftdiff.convtime import (
     GlobalConvtime,
+    _circle_values,
+    _delta0,
+    _psi_prime_array,
+    _psi_prime_closure,
     expm2,
     global_convtime_numeric,
     lbar,
@@ -19,8 +28,17 @@ from ftdiff.convtime import (
     t_perturbed_bound,
     upper_bound_ttilde,
 )
-from ftdiff.dgf import ParamTriple, builtin_dgf, compute_admissibility, nu1
-from ftdiff.errors import BoundNotApplicableError, InfeasibleError
+from ftdiff.dgf import (
+    GeneratingFunction,
+    ParamTriple,
+    builtin_dgf,
+    compute_admissibility,
+    invert_phi,
+    nu1,
+    psi_prime,
+)
+from ftdiff.errors import BoundNotApplicableError, InfeasibleError, QuadratureError
+from ftdiff.expr import compile_expression
 
 SQRT8 = math.sqrt(8.0)
 
@@ -64,6 +82,47 @@ def t0_oracle(name, kappa, x0):
 
     val, _ = scipy.integrate.quad(integrand, 0.0, np.inf, limit=400)
     return val
+
+
+def full_line_oracle(dgf, kappa, theta, lo=-200.0, hi=80.0):
+    """integral over [lo, hi] of 1/2 Psi'(h) from the unit state at angle theta.
+
+    scipy quad between the sign changes of h (bracketed on a grid, refined
+    by brentq). Far out, a sign change is a cusp much narrower than quad's
+    first panels, so each half of a piece is integrated in w with
+    t = end -/+ (half width) w^3. Both ends of [lo, hi] are far enough out
+    that the rest is below 1e-12.
+    """
+    k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
+    A = np.array([[-k1 / 2.0, 0.5], [-k2, 0.0]])
+    v = np.array([math.cos(theta), math.sin(theta)])
+
+    def h(t):
+        return (scipy.linalg.expm(A * t) @ v)[0]
+
+    grid = np.linspace(lo, hi, 1401)
+    hs = [h(t) for t in grid]
+    pts = [lo]
+    for a, b, ha, hb in zip(grid, grid[1:], hs, hs[1:]):
+        if ha * hb < 0.0:
+            pts.append(scipy.optimize.brentq(h, a, b, xtol=1e-14))
+    pts.append(hi)
+    total = 0.0
+    for a, b in zip(pts, pts[1:]):
+        half = 0.5 * (b - a)
+        for end, sign in ((a, 1.0), (b, -1.0)):
+            total += scipy.integrate.quad(
+                lambda w: 1.5 * half * w * w * psi_prime(dgf, k3, h(end + sign * half * w ** 3)),
+                0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+# ured written as expressions, without an inverse
+URED_EXPRESSIONS = (
+    "sign(x)*(sqrt(abs(x)) + abs(x)**1.5)",
+    "0.5/sqrt(abs(x)) + 1.5*sqrt(abs(x))",
+    "sign(x)*(-0.25*abs(x)**-1.5 + 0.75*abs(x)**-0.5)",
+)
 
 
 # -- eigenstructure ---------------------------------------------------------
@@ -155,6 +214,22 @@ class TestT0Exact:
         # pinned regression value for the documented example point
         got = t0_exact(ured, ParamTriple(5.0, 1.0, 1.0), (1.0, 0.0))
         assert got == pytest.approx(0.8993814242511874, rel=1e-9)
+
+    def test_huge_initial_error_returns_or_raises_promptly(self):
+        # an unreachable panel tolerance used to split panels without end
+        code = (
+            "from ftdiff import ParamTriple, builtin_dgf, t0_exact\n"
+            "from ftdiff.errors import QuadratureError\n"
+            "try:\n"
+            "    t0_exact(builtin_dgf('ured'), ParamTriple(5.0, 1.0, 1.0), (1e100, 0.0))\n"
+            "except QuadratureError:\n"
+            "    pass\n"
+        )
+        src = str(Path(ftdiff.__file__).resolve().parents[1])
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                       timeout=60, check=True)
+        assert time.perf_counter() - start < 10.0
 
     @pytest.mark.parametrize("name", ["ured", "exp"])
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
@@ -359,3 +434,67 @@ class TestGlobalConvtime:
         coarse = global_convtime_numeric(expdgf, kappa, grid_points=48)
         fine = global_convtime_numeric(expdgf, kappa, grid_points=96)
         assert fine.value == pytest.approx(coarse.value, rel=1e-4)
+
+    # k1 = 2 tan(78 pi/256) (repeated eigenvalue) puts grid point 78 on the
+    # angle where h = e^(lam t) (v1 + c2 t) loses its slope c2
+    @pytest.mark.parametrize("k1", [2.0, 2.0 * math.tan(78.0 * math.pi / 256.0)])
+    @pytest.mark.parametrize("name", ["ured", "exp"])
+    def test_circle_supremum_matches_quad_reference(self, name, k1):
+        pytest.importorskip("scipy.integrate")
+        dgf = builtin_dgf(name)
+        kappa = ParamTriple(k1, 1.0 if k1 == 2.0 else k1 * k1 / 8.0, 1.0)
+        out = global_convtime_numeric(dgf, kappa)
+        want = full_line_oracle(dgf, kappa, out.argmax)
+        assert abs(out.value - want) <= out.inner_tol
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-6, 3e-3, -3e-3, 5e-3, -1e-2])
+    def test_repeated_rows_with_distant_zero(self, ured, offset):
+        # offsets from the pure-mode angle put the zero of h at |lam tz| from
+        # infinity down to about 50, on both sides of the walk's switch at 100
+        pytest.importorskip("scipy.integrate")
+        k1 = 2.0 * math.tan(78.0 * math.pi / 256.0)
+        kappa = ParamTriple(k1, k1 * k1 / 8.0, 1.0)
+        theta = 78.0 * math.pi / 256.0 + offset
+        got = _circle_values(system_matrix(kappa.k1, kappa.k2), _psi_prime_array(ured, 1.0),
+                             np.array([theta]), 1e-6, math.log(_delta0(ured, 1.0)))
+        want = full_line_oracle(ured, kappa, theta, lo=-300.0, hi=120.0)
+        assert abs(got[0] - want) <= 1e-6
+
+    def test_custom_expression_matches_builtin(self, ured):
+        custom = GeneratingFunction(
+            "custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        kappa = ParamTriple(SQRT8, 1.0, 1.0)
+        got = global_convtime_numeric(custom, kappa, grid_points=4)
+        want = global_convtime_numeric(ured, kappa, grid_points=4)
+        assert abs(got.value - want.value) <= got.inner_tol
+
+    def test_divergent_left_tail_raises(self, sqrtdgf):
+        # sqrt has no uniform bound: the left tail grows without end
+        with pytest.raises(QuadratureError):
+            global_convtime_numeric(sqrtdgf, ParamTriple(2.0, 1.0, 1.0),
+                                    grid_points=8)
+
+
+class TestPsiPrimeArray:
+    @pytest.mark.parametrize("name", ["sqrt", "ured", "exp"])
+    def test_matches_scalar_on_log_grid(self, name):
+        dgf = builtin_dgf(name)
+        k3 = 1.7
+        z = np.logspace(-300.0, 300.0, 601)
+        got = _psi_prime_array(dgf, k3)(z)
+        for zi, gi in zip(z.tolist(), got):
+            x = abs(invert_phi(dgf, k3 * zi))
+            if sys.float_info.min <= x < math.inf:
+                assert gi == pytest.approx(psi_prime(dgf, k3, zi), rel=1e-13, abs=0.0)
+            else:
+                # the scalar route's preimage leaves the float range; the
+                # square-root behavior at zero (sqrt: everywhere) gives 2|z|
+                assert gi == pytest.approx(2.0 * zi, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["sqrt", "ured", "exp"])
+    def test_zero_at_origin_and_infinity(self, name):
+        dgf = builtin_dgf(name)
+        scalar = _psi_prime_closure(dgf, 1.7)
+        got = _psi_prime_array(dgf, 1.7)(np.array([0.0, math.inf]))
+        assert list(got) == [0.0, 0.0]
+        assert [scalar(z) for z in (0.0, math.inf, -math.inf)] == [0.0, 0.0, 0.0]

@@ -358,3 +358,23 @@ class TestCsv:
             float(Fig1Signal().f(np.array([t]))[0]), rel=1e-10)
         assert float(row[5]) == pytest.approx(
             float(row[1]) - float(row[3]), abs=1e-12)
+
+    def test_matches_per_element_formatter(self, ured):
+        # no derivative series makes x2 nan; an overflowed estimate gives inf
+        sig = SampledSignal(values=np.linspace(0.0, 1.0, 11), sample_period=1e-3)
+        out = run(ured, KAPPA_URED, sig, SimConfig(Ts=1e-3, horizon=0.01))
+        out.y1_series[4] = math.inf
+        out.y2_series[5] = -math.inf
+        out.x1_series[6] = -0.0
+        f = out.x1_series + out.y1_series
+        fd = out.x2_series + out.y2_series
+        lines = ["t,f,f_dot,y1,y2,x1,x2"]
+        for i in range(out.times.size):
+            lines.append(
+                f"{out.times[i]:.10g},{f[i]:.17g},{fd[i]:.17g},"
+                f"{out.y1_series[i]:.17g},{out.y2_series[i]:.17g},"
+                f"{out.x1_series[i]:.17g},{out.x2_series[i]:.17g}"
+            )
+        text = result_to_csv(out)
+        assert "nan" in text and "-inf" in text
+        assert text == "\n".join(lines) + "\n"
