@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .errors import (
     NotAdmissibleError,
     QuadratureError,
     SimulationDivergedError,
-    SupremumSearchError,
 )
 from .expr import compile_expression
 from .sim import (
@@ -65,7 +64,8 @@ from .sim import (
     run,
     sweep_slopes,
 )
-from .tuning import TuningRequest, generate_table1, table1_csv, tune
+from .tuning import (_TABLE_K1, TuningRequest, _ceil_one_decimal, generate_table1,
+                     table1_csv, tune)
 from . import __version__
 
 EXIT_OK = 0
@@ -74,10 +74,6 @@ EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
 
 _SQRT8 = math.sqrt(8.0)
-
-# k1-tilde values whose rounded bound is tabulated; tune() consults this
-# so preset gains reproduce the published one-decimal T-tilde exactly.
-_TABLE_K1 = (_SQRT8, 5.0, 10.0, 15.0, 20.0)
 
 
 class _UsageError(Exception):
@@ -399,17 +395,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # tune
 
-def _resolve_ttilde(dgf: GeneratingFunction, k1_tilde: float,
-                    constants: AdmissibilityConstants,
+def _resolve_ttilde(k1_tilde: float, constants: AdmissibilityConstants,
                     override: float | None) -> float:
     if override is not None:
         return override
-    kappa = ParamTriple(k1_tilde, 1.0, 1.0)
-    raw = upper_bound_ttilde(constants, kappa)
-    for tab_k1 in _TABLE_K1:
-        if math.isclose(k1_tilde, tab_k1, rel_tol=1e-9):
-            # Published one-decimal value; ceiling keeps the guarantee valid.
-            return math.ceil(round(raw * 10.0, 9)) / 10.0
+    raw = upper_bound_ttilde(constants, ParamTriple(k1_tilde, 1.0, 1.0))
+    # a tabulated k1-tilde gets its published one-decimal value, so preset
+    # gains reproduce it exactly; the ceiling keeps the guarantee valid
+    if any(math.isclose(k1_tilde, k, rel_tol=1e-9) for k in _TABLE_K1):
+        return _ceil_one_decimal(raw)
     return raw
 
 
@@ -419,7 +413,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     dgf = resolve_dgf(args)
     constants = _constants_for(dgf)
     try:
-        ttilde = _resolve_ttilde(dgf, args.k1_tilde, constants, args.t_tilde)
+        ttilde = _resolve_ttilde(args.k1_tilde, constants, args.t_tilde)
     except BoundNotApplicableError as exc:
         # below sqrt(8) the normalized family is not admissible anyway
         raise _UsageError(
@@ -620,7 +614,7 @@ def _tuned_kappa(args: argparse.Namespace, dgf: GeneratingFunction) -> ParamTrip
     constants = _constants_for(dgf)
     T = args.T if args.T is not None else 1.0
     L = args.L if args.L is not None else 1.0
-    ttilde = _resolve_ttilde(dgf, _SQRT8, constants, None)
+    ttilde = _resolve_ttilde(_SQRT8, constants, None)
     request = TuningRequest(
         dgf_id=dgf.name,
         normalized_triple=ParamTriple(_SQRT8, 1.0, 1.0),
@@ -783,9 +777,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (QuadratureError, InversionRangeError, SupremumSearchError,
-            SimulationDivergedError, NotAdmissibleError,
-            BoundNotApplicableError) as exc:
+    except (QuadratureError, InversionRangeError, SimulationDivergedError,
+            NotAdmissibleError, BoundNotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -499,7 +499,7 @@ def upper_bound_ttilde(constants: AdmissibilityConstants, kappa: ParamTriple) ->
     """
     disc = _discriminant_or_raise(kappa)
     k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
-    if disc <= _REPEATED_REL_TOL * k1 * k1:
+    if disc == 0.0:
         return (constants.C + 6.0 * constants.B) / (k1 * k3)
     s = math.sqrt(disc)
     log_term = math.log((k1 + s) / (k1 - s)) / (2.0 * k3 * s) * constants.C

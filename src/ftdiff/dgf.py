@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import adaptive_simpson, golden_max, reciprocal_integral
+from ._quad import golden_max, reciprocal_integral
 from .errors import (
     InversionRangeError,
     NotAdmissibleError,
@@ -406,16 +406,25 @@ def psi_prime(dgf: GeneratingFunction, k3: float, z: float) -> float:
 
     Psi'(z) = 1 / (k3 Phi'(Phi^(-1)(k3 z))), an even function of z,
     continuously extended by Psi'(0) = 0 (the slope of Phi blows up at the
-    origin, so the inverse flattens out).
+    origin, so the inverse flattens out). The built-ins use their closed-form
+    inverse slope, whose preimage can neither underflow nor overflow; for
+    other functions a zero slope at the preimage raises InversionRangeError.
     """
     _check_k3(k3)
     if z == 0.0:
         return 0.0
-    x = invert_phi(dgf, k3 * abs(z))
+    w = k3 * abs(z)
+    if dgf._inverse_slope is not None:
+        with np.errstate(over="ignore"):
+            return float(dgf._inverse_slope(np.float64(w))) / k3
+    x = invert_phi(dgf, w)
     if x == 0.0:
         # the inverse underflowed (subnormal z); same continuous extension
         return 0.0
-    return 1.0 / (k3 * dgf.phi_prime(x))
+    d = dgf.phi_prime(x)
+    if d == 0.0:
+        raise InversionRangeError(f"phi' is 0 at the preimage {x:.3e} of {w:.3e}")
+    return 1.0 / (k3 * d)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Callers that need exit-code style triage can rely on the split between
 InfeasibleError (the request itself cannot be satisfied) and the numerical
-failures (QuadratureError, InversionRangeError, SupremumSearchError,
-SimulationDivergedError).
+failures (QuadratureError, InversionRangeError, SimulationDivergedError).
 """
 
 
@@ -42,10 +41,6 @@ class InfeasibleError(FtdiffError):
     Raised when L >= Lbar (no perturbed guarantee exists) or when the tuning
     tradeoff parameter does not exceed the Lipschitz constant.
     """
-
-
-class SupremumSearchError(FtdiffError):
-    """The outer search for a supremum failed to bracket a maximum."""
 
 
 class SimulationDivergedError(FtdiffError):

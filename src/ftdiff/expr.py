@@ -162,17 +162,17 @@ def compile_expression(text: str) -> Callable[[float], float]:
             exc.msg or "invalid syntax", exc.lineno or 1, (exc.offset or 1) - 1
         ) from None
     _validate(tree)
-    tree = ast.fix_missing_locations(_Lower().visit(tree))
-    code = compile(tree, "<expression>", "eval")
-    env = {"__builtins__": {}}
-    env.update(_FUNCTIONS)
-    env.update(_CONSTANTS)
-    env["_div"] = _g_div
+    # one function of (x, z) built once: each call then skips eval's frame set-up
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(arg=n) for n in _VARIABLES],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    tree.body = ast.Lambda(args=params, body=_Lower().visit(tree.body))
+    env = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS, "_div": _g_div}
+    body = eval(compile(ast.fix_missing_locations(tree), "<expression>", "eval"), env)
 
     def fn(value: float) -> float:
         v = float(value)
         try:
-            return float(eval(code, env, {"x": v, "z": v}))
+            return float(body(v, v))
         except OverflowError:
             return math.inf
         except ZeroDivisionError:

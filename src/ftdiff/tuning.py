@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .convtime import lbar, upper_bound_ttilde
+from .convtime import _discriminant_or_raise, lbar, upper_bound_ttilde
 from .dgf import AdmissibilityConstants, ParamTriple, builtin_dgf
-from .errors import BoundNotApplicableError, InfeasibleError, NotAdmissibleError
+from .errors import InfeasibleError, NotAdmissibleError
 
 __all__ = [
     "Table1Row",
@@ -160,14 +160,7 @@ def tightness_ratio_bound(req: TuningRequest, B_exact: float) -> float:
     if not B_exact > 0.0:
         raise ValueError("B_exact must be positive")
     nt = req.normalized_triple
-    disc = nt.k1 * nt.k1 - 8.0 * nt.k2
-    if disc < -1e-10 * nt.k1 * nt.k1:
-        raise BoundNotApplicableError(
-            f"bound not applicable: k1~^2 < 8 k2~ (k1~ = {nt.k1:g}, k2~ = {nt.k2:g})"
-        )
-    # snap the repeated-eigenvalue band to zero: float residue of k1~^2 - 8 k2~
-    # would otherwise leak through the square root
-    disc = 0.0 if disc <= 1e-10 * nt.k1 * nt.k1 else disc
+    disc = _discriminant_or_raise(nt)
     g = req.resolved_gamma
     core = (nt.k1 - math.sqrt(disc)) * nt.k3 * req.ttilde / (2.0 * B_exact)
     return core * g / (g - req.L)

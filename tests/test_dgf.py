@@ -24,6 +24,7 @@ from ftdiff.errors import (
     NotAdmissibleError,
     SetValuedPointError,
 )
+from ftdiff.expr import compile_expression
 
 nonzero = st.floats(min_value=1e-8, max_value=1e8).map(lambda v: v)
 signed = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False)
@@ -233,6 +234,31 @@ class TestPsiPrime:
             sup = max(psi_prime(dgf, k3, z)
                       for z in [10.0 ** e for e in range(-9, 10)])
             assert sup <= C / k3 * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("name", ["sqrt", "ured", "exp"])
+    @pytest.mark.parametrize("z", [1e-300, 1e-170, 1e200])
+    def test_extreme_magnitudes(self, name, z):
+        # where the preimage Phi^-1(k3 |z|) underflows (ured, exp) or
+        # overflows (sqrt), the asymptotic closed forms still hold
+        dgf = builtin_dgf(name)
+        k3 = 1.7
+        want = 2.0 * z  # Phi ~ sqrt near zero; sqrt everywhere
+        if z > 1.0 and name == "ured":
+            want = 2.0 / (3.0 * k3 * (k3 * z) ** (1.0 / 3.0))  # 1/Phi'(s^2) ~ 2/(3s)
+        elif z > 1.0 and name == "exp":
+            want = 2.0 / (k3 * k3 * z)  # 1/Phi'(log(1 + w^2)) ~ 2/w
+        for sz in (z, -z):
+            assert psi_prime(dgf, k3, sz) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_zero_slope_at_preimage_raises(self):
+        # sqrt written as expressions: the inverse overflows to inf, where
+        # Phi' softens to 0
+        dgf = GeneratingFunction("custom-sqrt", *(compile_expression(t) for t in (
+            "sign(x)*sqrt(abs(x))", "0.5/sqrt(abs(x))", "-0.25*sign(x)*abs(x)**-1.5",
+            "sign(z)*z**2")))
+        assert psi_prime(dgf, 1.0, 3.0) == 6.0
+        with pytest.raises(InversionRangeError):
+            psi_prime(dgf, 1.0, 1e200)
 
 
 class TestScaledFamily:

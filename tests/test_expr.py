@@ -114,3 +114,61 @@ class TestRejection:
         # validation failure must not execute anything
         with pytest.raises(ExpressionError):
             compile_expression("exec('x')")
+
+
+def _per_call_eval(text):
+    """The former formulation: the lowered body re-enters eval on every call."""
+    import ast
+
+    from ftdiff.expr import _CONSTANTS, _FUNCTIONS, _Lower, _g_div, _validate
+
+    tree = ast.parse(text, mode="eval")
+    _validate(tree)
+    code = compile(ast.fix_missing_locations(_Lower().visit(tree)), "<expression>", "eval")
+    env = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS, "_div": _g_div}
+
+    def fn(value):
+        v = float(value)
+        try:
+            return float(eval(code, env, {"x": v, "z": v}))
+        except OverflowError:
+            return math.inf
+        except ZeroDivisionError:
+            return math.inf
+        except ValueError:
+            return math.nan
+
+    return fn
+
+
+def _outcome(f, arg):
+    try:
+        return f(arg)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+
+
+class TestCompiledMatchesPerCallEval:
+    EXPRESSIONS = [
+        "sign(x)*(sqrt(abs(x)) + abs(x)**1.5)",
+        "0.5/sqrt(abs(x)) + 1.5*sqrt(abs(x))",
+        "sign(x)*(-0.25*abs(x)**-1.5 + 0.75*abs(x)**-0.5)",
+        "exp(1000)*sign(x)", "1/x", "0/x", "x**0.5", "x**1e3", "log(x)",
+        "pow(x,3)", "-z**2+pi*e", "sqrt(x)", "x", "2*3 - 1",
+    ]
+    ARGS = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 710.0, -710.0,
+            math.inf, -math.inf, math.nan, 3]
+
+    @pytest.mark.parametrize("text", EXPRESSIONS)
+    def test_same_bits_and_exceptions(self, text):
+        new, old = compile_expression(text), _per_call_eval(text)
+        for arg in self.ARGS:
+            got, want = _outcome(new, arg), _outcome(old, arg)
+            if isinstance(want, float):
+                assert isinstance(got, float), (text, arg, got)
+                if math.isnan(want):
+                    assert math.isnan(got), (text, arg, got)
+                else:
+                    assert got.hex() == want.hex(), (text, arg, got, want)
+            else:
+                assert got is want, (text, arg, got, want)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ftdiff.dgf import ParamTriple, builtin_dgf
+from ftdiff.dgf import GeneratingFunction, ParamTriple, builtin_dgf, nu1, nu2
 from ftdiff.errors import SimulationDivergedError
+from ftdiff.expr import compile_expression
 from ftdiff.sim import (
     DifferentiatorState,
     Fig1Signal,
@@ -142,6 +143,80 @@ class TestStep:
             assert state.y1 == out.y1_series[i]
             assert state.y2 == out.y2_series[i]
             state = step(ured, KAPPA_URED, state, float(f[i]), 1e-3)
+
+
+
+def _dgf(name):
+    if name != "custom":
+        return builtin_dgf(name)
+    # ured written as expressions, without an inverse
+    return GeneratingFunction("custom", *(compile_expression(t) for t in (
+        "sign(x)*(sqrt(abs(x)) + abs(x)**1.5)",
+        "0.5/sqrt(abs(x)) + 1.5*sqrt(abs(x))",
+        "sign(x)*(-0.25*abs(x)**-1.5 + 0.75*abs(x)**-0.5)")))
+
+
+def _reference_run(dgf, kappa, meas, Ts, y1, y2, n1):
+    """Plain Euler loop on the public injections; 0 for nu2 at e == 0."""
+    y1s, y2s = [], []
+    for m in meas:
+        y1s.append(y1)
+        y2s.append(y2)
+        if not (math.isfinite(y1) and math.isfinite(y2)):
+            return y1s, y2s, len(y1s) - 1
+        e = m - y1
+        n2 = 0.0 if e == 0.0 else nu2(dgf, kappa.k3, e)
+        y1, y2 = y1 + Ts * (kappa.k1 * n1(dgf, kappa.k3, e) + y2), y2 + Ts * kappa.k2 * n2
+    return y1s, y2s, None
+
+
+# run scales Phi by 1/k3 where nu1 divides by k3; both agree bit for bit when
+# k3 is a power of two, and the reciprocal form covers the tuned gains
+_N1 = {
+    "nu1": (ParamTriple(6.0, 4.5, 2.0), nu1),
+    "reciprocal": (KAPPA_URED, lambda dgf, k3, e: (1.0 / k3) * dgf.phi(k3 * k3 * e)),
+}
+
+
+class TestRunMatchesReferenceLoop:
+    @pytest.mark.parametrize("n1_form", sorted(_N1))
+    @pytest.mark.parametrize("name", ["ured", "exp", "sqrt", "custom"])
+    @pytest.mark.parametrize("Ts", [1e-3, 0.2])
+    def test_bit_equal(self, name, n1_form, Ts):
+        dgf = _dgf(name)
+        kappa, n1 = _N1[n1_form]
+        config = SimConfig(Ts=Ts, horizon=4.0)
+        sig = Fig1Signal()
+        t = np.arange(int(round(4.0 / Ts)) + 1) * Ts
+        f, fd = sig.f(t), sig.f_dot(t)
+        init = DifferentiatorState(float(f[0]), 0.0)  # e == 0 at the first step
+        y1s, y2s, div = _reference_run(dgf, kappa, f.tolist(), Ts, init.y1, init.y2, n1)
+        if Ts == 0.2 and name in ("ured", "custom"):
+            assert div is not None  # forward Euler is unstable at this step size
+        out = run(dgf, kappa, sig, config, init, raise_on_divergence=False)
+        assert out.y1_series.tolist() == y1s[: out.times.size]
+        assert out.y2_series.tolist() == y2s[: out.times.size]
+        assert out.diverged == (div is not None)
+        if div is None:
+            bad = np.flatnonzero((np.abs(f - y1s) > config.conv_tol_x1)
+                                 | (np.abs(fd - y2s) > config.conv_tol_x2))
+            last = int(bad[-1]) if bad.size else -1  # last sample outside a band
+            assert out.tau == (float(t[last + 1]) if last + 1 < t.size else None)
+        else:
+            assert out.times.size == div
+            with pytest.raises(SimulationDivergedError) as info:
+                run(dgf, kappa, sig, config, init)
+            assert info.value.step_index == div
+
+    @pytest.mark.parametrize("name", ["ured", "exp", "sqrt", "custom"])
+    def test_step_is_one_step_of_run(self, name):
+        dgf = _dgf(name)
+        Ts = 1e-3
+        for y1, y2, m in ((0.3, -0.2, 1.1), (1.0, 0.5, 1.0), (-2.0, 4.0, 5.0)):
+            got = step(dgf, KAPPA_URED, DifferentiatorState(y1, y2), m, Ts)
+            out = run(dgf, KAPPA_URED, SampledSignal(np.array([m, m]), Ts),
+                      SimConfig(Ts=Ts, horizon=Ts), DifferentiatorState(y1, y2))
+            assert (got.y1, got.y2) == (out.y1_series[1], out.y2_series[1])
 
 
 @pytest.fixture(scope="module")
