@@ -188,14 +188,6 @@ class _Response:
             return 0.0
         return _e(self.mu * t) * m
 
-    def envelope(self, t: float) -> float:
-        """Upper bound for |h| on [t, infinity), decreasing past decay_start."""
-        if self.kind == _REAL_DISTINCT:
-            return abs(self.c1) * _e(self.lam1 * t) + abs(self.c2) * _e(self.lam2 * t)
-        if self.kind == _REAL_REPEATED:
-            return _e(self.lam1 * t) * (abs(self.c1) + abs(self.c2) * abs(t))
-        return math.hypot(self.c1, self.c2) * _e(self.mu * t)
-
     def envelope_tail(self, t: float) -> float:
         """integral_t^inf envelope, in closed form (t past decay_start)."""
         if self.kind == _REAL_DISTINCT:
@@ -283,45 +275,253 @@ def _delta0(dgf: GeneratingFunction, k3: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# decaying-tail integration on [start, infinity)
+# Gauss-Kronrod panels
+
+# QUADPACK's 15-point Kronrod rule on [-1, 1], nodes from the edge to the
+# centre, and the weights of its embedded 7-point Gauss rule (zero at the
+# Kronrod-only nodes)
+_XK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245, 0.0])
+_WK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+                0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
+_GK_X = np.concatenate([-_XK, _XK[-2::-1]])
+_GK_WK = np.concatenate([_WK, _WK[-2::-1]])
+_GK_WG = np.concatenate([_WG, _WG[-2::-1]])
 
 
-def _integrate_decaying(
-    f: Callable[[float], float],
-    resp: _Response,
-    delta0: float,
-    tol: float,
-    *,
-    start: float = 0.0,
-    slope_factor: float = 1.5,
-    max_panels: int = 200,
-) -> float:
-    """integral_start^inf f with f <= slope_factor * |h| once |h| <= delta0.
-
-    Panels of doubling width; stops when the closed-form envelope tail bound
-    certifies the remainder below tol/2.
-    """
-    total = 0.0
-    a = start
-    width = 1.0
-    decay_from = resp.decay_start()
-    for j in range(max_panels):
-        b = a + width
-        total += adaptive_simpson(f, a, b, 0.25 * tol * 0.5 ** min(j, 40), floor=1e-6 * tol)
-        a = b
-        if width < 64.0:
-            width *= 2.0
-        if a >= decay_from and resp.envelope(a) <= delta0:
-            if slope_factor * resp.envelope_tail(a) < 0.5 * tol:
-                return total
-    raise QuadratureError(
-        "quadrature failure: decaying tail did not certify below tolerance "
-        f"within {max_panels} panels"
-    )
+def _gk_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GK15 nodes, Kronrod and Gauss weights on the panels [lo, hi], each (P, 15)."""
+    half = 0.5 * (hi - lo)[:, None]
+    mid = 0.5 * (hi + lo)[:, None]
+    return mid + half * _GK_X, half * _GK_WK, half * _GK_WG
 
 
 # ---------------------------------------------------------------------------
 # exact unperturbed convergence time
+#
+# t0_exact lays out all of its panels on [0, T] before it evaluates any:
+# cubic-graded stretches on both sides of every zero of h, uniform panels
+# between, and T where the envelope of |h| certifies the rest. It then
+# evaluates 1/2 Psi'(h) at every node in one array pass, in log|h|, and
+# bisects only the panels whose |Kronrod - Gauss| exceeds their share of tol.
+
+_T0_GRADED = 6  # GK15 panels, halving toward a zero of h, on each side of it
+_T0_WIDTH = 3.0  # uniform panels are at most this many 1/|rate| wide
+_T0_ROUNDS = 10  # rounds of bisection before the estimate counts as unconverged
+_T0_MAX_NODES = 1 << 19  # nodes per call (4 MB per array) past which it raises
+_V_EDGES = [0.5 ** k for k in range(_T0_GRADED - 1, -1, -1)]  # graded panel ends past v = 0
+
+
+class _Panels(NamedTuple):
+    """GK15 panels with nodes t = anchor + scale s^p, s in [lo, hi], each field (P,).
+
+    p = 3 (cubic) on a stretch graded toward the zero of h at anchor, else
+    p = 1; the sign of scale gives the direction. The offset scale s^p from
+    the anchor is what log|h| needs near a zero, free of cancellation.
+    """
+
+    anchor: np.ndarray
+    scale: np.ndarray
+    cubic: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def bisect(self, sel: np.ndarray) -> "_Panels":
+        mid = 0.5 * (self.lo[sel] + self.hi[sel])
+        return _Panels(*(np.tile(f[sel], 2) for f in self[:3]),
+                       np.concatenate([self.lo[sel], mid]), np.concatenate([mid, self.hi[sel]]))
+
+
+def _too_many_nodes(t_end: float) -> None:
+    raise QuadratureError(
+        f"quadrature failure: t0 needs more than {_T0_MAX_NODES} nodes to cover [0, {t_end:.6g}]")
+
+
+def _plan(
+    zeros: list[tuple[float, int]], graded: float, width: float, t_end: float
+) -> _Panels:
+    """Panels covering [0, t_end] for h with the given (zero, depth) pairs, zeros sorted.
+
+    Each zero z gets a stretch of up to `graded` on either side, t = z -/+
+    L v^3 on `depth` panels halving toward v = 0, cut at 0, at t_end and
+    halfway to the next zero (the first zero may lie at or before 0). The
+    gaps get panels `graded`, 2 `graded`, ... wide, then panels of at most
+    `width`, anchored at the zero before them (or the one after, or at 0
+    when there is none).
+    """
+    anchors: list[float] = []
+    scales: list[float] = []
+    cubics: list[bool] = []
+    los: list[float] = []
+    his: list[float] = []
+
+    def reserve(n: float) -> None:
+        if not 15 * (len(los) + n) <= _T0_MAX_NODES:
+            _too_many_nodes(t_end)
+
+    def add(anchor: float, scale: float, cubic: bool, edges: list[float]) -> None:
+        n = len(edges) - 1
+        reserve(n)
+        anchors.extend([anchor] * n)
+        scales.extend([scale] * n)
+        cubics.extend([cubic] * n)
+        los.extend(edges[:-1])
+        his.extend(edges[1:])
+
+    def gap(a: float, b: float, anchor: float) -> None:
+        if not b > a:
+            return
+        edges, w = [a], graded
+        while w < width and edges[-1] + w < b:
+            edges.append(edges[-1] + w)
+            w *= 2.0
+        start = edges.pop()
+        reserve(len(edges) + (b - start) / width)
+        n = math.ceil((b - start) / width)
+        edges += [start + (b - start) * i / n for i in range(n)] + [b]
+        if anchor <= a:
+            add(anchor, 1.0, False, [t - anchor for t in edges])
+        else:
+            add(anchor, -1.0, False, [anchor - t for t in reversed(edges)])
+
+    pos = 0.0
+    for i, (z, depth) in enumerate(zeros):
+        v = [0.0] + _V_EDGES[-depth:]
+        nxt = 0.5 * (z + zeros[i + 1][0]) if i + 1 < len(zeros) else t_end
+        left = min(graded, z - pos)
+        gap(pos, z - left, zeros[i - 1][0] if i else z)
+        if left > 0.0:
+            add(z, -left, True, v)
+        right = min(graded, nxt - z)
+        if z + right > 0.0:
+            v0 = math.cbrt(max(-z, 0.0) / right)
+            add(z, right, True, [v0] + [x for x in v if x > v0])
+            pos = z + right
+    gap(pos, t_end, zeros[-1][0] if zeros else 0.0)
+    return _Panels(np.array(anchors), np.array(scales), np.array(cubics, dtype=bool),
+                   np.array(los), np.array(his))
+
+
+def _first_below(lam: float, a: float, b: float, k: float, t: float) -> float:
+    """A time past t from which lam s + log(a + b s) <= k, for lam < 0 and a, b >= 0.
+
+    The left side is concave and decreasing past t, so Newton steps from
+    t + 1/|lam| land on or beyond the root and then descend to it.
+    """
+    start = t
+    t += 1.0 / -lam
+    for _ in range(20):
+        m = a + b * t
+        slope = lam + b / m
+        if slope >= 0.0:
+            break
+        step = (lam * t + math.log(m) - k) / slope
+        t -= step
+        if t <= start or abs(step) <= 1e-9 * (1.0 + t):
+            break
+    return max(t, start)
+
+
+def _log_abs(x: float) -> float:
+    return math.log(abs(x)) if x != 0.0 else -math.inf
+
+
+def _depth(log_ratio: float) -> int:
+    """Panels for a graded stretch e^log_ratio cusp widths long.
+
+    With that many panels halving toward the zero, the first one ends, in
+    v, at about a quarter of the cusp's own v = e^(-log_ratio / 3).
+    """
+    return min(_T0_GRADED, max(2, 2 + math.ceil(log_ratio / (3.0 * math.log(2.0)))))
+
+
+def _t0_layout(
+    sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env: float, log_peak: float
+) -> tuple[_Panels, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """Panels and a log|h|(t, offset) for h = e1^T e^(A t) (u1, u2), max(|u1|, |u2|) = 1.
+
+    The panels end at the first T (found in closed form, or by Newton steps
+    for the repeated case) past which the envelope of |h| is at most
+    e^log_env and the integral of that envelope is below e^log_tail. Psi'
+    changes fastest where e^log_peak |h| is about 1, so a zero of h where
+    |h'| is large is a cusp of width about e^-log_peak / |h'|.
+    """
+    resp = _response_for(sys, u1, u2)
+    c1, c2 = resp.c1, resp.c2
+    lc1, lc2 = _log_abs(c1), _log_abs(c2)
+    if sys.kind == _COMPLEX:
+        mu, om = sys.mu, sys.omega
+        lr, phase = math.log(math.hypot(c1, c2)), math.atan2(c2, c1)
+        t_end = max(0.0, (lr - log_env) / -mu, (lr - math.log(-mu) - log_tail) / -mu)
+        width = _T0_WIDTH / -mu
+        # zeros of cos(omega t - phase), from the last one at or before 0
+        n = math.floor(-(phase + 0.5 * math.pi) / math.pi)
+        graded = min(0.5 * math.pi / om, width)
+        zeros = []
+        while True:
+            z = (phase + 0.5 * math.pi + n * math.pi) / om
+            if z >= t_end:
+                break
+            zeros.append((z, _depth(log_peak + lr + mu * z + math.log(om * graded))))
+            n += 1
+            if 15 * len(zeros) > _T0_MAX_NODES:
+                _too_many_nodes(t_end)
+
+        def log_h(t: np.ndarray, off: np.ndarray) -> np.ndarray:
+            return lr + mu * t + np.log(np.abs(np.sin(om * off)))
+
+        return _plan(zeros, graded, width, t_end), log_h
+
+    if sys.kind == _REAL_DISTINCT:
+        l1, l2 = sys.lam1, sys.lam2
+        gap_rate = l1 - l2
+        # each mode at most half of each bound
+        t_end = max(0.0, *((lc + math.log(2.0) - min(log_env, log_tail + math.log(-lam))) / -lam
+                           for lc, lam in ((lc1, l1), (lc2, l2))))
+        width = _T0_WIDTH / -l1
+        graded = min(1.0 / gap_rate, 1.0 / -l1)
+        same = c1 == 0.0 or c2 == 0.0 or (c1 > 0.0) == (c2 > 0.0)
+        anchored = resp.tz is not None and -graded < resp.tz < t_end
+        if anchored:
+            log_slope = lc1 + l1 * resp.tz + math.log(gap_rate)
+
+        def log_h(t: np.ndarray, off: np.ndarray) -> np.ndarray:
+            a1, a2 = lc1 + l1 * t, lc2 + l2 * t
+            x = -np.abs(gap_rate * off if anchored else a1 - a2)
+            return np.maximum(a1, a2) + (np.log1p(np.exp(x)) if same else np.log(-np.expm1(x)))
+    else:
+        lam = sys.lam1
+        a, b = abs(c1), abs(c2)
+        start = resp.decay_start()
+        t_end = max(_first_below(lam, a, b, log_env, start),
+                    _first_below(lam, a / -lam + b / (lam * lam), b / -lam, log_tail, start))
+        width = _T0_WIDTH / -lam
+        graded = 1.0 / -lam
+        anchored = resp.tz is not None and -graded < resp.tz < t_end
+        if anchored:
+            log_slope = lc2 + lam * resp.tz
+
+        def log_h(t: np.ndarray, off: np.ndarray) -> np.ndarray:
+            if anchored:
+                return lc2 + lam * t + np.log(np.abs(off))
+            return lam * t + np.log(np.abs(c1 + c2 * t))
+
+    zeros = [(resp.tz, _depth(log_peak + log_slope + math.log(graded)))] if anchored else []
+    return _plan(zeros, graded, width, t_end), log_h
+
+
+def _log_initial(dgf: GeneratingFunction, k3: float, x1: float) -> float:
+    """log |Phi_k3(x1)|; the built-ins stay in log space, where Phi cannot overflow."""
+    if dgf._log_phi is None:
+        return _log_abs(nu1(dgf, k3, x1))  # nu1 is precisely the scaled map Phi_k3
+    x = k3 * k3 * abs(x1)
+    return dgf._log_phi(x) - math.log(k3) if x > 0.0 else -math.inf
 
 
 def t0_exact(
@@ -334,21 +534,61 @@ def t0_exact(
     """Unperturbed convergence time from initial error state x0.
 
     Evaluates integral_0^inf (1/2) Psi'(e1^T e^(A tau) g(x0)) d tau where
-    g(x0) = (Phi_k3(x0_1), x0_2); absolute tolerance tol.
+    g(x0) = (Phi_k3(x0_1), x0_2); absolute tolerance tol. The error estimate
+    is the sum of the panels' |Kronrod - Gauss| plus the certified tail.
+    Raises ValueError for a non-finite x0, and QuadratureError where the
+    estimate stays above tol or the panels would need more than
+    _T0_MAX_NODES nodes.
     """
     x1, x2 = float(x0[0]), float(x0[1])
-    g1 = nu1(dgf, kappa.k3, x1)  # nu1 is precisely the scaled map Phi_k3
-    if g1 == 0.0 and x2 == 0.0:
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError("initial error x0 must be finite")
+    lg, lx = _log_initial(dgf, kappa.k3, x1), _log_abs(x2)
+    if lg == -math.inf and lx == -math.inf:
         return 0.0
+    if not lg < math.inf:
+        raise QuadratureError(f"quadrature failure: Phi_k3({x1:g}) is not a finite float")
+    log_s = max(lg, lx)
     sys = system_matrix(kappa.k1, kappa.k2)
-    resp = _response_for(sys, g1, x2)
-    psi = _psi_prime_closure(dgf, kappa.k3)
-    delta0 = _delta0(dgf, kappa.k3)
+    u1 = math.copysign(math.exp(lg - log_s), x1)
+    u2 = math.copysign(math.exp(lx - log_s), x2)
+    # the tail beyond the panels, where |h| <= delta0 and so 1/2 Psi'(h) <= 1.5 |h|,
+    # takes a tenth of tol
+    panels, log_h = _t0_layout(sys, u1, u2, math.log(tol / 15.0) - log_s,
+                               math.log(_delta0(dgf, kappa.k3)) - log_s,
+                               log_s + math.log(kappa.k3))
+    psi = _psi_prime_array(dgf, kappa.k3)
 
-    def f(t: float) -> float:
-        return 0.5 * psi(resp.h(t))
+    def sums(p: _Panels) -> tuple[np.ndarray, np.ndarray]:
+        """Kronrod and Gauss sums of 1/2 Psi'(h) on every panel, each (P,)."""
+        s, wk, wg = _gk_panels(p.lo, p.hi)
+        cubic = p.cubic[:, None]
+        scale = p.scale[:, None]
+        off = scale * np.where(cubic, s * s * s, s)
+        f = psi(np.exp(log_s + log_h(p.anchor[:, None] + off, off)))
+        f *= 0.5 * np.abs(scale) * np.where(cubic, 3.0 * s * s, 1.0)  # dt/ds and the 1/2
+        return (f * wk).sum(axis=-1), (f * wg).sum(axis=-1)
 
-    return _integrate_decaying(f, resp, delta0, tol)
+    budget = 0.9 * tol
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k, g = sums(panels)
+        for rounds in range(_T0_ROUNDS + 1):
+            err = np.abs(k - g)
+            total = err.sum()
+            if total <= budget:
+                return float(k.sum())
+            split = err > budget / err.size  # the panels over their share
+            if (rounds == _T0_ROUNDS or not math.isfinite(total)
+                    or 15 * (k.size + split.sum()) > _T0_MAX_NODES):
+                break
+            halves = panels.bisect(split)
+            k2, g2 = sums(halves)
+            keep = ~split
+            panels = _Panels(*(np.concatenate([f[keep], h]) for f, h in zip(panels, halves)))
+            k, g = np.concatenate([k[keep], k2]), np.concatenate([g[keep], g2])
+    raise QuadratureError(
+        f"quadrature failure: t0 error estimate {total:.3e} above tolerance {tol:g} "
+        f"after {rounds} rounds of bisection")
 
 
 def single_exp_reduction(
@@ -546,23 +786,6 @@ class GlobalConvtime:
 # panels whose nodes every row shares, in log|h| so that neither A nor E
 # overflows, and walks outward one block of panels at a time.
 
-# QUADPACK's 15-point Kronrod rule on [-1, 1], nodes from the edge to the
-# centre, and the weights of its embedded 7-point Gauss rule (zero at the
-# Kronrod-only nodes)
-_XK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-                0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-                0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-                0.207784955007898467600689403773245, 0.0])
-_WK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-                0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
-_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-                0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
-_GK_X = np.concatenate([-_XK, _XK[-2::-1]])
-_GK_WK = np.concatenate([_WK, _WK[-2::-1]])
-_GK_WG = np.concatenate([_WG, _WG[-2::-1]])
-
 _GRADED_PANELS = 8  # GK15 panels, halving toward a zero of h, per graded stretch
 _MAX_LEVEL = 3  # rows over tolerance are redone with 2x, 4x, 8x the panels
 _MAX_BLOCKS = 2000  # blocks per side before a row counts as unconverged
@@ -587,13 +810,6 @@ class _Block(NamedTuple):
     log_tail: Optional[float]
 
 
-def _gk_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """GK15 nodes, Kronrod and Gauss weights on consecutive panels, each (P, 15)."""
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    return mid + half * _GK_X, half * _GK_WK, half * _GK_WG
-
-
 def _graded(length: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Offsets length*v^3 from a zero of h, v on panels halving toward 0.
 
@@ -604,7 +820,7 @@ def _graded(length: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     v = np.concatenate([[0.0], 0.5 ** np.arange(_GRADED_PANELS - 1, -1, -1)])
     v = np.interp(np.arange((v.size - 1 << level) + 1) / (1 << level), np.arange(v.size), v)
-    v, wk, wg = _gk_panels(v)
+    v, wk, wg = _gk_panels(v[:-1], v[1:])
     jac = 1.5 * length * v * v  # 3 length v^2, times the 1/2 of 1/2 Psi'
     return length * v ** 3, wk * jac, wg * jac
 
@@ -646,7 +862,8 @@ def _walk(
     pos = graded
     for _ in range(_MAX_BLOCKS - 1):
         width = next(widths)
-        t, wk, wg = _gk_panels(pos + width * np.linspace(0.0, 1.0, (1 << level) + 1))
+        edges = pos + width * np.linspace(0.0, 1.0, (1 << level) + 1)
+        t, wk, wg = _gk_panels(edges[:-1], edges[1:])
         pos += width
         yield _Block(log_e(sign * t), 0.5 * wk, 0.5 * wg,
                      *(bound(pos) if right else (None, None)))
@@ -740,7 +957,7 @@ def _integrate_side(
     """integral of 1/2 Psi'(e^loga E) over one side for every row, with error estimates.
 
     Walks the blocks outward and drops each row once its side is done. The
-    right side ends, as in _integrate_decaying, when |h| <= delta0 beyond the
+    right side ends, as t0_exact's panels do, when |h| <= delta0 beyond the
     block and 1.5 times the envelope tail is below tol/10; that bound joins
     the error. The left side ends after two blocks below tol/4 whose
     geometric remainder is below tol/4 (or both exactly zero); the

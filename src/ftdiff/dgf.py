@@ -124,6 +124,9 @@ class GeneratingFunction:
     _inverse_slope: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
+    # built-ins only: x > 0 |-> log phi(x), finite wherever log phi is, so that
+    # t0_exact can enter from initial errors whose phi overflows
+    _log_phi: Optional[ScalarMap] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +181,10 @@ def _sqrt_inverse_slope(w: np.ndarray) -> np.ndarray:
     return 2.0 * w
 
 
+def _sqrt_log_phi(x: float) -> float:
+    return 0.5 * math.log(x)
+
+
 def _ured_phi(x: float) -> float:
     ax = abs(x)
     return math.copysign(math.sqrt(ax) * (1.0 + ax), x)
@@ -221,6 +228,10 @@ def _ured_inverse_slope(w: np.ndarray) -> np.ndarray:
         return 2.0 * s / (1.0 + 3.0 * s * s)
 
 
+def _ured_log_phi(x: float) -> float:
+    return 0.5 * math.log(x) + math.log1p(x)
+
+
 def _exp_phi(x: float) -> float:
     ax = abs(x)
     if ax > 1419.0:
@@ -260,9 +271,16 @@ def _exp_inverse(z: float) -> float:
 
 
 def _exp_inverse_slope(w: np.ndarray) -> np.ndarray:
-    # phi^-1(w) = log(1 + w^2), so 1/phi' = 2w/(1 + w^2)
-    with np.errstate(divide="ignore"):
-        return 2.0 / (w + 1.0 / w)
+    # phi^-1(w) = log(1 + w^2), so 1/phi' = 2w/(1 + w^2), which is the same
+    # at 1/w; in r = min(w, 1/w) <= 1 neither r^2 nor 1/r can overflow
+    with np.errstate(over="ignore", divide="ignore"):
+        r = np.minimum(w, 1.0 / w)
+    return 2.0 * r / (1.0 + r * r)
+
+
+def _exp_log_phi(x: float) -> float:
+    # log sqrt(e^x - 1) = (x + log(1 - e^-x)) / 2, which does not overflow
+    return 0.5 * (x + math.log(-math.expm1(-x)))
 
 
 _BUILTINS = {
@@ -274,6 +292,7 @@ _BUILTINS = {
         inverse=_sqrt_inverse,
         claimed_constants=None,  # reciprocal integral diverges: no uniform bound
         _inverse_slope=_sqrt_inverse_slope,
+        _log_phi=_sqrt_log_phi,
     ),
     "ured": GeneratingFunction(
         name="ured",
@@ -285,6 +304,7 @@ _BUILTINS = {
             B=math.pi, C=1.0 / math.sqrt(3.0), D=1.0, exact=True
         ),
         _inverse_slope=_ured_inverse_slope,
+        _log_phi=_ured_log_phi,
     ),
     "exp": GeneratingFunction(
         name="exp",
@@ -294,6 +314,7 @@ _BUILTINS = {
         inverse=_exp_inverse,
         claimed_constants=AdmissibilityConstants(B=math.pi, C=1.0, D=1.0, exact=True),
         _inverse_slope=_exp_inverse_slope,
+        _log_phi=_exp_log_phi,
     ),
 }
 
@@ -406,14 +427,15 @@ def psi_prime(dgf: GeneratingFunction, k3: float, z: float) -> float:
 
     Psi'(z) = 1 / (k3 Phi'(Phi^(-1)(k3 z))), an even function of z,
     continuously extended by Psi'(0) = 0 (the slope of Phi blows up at the
-    origin, so the inverse flattens out). The built-ins use their closed-form
-    inverse slope, whose preimage can neither underflow nor overflow; for
-    other functions a zero slope at the preimage raises InversionRangeError.
+    origin, so the inverse flattens out) and by 0 where k3 |z| is infinite.
+    The built-ins use their closed-form inverse slope, whose preimage can
+    neither underflow nor overflow; for other functions a zero slope at the
+    preimage raises InversionRangeError.
     """
     _check_k3(k3)
-    if z == 0.0:
-        return 0.0
     w = k3 * abs(z)
+    if w == 0.0 or w == math.inf:
+        return 0.0
     if dgf._inverse_slope is not None:
         with np.errstate(over="ignore"):
             return float(dgf._inverse_slope(np.float64(w))) / k3

@@ -1,3 +1,5 @@
+import cmath
+import functools
 import math
 import subprocess
 import sys
@@ -9,6 +11,8 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ftdiff
 from ftdiff.convtime import (
@@ -115,6 +119,92 @@ def full_line_oracle(dgf, kappa, theta, lo=-200.0, hi=80.0):
                 lambda w: 1.5 * half * w * w * psi_prime(dgf, k3, h(end + sign * half * w ** 3)),
                 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
     return total
+
+
+def _log_phi_oracle(name, x):
+    """log Phi(x) for x > 0, past the float range of Phi by its leading term."""
+    if name == "exp" and x > 700.0:
+        return 0.5 * x  # log sqrt(e^x - 1), to within e^-x
+    if name == "ured" and x > 1e200:
+        return 1.5 * math.log(x)
+    return math.log(_PHI[name](x))
+
+
+def t0_split_oracle(name, kappa, x0):
+    """integral_0^inf 1/2 Psi'(h) by scipy quad, split at the zeros of h.
+
+    h = e^log_s hu, with hu the response to the initial state scaled to
+    max-norm 1, so that Phi(k3^2 x1) never has to be a float; hu comes from
+    numpy's eigendecomposition of A (Jordan form when the eigenvalue is
+    repeated). The integral runs over pieces 1/|rate| (and at most a
+    quarter period) wide, split at the zeros of h; a piece ending at a zero
+    is integrated in w with t = zero -/+ (width) w^3, because plain quad
+    steps over the cusp there. Pieces where log|h| exceeds 200 at both ends
+    (1/2 Psi' < e^-60) or stays below -40 (1/2 Psi' <= |h| < e^-40) are
+    skipped, and the pieces end where the rest is below 1e-20.
+    """
+    k1, k2, k3 = kappa
+    x1, x2 = x0
+    lg = _log_phi_oracle(name, k3 * k3 * abs(x1)) - math.log(k3) if x1 != 0.0 else -math.inf
+    lx = math.log(abs(x2)) if x2 != 0.0 else -math.inf
+    log_s = max(lg, lx)
+    g = np.array([math.copysign(math.exp(lg - log_s), x1), math.copysign(math.exp(lx - log_s), x2)])
+    a = np.array([[-k1 / 2.0, 0.5], [-k2, 0.0]])
+    lam, vecs = np.linalg.eig(a)
+    if abs(lam[0] - lam[1]) < 1e-6:
+        rate = 0.5 * float(np.trace(a))  # eig resolves a double root only to ~1e-8
+        n0 = float(((a - rate * np.eye(2)) @ g)[0])
+        step = 1.0 / -rate
+
+        def hs(t):  # hu e^(-rate t), which does not underflow where hu does
+            return g[0] + n0 * t
+    else:
+        coef = vecs[0] * np.linalg.solve(vecs, g.astype(complex))
+        rate = float(lam.real.max())
+        step = min(1.0 / -rate, 0.5 * math.pi / abs(lam[0].imag) if lam[0].imag else math.inf)
+        dl = lam - rate
+
+        def hs(t):
+            if np.ndim(t) == 0:
+                return (coef[0] * cmath.exp(dl[0] * t) + coef[1] * cmath.exp(dl[1] * t)).real
+            return (coef[None, :] * np.exp(np.outer(t, dl))).sum(axis=1).real
+
+    def f(t):
+        m = abs(hs(t))
+        if m == 0.0 or log_s + rate * t + math.log(m) > 700.0:
+            return 0.0  # Psi' < e^-230 past e^700
+        return 0.5 * psi_prime(builtin_dgf(name), k3, math.exp(log_s + rate * t + math.log(m)))
+
+    grid = np.arange(0.0, (max(log_s, 0.0) + 50.0) / -rate + step, step)
+    with np.errstate(divide="ignore"):
+        logh = log_s + rate * grid + np.log(np.abs(hs(grid)))
+    zeros = [0.0] if hs(0.0) == 0.0 else []
+    signs = np.sign(hs(grid))
+    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
+        zeros.append(scipy.optimize.brentq(hs, grid[i], grid[i + 1], xtol=1e-15, rtol=1e-15))
+    zeros += [t for t, sg in zip(grid[1:], signs[1:]) if sg == 0.0]
+    total = 0.0
+    for i in range(grid.size - 1):
+        lo, hi = grid[i], grid[i + 1]
+        inside = [z for z in zeros if lo <= z <= hi]
+        if not inside and (min(logh[i], logh[i + 1]) > 200.0 or max(logh[i], logh[i + 1]) < -40.0):
+            continue
+        ends = [lo] + [z for z in inside if lo < z < hi] + [hi]
+        for a_, b_ in zip(ends, ends[1:]):
+            half = 0.5 * (b_ - a_)
+            for end, sign, graded in ((a_, 1.0, a_ in inside), (b_, -1.0, b_ in inside)):
+                if graded:
+                    w = lambda v, e=end, sg=sign: 3.0 * half * v * v * f(e + sg * half * v ** 3)
+                    total += scipy.integrate.quad(w, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+                else:
+                    lo_, hi_ = (end, end + half) if sign > 0.0 else (end - half, end)
+                    total += scipy.integrate.quad(f, lo_, hi_, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def numeric_sup(name, kappa):
+    return global_convtime_numeric(builtin_dgf(name), ParamTriple(*kappa))
 
 
 # ured written as expressions, without an inverse
@@ -231,6 +321,39 @@ class TestT0Exact:
                        timeout=60, check=True)
         assert time.perf_counter() - start < 10.0
 
+    def test_exp_cusp_at_zero_of_h(self, expdgf):
+        # h crosses zero steeply here, so 1/2 Psi'(h) has a cusp about 1e-7
+        # wide; adaptive Simpson's first samples stepped over it and returned
+        # 0.2565694237 with tol = 1e-8
+        kappa, x0 = (6.0, 4.5, 4.303), (1.9024227529881548, -0.7476295521345626)
+        want = t0_split_oracle("exp", kappa, x0)
+        assert want == pytest.approx(0.25656966876395, abs=1e-13)
+        assert abs(t0_exact(expdgf, ParamTriple(*kappa), x0) - want) <= 1e-8
+
+    @pytest.mark.parametrize("x1", [100.0, 1e3])
+    def test_exp_large_errors_at_tuned_gains(self, expdgf, x1):
+        # Phi(k3^2 x1) overflows from x1 ~ 77 at these gains; the value does not
+        kappa = (6.0, 4.5, 4.303)
+        got = t0_exact(expdgf, ParamTriple(*kappa), (x1, 0.0))
+        assert abs(got - t0_split_oracle("exp", kappa, (x1, 0.0))) <= 1e-8
+        # large-error limit 2B/((k1 - sqrt(k1^2 - 8 k2)) k3), B = pi
+        assert got > 2.0 * math.pi / (6.0 * 4.303)
+
+    def test_node_cap_raises_promptly(self, expdgf):
+        # at x1 = 1e5 the mass sits about 6e5 time units out
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError):
+            t0_exact(expdgf, ParamTriple(6.0, 4.5, 4.303), (1e5, 0.0))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("x0", [(1e100, 0.0), (0.0, 1e100), (-1e300, 1.0)])
+    def test_ured_approaches_large_error_limit(self, ured, x0):
+        # at (5,1,1) the supremum is the slow pure-mode limit 2B/((k1 -
+        # sqrt(k1^2 - 8 k2)) k3), which large initial errors approach from below
+        limit = 2.0 * math.pi / (5.0 - math.sqrt(17.0))
+        got = t0_exact(ured, ParamTriple(5.0, 1.0, 1.0), x0)
+        assert limit - 1e-6 <= got <= limit + 1e-8
+
     @pytest.mark.parametrize("name", ["ured", "exp"])
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     @pytest.mark.parametrize("beta", [0.5, 2.0])
@@ -246,6 +369,27 @@ class TestT0Exact:
         moved = (x0[0] / (beta * beta), alpha * x0[1] / beta)
         t_scaled = t0_exact(dgf, scaled, moved)
         assert t_scaled == pytest.approx(t_base / (alpha * beta), rel=1e-5)
+
+
+T0_CASES = [(name, kappa) for name in ("ured", "exp")
+            for kappa in ((5.0, 1.0, 1.0), (6.0, 4.5, 4.182 if name == "ured" else 4.303),
+                          (2.0, 1.0, 1.0))]
+
+
+class TestT0Properties:
+    @pytest.mark.parametrize("name,kappa", T0_CASES)
+    @given(log_r=st.floats(-3.0, 3.0), angle=st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=8)
+    def test_matches_split_quad_and_numeric_sup(self, name, kappa, log_r, angle):
+        # distinct real, repeated and complex eigenvalues; |x0| in [1e-3, 1e3].
+        # Every trajectory crosses the unit circle, so the full-line time of
+        # some unit state bounds t0 from every state, not only unit ones.
+        r = 10.0 ** log_r
+        x0 = (r * math.cos(angle), r * math.sin(angle))
+        got = t0_exact(builtin_dgf(name), ParamTriple(*kappa), x0)
+        assert abs(got - t0_split_oracle(name, kappa, x0)) <= 1e-8 + 1e-9
+        sup = numeric_sup(name, kappa)
+        assert got <= sup.value + sup.inner_tol
 
 
 class TestSingleExpReduction:
@@ -490,6 +634,14 @@ class TestPsiPrimeArray:
                 # the scalar route's preimage leaves the float range; the
                 # square-root behavior at zero (sqrt: everywhere) gives 2|z|
                 assert gi == pytest.approx(2.0 * zi, rel=1e-13, abs=0.0)
+
+    def test_exp_subnormal(self):
+        # 1/w overflows below w ~ 5.6e-309, which made the slope 0 there
+        dgf = builtin_dgf("exp")
+        z = 5e-324
+        got = psi_prime(dgf, 1.7, z)
+        assert got == _psi_prime_array(dgf, 1.7)(np.array([z]))[0]
+        assert 0.0 < got and abs(got - 2.0 * z) <= 5e-324
 
     @pytest.mark.parametrize("name", ["sqrt", "ured", "exp"])
     def test_zero_at_origin_and_infinity(self, name):

@@ -209,6 +209,12 @@ class TestPsiPrime:
     def test_zero_at_origin(self, ured):
         assert psi_prime(ured, 3.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("name", ["sqrt", "ured", "exp"])
+    @pytest.mark.parametrize("z", [math.inf, -math.inf])
+    def test_zero_at_infinity(self, name, z):
+        # the same continuous extension as at the origin, for every built-in
+        assert psi_prime(builtin_dgf(name), 1.7, z) == 0.0
+
     @pytest.mark.parametrize("name", ["ured", "exp"])
     def test_even(self, name):
         dgf = builtin_dgf(name)
