@@ -3,12 +3,15 @@
 Everything here is deliberately self-contained: the convergence-time
 integrals pair an implementation route with an independent cross-check
 route in the tests, so the integrator itself stays free of third-party
-dependencies.
+dependencies. zoom_max refines the maximum of a function evaluated on
+numpy arrays.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable
+
+import numpy as np
 
 from .errors import QuadratureError
 
@@ -16,6 +19,7 @@ __all__ = [
     "adaptive_simpson",
     "golden_max",
     "reciprocal_integral",
+    "zoom_max",
 ]
 
 
@@ -112,6 +116,29 @@ def golden_max(
     if fc >= fd:
         return c, fc
     return d, fd
+
+
+_ZOOM_OFFSETS = np.delete(np.linspace(-1.0, 1.0, 9), 4)  # probes per zoom round
+_ZOOM_ROUNDS = 7  # 4x narrower per round; the argmax ends within 1e-4 grid steps
+
+
+def zoom_max(
+    f: Callable[[np.ndarray], np.ndarray], x: float, v: float, step: float
+) -> tuple[float, float]:
+    """Refine a grid maximum (x, v) of an array function with batched rounds of probes.
+
+    Each round probes x +/- step in one call of f, moves to its best probe,
+    if better, and shrinks the bracket to one probe spacing. Returns the
+    best (argument, value) seen.
+    """
+    for _ in range(_ZOOM_ROUNDS):
+        xs = x + step * _ZOOM_OFFSETS
+        vals = f(xs)
+        i = int(np.argmax(vals))
+        if vals[i] > v:
+            x, v = float(xs[i]), float(vals[i])
+        step *= _ZOOM_OFFSETS[-1] - _ZOOM_OFFSETS[-2]
+    return x, v
 
 
 # Reciprocal integral of an odd increasing map phi:

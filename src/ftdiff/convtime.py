@@ -24,13 +24,23 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from ._quad import adaptive_simpson, reciprocal_integral
-from .dgf import AdmissibilityConstants, GeneratingFunction, ParamTriple, invert_phi, nu1
+from ._quad import adaptive_simpson, reciprocal_integral, zoom_max
+from .dgf import (
+    AdmissibilityConstants,
+    GeneratingFunction,
+    ParamTriple,
+    _arrays,
+    _preimage,
+    _slope_at_preimage,
+    invert_phi,
+    nu1,
+)
 from .errors import (
     BoundNotApplicableError,
     InfeasibleError,
@@ -87,12 +97,17 @@ class SystemMatrix:
         return np.array([[-0.5 * self.k1, 0.5], [-self.k2, 0.0]])
 
 
+def _repeated(k1: float, disc: float) -> bool:
+    """Whether disc = k1^2 - 8 k2 lies in the repeated-eigenvalue band."""
+    return abs(disc) <= _REPEATED_REL_TOL * k1 * k1
+
+
 def system_matrix(k1: float, k2: float) -> SystemMatrix:
     """Classify the eigenstructure of the error-dynamics matrix."""
     if not (math.isfinite(k1) and k1 > 0.0 and math.isfinite(k2) and k2 > 0.0):
         raise ValueError("k1 and k2 must be positive finite scalars")
     disc = k1 * k1 - 8.0 * k2
-    if abs(disc) <= _REPEATED_REL_TOL * k1 * k1:
+    if _repeated(k1, disc):
         lam = -0.25 * k1
         return SystemMatrix(k1, k2, _REAL_REPEATED, lam, lam, 0.0, 0.0)
     if disc > 0.0:
@@ -225,28 +240,11 @@ def _response_for(sys: SystemMatrix, v1: float, v2: float) -> _Response:
 
 
 # ---------------------------------------------------------------------------
-# Psi' closures and the small-slope threshold
+# the small-slope threshold
 
-
-def _psi_prime_closure(dgf: GeneratingFunction, k3: float) -> Callable[[float], float]:
-    pp = dgf.phi_prime
-    inv = dgf.inverse
-    if inv is not None:
-        def psi(z: float) -> float:
-            if z == 0.0 or not math.isfinite(z):
-                return 0.0  # slope of the inverse vanishes at both extremes
-            d = pp(inv(k3 * abs(z)))
-            return 0.0 if math.isinf(d) else 1.0 / (k3 * d)
-    else:
-        def psi(z: float) -> float:
-            if z == 0.0 or not math.isfinite(z):
-                return 0.0
-            try:
-                d = pp(invert_phi(dgf, k3 * abs(z)))
-            except InversionRangeError:
-                return 0.0  # preimage beyond float range: slope long gone
-            return 0.0 if math.isinf(d) else 1.0 / (k3 * d)
-    return psi
+# 1e-12 up to 1e12 in steps of 10^(1/4), each step one rounded product
+_SLOPE_LADDER = np.array(list(itertools.accumulate(
+    itertools.repeat(10.0 ** 0.25, 96), operator.mul, initial=1e-12)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -256,18 +254,24 @@ def _small_slope_threshold(dgf: GeneratingFunction) -> float:
     Near zero the bound holds for every generating function (the slope of
     the inverse vanishes); many hold globally. Verified on a log grid with
     a factor-two safety margin; scaling by k3 maps the threshold to the
-    scaled family.
+    scaled family. Raises InversionRangeError where the check reaches a w
+    that phi never attains.
     """
-    best = 0.0
-    w = 1e-12
-    while w <= 1e12:
-        x = invert_phi(dgf, w)
-        d = dgf.phi_prime(x)
-        if not (math.isinf(d) or 1.0 / d <= 3.0 * w):
-            break
-        best = w
-        w *= 10.0 ** 0.25
-    return 0.5 * best
+    w = _SLOPE_LADDER
+    with np.errstate(all="ignore"):
+        x = _preimage(dgf, w)
+        reached = _leading(x < math.inf)
+        d = _arrays(dgf).phi_prime(x[:reached])
+        n = _leading(np.isinf(d) | (1.0 / d <= 3.0 * w[:reached]))
+    if n == reached < w.size:
+        raise InversionRangeError(
+            f"inversion out of range: phi never reaches {w[n]:.3e} below the overflow guard")
+    return 0.5 * w[n - 1] if n else 0.0
+
+
+def _leading(ok: np.ndarray) -> int:
+    """Length of the leading run of True in ok."""
+    return int(np.argmin(ok)) if not ok.all() else ok.size
 
 
 def _delta0(dgf: GeneratingFunction, k3: float) -> float:
@@ -521,7 +525,10 @@ def _log_initial(dgf: GeneratingFunction, k3: float, x1: float) -> float:
     if dgf._log_phi is None:
         return _log_abs(nu1(dgf, k3, x1))  # nu1 is precisely the scaled map Phi_k3
     x = k3 * k3 * abs(x1)
-    return dgf._log_phi(x) - math.log(k3) if x > 0.0 else -math.inf
+    if x == 0.0:
+        return -math.inf
+    lx = math.log(x) if x < math.inf else 2.0 * math.log(k3) + math.log(abs(x1))
+    return dgf._log_phi(x, lx) - math.log(k3)
 
 
 def t0_exact(
@@ -714,14 +721,14 @@ def t_perturbed_bound(t0: float, L: float, lbar_value: float) -> float:
 
 def _discriminant_or_raise(kappa: ParamTriple) -> float:
     disc = kappa.k1 * kappa.k1 - 8.0 * kappa.k2
-    if disc < -_REPEATED_REL_TOL * kappa.k1 * kappa.k1:
+    # snap the repeated-eigenvalue band to exactly zero so both bounds use the
+    # boundary formulas instead of amplifying float residue through sqrt
+    if _repeated(kappa.k1, disc):
+        return 0.0
+    if disc < 0.0:
         raise BoundNotApplicableError(
             f"bound not applicable: k1^2 < 8 k2 (k1={kappa.k1:g}, k2={kappa.k2:g})"
         )
-    # snap the repeated-eigenvalue band to exactly zero so both bounds use the
-    # boundary formulas instead of amplifying float residue through sqrt
-    if disc <= _REPEATED_REL_TOL * kappa.k1 * kappa.k1:
-        return 0.0
     return disc
 
 
@@ -790,8 +797,6 @@ _GRADED_PANELS = 8  # GK15 panels, halving toward a zero of h, per graded stretc
 _MAX_LEVEL = 3  # rows over tolerance are redone with 2x, 4x, 8x the panels
 _MAX_BLOCKS = 2000  # blocks per side before a row counts as unconverged
 _CHUNK = 1 << 14  # Psi' values per slice of rows: 128 kB per temporary
-_ZOOM_OFFSETS = np.delete(np.linspace(-1.0, 1.0, 9), 4)  # probes per zoom round
-_ZOOM_ROUNDS = 7  # 4x narrower per round; the argmax ends within 1e-4 grid steps
 _FAR_ZERO = 100.0  # |lam tz| past which a repeated-case row is walked from t = 0
 
 
@@ -1032,12 +1037,11 @@ def _full_line(
 def _psi_prime_array(dgf: GeneratingFunction, k3: float) -> Callable[[np.ndarray], np.ndarray]:
     """Psi' of the scaled map on an array of |z| >= 0; 0 at z = 0 and z = inf.
 
-    Psi'_k3(z) = Psi'_1(k3 z) / k3. Without a closed-form inverse slope the
-    scalar closure runs once per element.
+    Psi'_k3(z) = Psi'_1(k3 z) / k3. The built-ins give Psi'_1 in closed
+    form; other functions take 1/Phi' at the array preimage, from their
+    inverse or from the array root solve.
     """
-    slope = dgf._inverse_slope
-    if slope is None:
-        return np.vectorize(_psi_prime_closure(dgf, k3), otypes=[float])
+    slope = dgf._inverse_slope or functools.partial(_slope_at_preimage, dgf)
 
     def psi(z: np.ndarray) -> np.ndarray:
         w = k3 * z
@@ -1079,24 +1083,6 @@ def _circle_values(
         blocks = functools.partial(_far_zero_blocks, lam, c2[i] / v1[i])
         out[i] = _full_line(psi, blocks, np.log(np.abs(v1[i:i + 1])), tol, log_delta0)[0]
     return out
-
-
-def _zoom(
-    f: Callable[[np.ndarray], np.ndarray], x: float, v: float, step: float
-) -> tuple[float, float]:
-    """Refine a grid maximum (x, v) with batched rounds of probes across x +/- step.
-
-    Each round moves to its best probe, if better, and shrinks the bracket
-    to one probe spacing. Returns the best (argument, value) seen.
-    """
-    for _ in range(_ZOOM_ROUNDS):
-        xs = x + step * _ZOOM_OFFSETS
-        vals = f(xs)
-        i = int(np.argmax(vals))
-        if vals[i] > v:
-            x, v = float(xs[i]), float(vals[i])
-        step *= _ZOOM_OFFSETS[-1] - _ZOOM_OFFSETS[-2]
-    return x, v
 
 
 def global_convtime_numeric(
@@ -1145,7 +1131,7 @@ def global_convtime_numeric(
                 break
             lo_edge, hi_edge = 2.0 * lo_edge, 2.0 * hi_edge  # widen and rescan
         step = (hi_edge - lo_edge) / (half - 1)
-        arg, val = _zoom(lambda lb: values(lb, sgn), best_lb, best_v, step)
+        arg, val = zoom_max(lambda lb: values(lb, sgn), best_lb, best_v, step)
         argmax = sgn * 10.0 ** arg
         if lim_fast > val:
             val, argmax = lim_fast, 0.0
@@ -1163,7 +1149,7 @@ def global_convtime_numeric(
     thetas = math.pi * np.arange(grid_points) / grid_points
     vals = values(thetas)
     i = int(np.argmax(vals))
-    arg, val = _zoom(values, float(thetas[i]), float(vals[i]), math.pi / grid_points)
+    arg, val = zoom_max(values, float(thetas[i]), float(vals[i]), math.pi / grid_points)
     return GlobalConvtime(
         value=val, dgf_name=dgf.name, kappa=kappa, search="unit-circle",
         argmax=arg, grid_points=grid_points, inner_tol=inner_tol,

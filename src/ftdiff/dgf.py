@@ -19,13 +19,14 @@ convergence, which is what the admissibility constants (B, C, D) certify:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._quad import golden_max, reciprocal_integral
+from ._quad import reciprocal_integral, zoom_max
 from .errors import (
     InversionRangeError,
     NotAdmissibleError,
@@ -124,9 +125,10 @@ class GeneratingFunction:
     _inverse_slope: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
-    # built-ins only: x > 0 |-> log phi(x), finite wherever log phi is, so that
-    # t0_exact can enter from initial errors whose phi overflows
-    _log_phi: Optional[ScalarMap] = field(default=None, repr=False)
+    # built-ins only: (x, log x) |-> log phi(x) for x > 0, finite wherever
+    # log phi is, so that t0_exact can enter from initial errors whose phi
+    # overflows; x may be inf where log x is finite
+    _log_phi: Optional[Callable[[float, float], float]] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +183,8 @@ def _sqrt_inverse_slope(w: np.ndarray) -> np.ndarray:
     return 2.0 * w
 
 
-def _sqrt_log_phi(x: float) -> float:
-    return 0.5 * math.log(x)
+def _sqrt_log_phi(x: float, lx: float) -> float:
+    return 0.5 * lx
 
 
 def _ured_phi(x: float) -> float:
@@ -228,8 +230,9 @@ def _ured_inverse_slope(w: np.ndarray) -> np.ndarray:
         return 2.0 * s / (1.0 + 3.0 * s * s)
 
 
-def _ured_log_phi(x: float) -> float:
-    return 0.5 * math.log(x) + math.log1p(x)
+def _ured_log_phi(x: float, lx: float) -> float:
+    # log1p(x) is log x to within 1/x, below an ulp once x overflows
+    return 0.5 * lx + (math.log1p(x) if x < math.inf else lx)
 
 
 def _exp_phi(x: float) -> float:
@@ -278,7 +281,7 @@ def _exp_inverse_slope(w: np.ndarray) -> np.ndarray:
     return 2.0 * r / (1.0 + r * r)
 
 
-def _exp_log_phi(x: float) -> float:
+def _exp_log_phi(x: float, lx: float) -> float:
     # log sqrt(e^x - 1) = (x + log(1 - e^-x)) / 2, which does not overflow
     return 0.5 * (x + math.log(-math.expm1(-x)))
 
@@ -422,6 +425,217 @@ def invert_phi(dgf: GeneratingFunction, z: float, *, rel_tol: float = 1e-13) -> 
     return math.copysign(root, z)
 
 
+# ---------------------------------------------------------------------------
+# array forms
+
+
+_PROBE = np.array([-2.5, -0.7, 0.3, 1.0, 4.0])
+
+
+def _array_form(fn: ScalarMap) -> Callable[[np.ndarray], np.ndarray]:
+    """fn itself if it maps a probe array to its scalar values, else fn elementwise.
+
+    Compiled expressions and numpy functions pass; a callable written for
+    floats, such as a lambda over math, fails the probe or raises on it,
+    and is applied one element at a time.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(_PROBE)
+            if (isinstance(out, np.ndarray) and out.shape == _PROBE.shape and np.allclose(
+                    out, [fn(p) for p in _PROBE.tolist()], rtol=1e-12, atol=0.0, equal_nan=True)):
+                return fn
+    except Exception:  # whatever it raises on an array, it is a scalar-only callable
+        pass
+    each = np.frompyfunc(fn, 1, 1)
+    return lambda a: each(a).astype(float)
+
+
+class _ArrayForms(NamedTuple):
+    phi: Callable[[np.ndarray], np.ndarray]
+    phi_prime: Callable[[np.ndarray], np.ndarray]
+    phi_second: Callable[[np.ndarray], np.ndarray]
+    inverse: Optional[Callable[[np.ndarray], np.ndarray]]
+
+
+@functools.lru_cache(maxsize=64)
+def _arrays(dgf: GeneratingFunction) -> _ArrayForms:
+    """The array forms of dgf's callables, found once per generating function."""
+    inv = None if dgf.inverse is None else _array_form(dgf.inverse)
+    return _ArrayForms(*map(_array_form, (dgf.phi, dgf.phi_prime, dgf.phi_second)), inv)
+
+
+def _newton(
+    phi: Callable[[np.ndarray], np.ndarray],
+    phi_prime: Callable[[np.ndarray], np.ndarray],
+    target: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    root: np.ndarray,
+    rel_tol: float,
+) -> np.ndarray:
+    """Roots of phi = target from the starts root inside the brackets [lo, hi].
+
+    Newton steps on phi', each kept inside its bracket (a bisection where
+    a step would leave it), until a step, or the error that it and the
+    step before predict for the next one (quadratic convergence), is at
+    most rel_tol relative. Each row stops at its own step, so a root does
+    not depend on the other rows of the batch.
+    """
+    out = rows = None  # set once some rows stop before others
+    prev = 0.0
+    for _ in range(100):
+        f = phi(root) - target
+        delta = f / phi_prime(root)
+        step = root - delta
+        # relative, but absolute below 1e-300 as in invert_phi
+        r = np.abs(delta) / np.maximum(root, 1e-300)
+        # the error predicted for step is r (r / prev)^2 once the steps shrink;
+        # a converged step may leave the bracket by rounding: it is taken as is
+        done = r * np.fmin(1.0, (r / prev) ** 2) <= rel_tol
+        if done.any():
+            if rows is None:
+                if done.all():
+                    return step
+                out, rows = np.empty(target.size), np.arange(target.size)
+            out[rows[done]] = step[done]
+            if done.all():
+                return out
+            rows, root, step, f, lo, hi, target, r = (
+                a[~done] for a in (rows, root, step, f, lo, hi, target, r))
+        below = f < 0.0
+        lo, hi = np.where(below, root, lo), np.where(below, hi, root)
+        inside = (lo < step) & (step < hi)
+        root = step if inside.all() else np.where(inside, step, 0.5 * (lo + hi))
+        prev = r
+    if rows is None:
+        return root
+    out[rows] = root
+    return out
+
+
+# Geometric ladders: x = 2^(k/2) from the smallest subnormal float up to
+# invert_phi's overflow guard 2^999, and w = 2^(k/32) over all positive floats
+_X_STEPS = 2
+_W_STEPS = 32
+_W_BLOCK = 256  # table entries per block, built when a query first reaches it
+_W_BLOCKS = -(-(1074 + 1024) * _W_STEPS // _W_BLOCK)
+
+
+def _interpolate(w: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
+    """The x at w on the line from (w_lo, lo) to (w_hi, hi)."""
+    return lo + (w - w_lo) / (w_hi - w_lo) * (hi - lo)
+
+
+class _InverseTable:
+    """Phi^-1 at the w ladder 2^(k/32), built block by block as queries reach it.
+
+    An entry is 0 below the smallest float and inf past 2^999 or where
+    phi overflows. Each is bracketed by neighbours on the x ladder,
+    on which phi is evaluated once, and polished by _newton from the
+    interpolated point.
+    """
+
+    def __init__(self, dgf: GeneratingFunction) -> None:
+        self.phi, self.phi_prime = _arrays(dgf)[:2]
+        self.x = np.exp2(np.arange(-1074 * _X_STEPS, 999 * _X_STEPS + 1) / _X_STEPS)
+        with np.errstate(all="ignore"):
+            p = self.phi(self.x)
+        # nan is softened overflow; inf past the end stands for phi never reaching w
+        self.p = np.append(np.maximum.accumulate(np.where(np.isnan(p), np.inf, p)), np.inf)
+        self.table = np.empty(_W_BLOCKS * _W_BLOCK + 1)
+        self.built = np.zeros(_W_BLOCKS, dtype=bool)
+
+    def brackets(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Entries i and i + 1 of the table."""
+        if i.size:
+            first = i.min() // _W_BLOCK
+            span = self.built[first:i.max() // _W_BLOCK + 1]
+            if not span.all():
+                self._build(first + np.flatnonzero(~span))
+        return self.table[i], self.table[i + 1]
+
+    def _build(self, blocks: np.ndarray) -> None:
+        # each block also fills the first entry of the next, so that a built
+        # block holds both ends of every bracket that starts in it
+        k = (blocks[:, None] * _W_BLOCK + np.arange(_W_BLOCK + 1)).ravel()
+        p = self.p
+        with np.errstate(all="ignore"):
+            w = np.exp2(k / _W_STEPS - 1074.0)
+            j = np.searchsorted(p, w)  # p[j - 1] < w <= p[j]
+            x = np.where(j == 0, 0.0, np.inf)
+            # a root whose bracket reaches where phi overflows is left at
+            # inf: it lies within a factor sqrt(2) of that point
+            rows = np.flatnonzero((j > 0) & (p[j] < np.inf))
+            j, w = j[rows], w[rows]
+            lo, hi = self.x[j - 1], self.x[j]
+            x[rows] = _newton(self.phi, self.phi_prime, w, lo, hi,
+                              _interpolate(w, lo, hi, p[j - 1], p[j]), 1e-13)
+        self.table[k] = x
+        self.built[blocks] = True
+
+
+@functools.lru_cache(maxsize=16)
+def _inverse_table(dgf: GeneratingFunction) -> _InverseTable:
+    return _InverseTable(dgf)
+
+
+def _invert_phi_array(dgf: GeneratingFunction, w: np.ndarray, rel_tol: float = 1e-13) -> np.ndarray:
+    """Solve phi(x) = w elementwise on an array of finite w > 0, to rel_tol.
+
+    The preimages of the two neighbours of w among 2^(k/32) bracket the
+    root; _newton polishes it from the interpolation between them. Gives 0
+    where the preimage underflows, and inf where phi stays below w up to
+    2^999 or reaches it only within a factor sqrt(2) of where phi
+    overflows. Agrees with invert_phi to within rel_tol.
+    """
+    table = _inverse_table(dgf)
+    shape, w = w.shape, w.ravel()
+    with np.errstate(all="ignore"):
+        i = (np.log2(w) * _W_STEPS + 1074 * _W_STEPS).astype(np.intp)  # >= 0: the floor
+        lo, hi = table.brackets(i)
+        w_lo = np.exp2(i / _W_STEPS - 1074.0)
+        ok = (hi > 0.0) & (hi < np.inf)
+        every = ok.all()
+        if not every:
+            x = np.where(hi == 0.0, 0.0, np.inf)
+            w, lo, hi, w_lo = w[ok], lo[ok], hi[ok], w_lo[ok]
+        root = _newton(table.phi, table.phi_prime, w, lo, hi,
+                       _interpolate(w, lo, hi, w_lo, w_lo * 2.0 ** (1.0 / _W_STEPS)), rel_tol)
+    if every:
+        return root.reshape(shape)
+    x[ok] = root
+    return x.reshape(shape)
+
+
+def _preimage(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:
+    """Phi^-1(w) on an array of finite w > 0: the inverse if given, else the root solve."""
+    inverse = _arrays(dgf).inverse
+    return _invert_phi_array(dgf, w) if inverse is None else inverse(w)
+
+
+def _slope_at_preimage(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:
+    """1/Phi'(Phi^-1(w)) on an array of w >= 0.
+
+    0 at w = 0 and w = inf, where the preimage underflows to 0 or lies
+    beyond the float range, and where Phi' overflows, as psi_prime's
+    continuous extension has it.
+    """
+    ok = (w > 0.0) & (w < math.inf)
+    with np.errstate(all="ignore"):
+        x = _preimage(dgf, w if ok.all() else w[ok])
+        good = (x > 0.0) & (x < math.inf)
+        if good.all() and x.size == w.size:
+            d = _arrays(dgf).phi_prime(x)
+            return np.where(np.isinf(d), 0.0, 1.0 / d)
+        d = _arrays(dgf).phi_prime(x[good])
+        out = np.zeros(w.shape)
+        ok[ok] = good
+        out[ok] = np.where(np.isinf(d), 0.0, 1.0 / d)
+    return out
+
+
 def psi_prime(dgf: GeneratingFunction, k3: float, z: float) -> float:
     """Derivative of the inverse of the scaled map, Psi = (Phi_k3)^(-1).
 
@@ -479,9 +693,22 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _log_grid(lo: float, hi: float, n: int) -> list[float]:
+def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     la, lb = math.log10(lo), math.log10(hi)
-    return [10.0 ** (la + (lb - la) * i / (n - 1)) for i in range(n)]
+    return np.array([10.0 ** (la + (lb - la) * i / (n - 1)) for i in range(n)])
+
+
+_CHECK_GRID = _log_grid(1e-8, 1e8, 100)
+_DIFF_GRID = _log_grid(1e-3, 1e3, 13)
+_SLOPE_POINTS = np.array([10.0 ** -k for k in range(4, 13, 2)])
+_RATIO_POINTS = np.array([1e-6, 1e-9, 1e-12])
+
+
+def _worst(err: np.ndarray, grid: np.ndarray) -> tuple[float, Optional[float]]:
+    """Largest error and the first grid point where it occurs; nan errors are skipped."""
+    err = np.where(err > 0.0, err, 0.0)
+    i = int(np.argmax(err))
+    return float(err[i]), (float(grid[i]) if err[i] > 0.0 else None)
 
 
 def check_dgf(dgf: GeneratingFunction) -> CheckReport:
@@ -491,76 +718,62 @@ def check_dgf(dgf: GeneratingFunction) -> CheckReport:
     over shrinking arguments; that reliably separates genuine generating
     functions from smooth maps such as Phi(x) = x.
     """
+    phi, phi_prime, phi_second, _ = _arrays(dgf)
     items: list[CheckItem] = []
-    grid = _log_grid(1e-8, 1e8, 100)
+    grid = _CHECK_GRID
 
-    # (1) odd symmetry
-    witness, worst = None, 0.0
-    for x in grid:
-        p, q = dgf.phi(x), dgf.phi(-x)
-        if not (math.isfinite(p) and math.isfinite(q)):
-            err = 0.0 if p == -q else math.inf  # overflow range: signs must still mirror
-        else:
-            err = abs(p + q) / max(abs(p), 1e-300)
-        if err > worst:
-            worst, witness = err, x
-    ok = worst <= 1e-12
-    items.append(
-        CheckItem(1, "odd symmetry", ok, None if ok else witness,
-                  f"(max relative asymmetry {worst:.2e})")
-    )
+    with np.errstate(all="ignore"):
+        # (1) odd symmetry; in the overflow range the signs must still mirror
+        p, q = phi(grid), phi(-grid)
+        err = np.where(np.isfinite(p) & np.isfinite(q),
+                       np.abs(p + q) / np.maximum(np.abs(p), 1e-300),
+                       np.where(p == -q, 0.0, np.inf))
+        worst, witness = _worst(err, grid)
+        ok = worst <= 1e-12
+        items.append(
+            CheckItem(1, "odd symmetry", ok, None if ok else witness,
+                      f"(max relative asymmetry {worst:.2e})")
+        )
 
-    # (2) derivative consistency away from zero (smoothness proxy)
-    witness, worst = None, 0.0
-    for x in _log_grid(1e-3, 1e3, 13):
+        # (2) derivative consistency away from zero (smoothness proxy)
+        x = _DIFF_GRID
         h = 1e-6 * x
-        fd1 = (dgf.phi(x + h) - dgf.phi(x - h)) / (2.0 * h)
-        e1 = abs(fd1 - dgf.phi_prime(x)) / max(abs(dgf.phi_prime(x)), 1e-300)
-        fd2 = (dgf.phi_prime(x + h) - dgf.phi_prime(x - h)) / (2.0 * h)
-        denom = max(abs(dgf.phi_second(x)), abs(fd2), 1e-300)
-        e2 = abs(fd2 - dgf.phi_second(x)) / denom
-        err = max(e1, e2)
-        if err > worst:
-            worst, witness = err, x
-    ok = worst <= 1e-3
-    items.append(
-        CheckItem(2, "smooth away from zero", ok, None if ok else witness,
-                  f"(max derivative mismatch {worst:.2e})")
-    )
+        fd1 = (phi(x + h) - phi(x - h)) / (2.0 * h)
+        d = phi_prime(x)
+        e1 = np.abs(fd1 - d) / np.maximum(np.abs(d), 1e-300)
+        fd2 = (phi_prime(x + h) - phi_prime(x - h)) / (2.0 * h)
+        s = phi_second(x)
+        e2 = np.abs(fd2 - s) / np.maximum(np.maximum(np.abs(s), np.abs(fd2)), 1e-300)
+        worst, witness = _worst(np.where(e2 > e1, e2, e1), x)
+        ok = worst <= 1e-3
+        items.append(
+            CheckItem(2, "smooth away from zero", ok, None if ok else witness,
+                      f"(max derivative mismatch {worst:.2e})")
+        )
 
-    # (3) strictly increasing; nan samples (softened overflow in a custom
-    # expression, e.g. inf/inf far out on the grid) carry no sign information
-    # and are skipped rather than counted as failures
-    witness = None
-    ok = True
-    for x in grid:
-        d = dgf.phi_prime(x)
-        if math.isnan(d):
-            continue
-        if not d > 0.0:
-            ok, witness = False, x
-            break
-    items.append(CheckItem(3, "strictly increasing", ok, witness,
-                           "" if ok else f"(phi'({witness:g}) <= 0)"))
+        # (3) strictly increasing; nan samples (softened overflow in a custom
+        # expression, e.g. inf/inf far out on the grid) carry no sign information
+        # and are skipped rather than counted as failures
+        d = phi_prime(grid)
+        bad = np.flatnonzero(~(d > 0.0) & ~np.isnan(d))
+        witness = float(grid[bad[0]]) if bad.size else None
+        items.append(CheckItem(3, "strictly increasing", witness is None, witness,
+                               "" if witness is None else f"(phi'({witness:g}) <= 0)"))
 
-    # (4) slope blows up at the origin
-    slopes = [dgf.phi_prime(10.0 ** -k) for k in range(4, 13, 2)]
-    increasing = all(b > a for a, b in zip(slopes, slopes[1:]))
-    ok = increasing and slopes[-1] >= 1e3
-    items.append(
-        CheckItem(4, "unbounded slope at zero", ok, None if ok else 1e-12,
-                  f"(phi'(1e-12) = {slopes[-1]:.3e}, monotone={increasing})")
-    )
+        # (4) slope blows up at the origin
+        slopes = phi_prime(_SLOPE_POINTS)
+        increasing = bool(np.all(slopes[1:] > slopes[:-1]))
+        ok = increasing and bool(slopes[-1] >= 1e3)
+        items.append(
+            CheckItem(4, "unbounded slope at zero", ok, None if ok else 1e-12,
+                      f"(phi'(1e-12) = {slopes[-1]:.3e}, monotone={increasing})")
+        )
 
-    # (5) curvature ratio |2 phi'^3 / phi''| tends to one
-    ratios = []
-    for x in (1e-6, 1e-9, 1e-12):
-        second = dgf.phi_second(x)
-        if second == 0.0:
-            ratios.append(math.inf)
-        else:
-            ratios.append(abs(2.0 * dgf.phi_prime(x) ** 3 / second))
-    errs = [abs(r - 1.0) for r in ratios]
+        # (5) curvature ratio |2 phi'^3 / phi''| tends to one
+        second = phi_second(_RATIO_POINTS)
+        ratios = np.where(second == 0.0, np.inf,
+                          np.abs(2.0 * phi_prime(_RATIO_POINTS) ** 3 / second))
+    errs = np.abs(ratios - 1.0).tolist()
     ok = all(b <= a + 1e-15 for a, b in zip(errs, errs[1:])) and errs[-1] <= 1e-2
     items.append(
         CheckItem(5, "curvature ratio tends to one", ok, None if ok else 1e-12,
@@ -573,34 +786,29 @@ def check_dgf(dgf: GeneratingFunction) -> CheckReport:
 # ---------------------------------------------------------------------------
 # admissibility constants
 
+# log10 of the scan grid: 2001 points on [1e-9, 1e9]
+_SCAN_STEP = 18.0 / 2000
+_SCAN_LOG = np.array([-9.0 + i * _SCAN_STEP for i in range(2001)])
+_SCAN_GRID = np.array([10.0 ** t for t in _SCAN_LOG.tolist()])
 
-def _sup_on_log_grid(
-    f: Callable[[float], float],
-    *,
-    lo: float = 1e-9,
-    hi: float = 1e9,
-    points: int = 2001,
-) -> tuple[float, float, bool]:
-    """Supremum of f over a log grid plus golden refinement.
 
-    Returns (argmax, value, at_upper_edge). The refinement works on the log
-    axis between the grid neighbors of the best point; at_upper_edge flags a
+def _sup_on_log_grid(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, bool]:
+    """Supremum of f over the scan grid, refined by zoom rounds; nan samples are skipped.
+
+    Returns (value, at_upper_edge). The refinement works on the log axis
+    between the grid neighbors of the best point; at_upper_edge flags a
     supremum that keeps growing toward the right end of the grid.
     """
-    la, lb = math.log10(lo), math.log10(hi)
-    step = (lb - la) / (points - 1)
-    best_i, best_v = 0, -math.inf
-    for i in range(points):
-        v = f(10.0 ** (la + i * step))
-        if v > best_v:
-            best_i, best_v = i, v
-    at_edge = best_i == points - 1
-    l_lo = la + max(best_i - 1, 0) * step
-    l_hi = la + min(best_i + 1, points - 1) * step
-    arg_l, val = golden_max(lambda t: f(10.0 ** t), l_lo, l_hi)
-    if best_v > val:
-        return 10.0 ** (la + best_i * step), best_v, at_edge
-    return 10.0 ** arg_l, val, at_edge
+    def g(x: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            v = f(x)
+        return np.where(np.isnan(v), -np.inf, v)
+
+    v = g(_SCAN_GRID)
+    i = int(np.argmax(v))
+    _, value = zoom_max(lambda t: g(10.0 ** np.clip(t, _SCAN_LOG[0], _SCAN_LOG[-1])),
+                        float(_SCAN_LOG[i]), float(v[i]), _SCAN_STEP)
+    return value, i == v.size - 1
 
 
 def compute_admissibility(
@@ -612,7 +820,7 @@ def compute_admissibility(
     """Compute (B, C, D) numerically and reconcile with claimed constants.
 
     B is the reciprocal integral of phi; C and D are suprema over a log
-    grid spanning [1e-9, 1e9] with golden-section refinement. If the
+    grid spanning [1e-9, 1e9], refined by batched zoom rounds. If the
     claimed constants agree within match_rel_tol the claimed (exact)
     values are returned; otherwise the computed ones, flagged inexact.
 
@@ -634,34 +842,26 @@ def compute_admissibility(
             f"diverges ({exc})"
         ) from exc
 
-    def c_integrand(x: float) -> float:
-        d = dgf.phi_prime(x)
-        if math.isnan(d):
-            return math.nan  # no information at this sample; scan skips it
-        if d <= 0.0:
-            return math.inf
-        return 1.0 / d
+    _, phi_prime, phi_second, _ = _arrays(dgf)
 
-    _, c_val, c_at_edge = _sup_on_log_grid(c_integrand)
+    def c_integrand(x: np.ndarray) -> np.ndarray:
+        # 1/phi', inf where phi' <= 0; nan (no information) where phi' is nan
+        d = phi_prime(x)
+        return np.where(d > 0.0, 1.0 / d, np.where(np.isnan(d), np.nan, np.inf))
+
+    c_val, c_at_edge = _sup_on_log_grid(c_integrand)
     if c_at_edge:
         raise NotAdmissibleError(
             f"not admissible: item (ii) fails, 1/phi' of {dgf.name!r} grows without bound"
         )
 
-    def d_integrand(x: float) -> float:
-        num = abs(dgf.phi_second(x))
-        den_base = abs(dgf.phi_prime(x))
-        try:
-            den = 2.0 * den_base ** 3
-        except OverflowError:
-            return 0.0  # slope cubed overflows while curvature is a float: ratio ~ 0
-        if math.isinf(den):
-            return 0.0 if math.isfinite(num) else math.nan  # nan: skipped by the scan
-        if not math.isfinite(num):
-            return math.nan  # curvature overflowed while the slope stayed finite
-        return num / den
+    def d_integrand(x: np.ndarray) -> np.ndarray:
+        # |phi''| / (2 |phi'|^3): about 0 where the slope cubed overflows, nan
+        # where the curvature overflows
+        num = np.abs(phi_second(x))
+        return np.where(np.isfinite(num), num / (2.0 * np.abs(phi_prime(x)) ** 3), np.nan)
 
-    _, d_raw, _ = _sup_on_log_grid(d_integrand)
+    d_raw, _ = _sup_on_log_grid(d_integrand)
     d_val = max(d_raw, 1.0)
 
     claimed = dgf.claimed_constants

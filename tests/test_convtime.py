@@ -20,7 +20,6 @@ from ftdiff.convtime import (
     _circle_values,
     _delta0,
     _psi_prime_array,
-    _psi_prime_closure,
     expm2,
     global_convtime_numeric,
     lbar,
@@ -354,6 +353,19 @@ class TestT0Exact:
         got = t0_exact(ured, ParamTriple(5.0, 1.0, 1.0), x0)
         assert limit - 1e-6 <= got <= limit + 1e-8
 
+    @pytest.mark.parametrize("x0", [(1e308, 0.0), (-1e308, 1.0)])
+    def test_ured_where_k3_squared_x1_overflows(self, ured, x0):
+        # k3^2 |x1| is past the float range here, log Phi = 1.5 log(k3^2 |x1|)
+        # is not; at these (repeated-eigenvalue) gains the response decays
+        # like t e^(lam t), so the time exceeds the limit 2B/(k1 k3) by
+        # about limit / log|Phi_k3(x1)|
+        kappa = ParamTriple(6.0, 4.5, 4.3)
+        limit = 2.0 * math.pi / (6.0 * 4.3)
+        log_g = 1.5 * (2.0 * math.log(4.3) + math.log(1e308)) - math.log(4.3)
+        got = t0_exact(ured, kappa, x0)
+        assert limit * (1.0 + 0.99 / log_g) <= got <= limit * (1.0 + 1.0 / log_g)
+        assert got < t0_exact(ured, kappa, (1e300, 0.0))
+
     @pytest.mark.parametrize("name", ["ured", "exp"])
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     @pytest.mark.parametrize("beta", [0.5, 2.0])
@@ -612,6 +624,17 @@ class TestGlobalConvtime:
         want = global_convtime_numeric(ured, kappa, grid_points=4)
         assert abs(got.value - want.value) <= got.inner_tol
 
+    @pytest.mark.parametrize("kappa", [(5.0, 1.0, 1.0), (2.0, 1.0, 1.0)])
+    def test_custom_expression_on_default_grid(self, ured, kappa):
+        # distinct real and complex eigenvalues; the array root solve makes
+        # the custom search take a fraction of a second
+        custom = GeneratingFunction(
+            "custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        got = global_convtime_numeric(custom, ParamTriple(*kappa))
+        want = numeric_sup("ured", kappa)
+        assert abs(got.value - want.value) <= got.inner_tol
+        assert got.argmax == pytest.approx(want.argmax, rel=1e-6)
+
     def test_divergent_left_tail_raises(self, sqrtdgf):
         # sqrt has no uniform bound: the left tail grows without end
         with pytest.raises(QuadratureError):
@@ -643,10 +666,10 @@ class TestPsiPrimeArray:
         assert got == _psi_prime_array(dgf, 1.7)(np.array([z]))[0]
         assert 0.0 < got and abs(got - 2.0 * z) <= 5e-324
 
-    @pytest.mark.parametrize("name", ["sqrt", "ured", "exp"])
+    @pytest.mark.parametrize("name", ["sqrt", "ured", "exp", "custom"])
     def test_zero_at_origin_and_infinity(self, name):
-        dgf = builtin_dgf(name)
-        scalar = _psi_prime_closure(dgf, 1.7)
+        dgf = (GeneratingFunction(name, *(compile_expression(t) for t in URED_EXPRESSIONS))
+               if name == "custom" else builtin_dgf(name))
         got = _psi_prime_array(dgf, 1.7)(np.array([0.0, math.inf]))
         assert list(got) == [0.0, 0.0]
-        assert [scalar(z) for z in (0.0, math.inf, -math.inf)] == [0.0, 0.0, 0.0]
+        assert [psi_prime(dgf, 1.7, z) for z in (0.0, math.inf, -math.inf)] == [0.0, 0.0, 0.0]

@@ -1,14 +1,19 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftdiff.convtime import t0_exact
 from ftdiff.dgf import (
     AdmissibilityConstants,
     GeneratingFunction,
     ParamTriple,
     ScaledFamily,
+    _array_form,
+    _invert_phi_array,
     builtin_dgf,
     builtin_names,
     check_dgf,
@@ -367,3 +372,112 @@ class TestComputeAdmissibility:
         assert not c.exact
         assert c.B == pytest.approx(math.pi, rel=1e-6)
         assert c.C == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-4)
+
+
+URED_EXPRESSIONS = (
+    "sign(x)*(sqrt(abs(x)) + abs(x)**1.5)",
+    "0.5/sqrt(abs(x)) + 1.5*sqrt(abs(x))",
+    "sign(x)*(-0.25*abs(x)**-1.5 + 0.75*abs(x)**-0.5)",
+)
+
+
+def _math_ured():
+    """ured from plain float lambdas over math, which take no arrays."""
+    return GeneratingFunction(
+        "lambdas",
+        phi=lambda x: math.copysign(math.sqrt(abs(x)) * (1.0 + abs(x)), x),
+        phi_prime=lambda x: 0.5 / math.sqrt(abs(x)) + 1.5 * math.sqrt(abs(x)),
+        phi_second=lambda x: math.copysign(0.25, x) * (3.0 * abs(x) - 1.0) / abs(x) ** 1.5,
+    )
+
+
+class TestArrayForms:
+    def test_compiled_expression_used_as_is(self):
+        f = compile_expression(URED_EXPRESSIONS[0])
+        assert _array_form(f) is f
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: math.sqrt(abs(x)),  # raises on an array
+        lambda x: 2.0 * x if isinstance(x, np.ndarray) else x,  # wrong on an array
+        lambda x: 1.0,  # no array out
+    ])
+    def test_scalar_callables_applied_elementwise(self, fn):
+        arr = _array_form(fn)
+        x = np.array([0.25, 4.0, 9.0])
+        assert arr(x).dtype == np.float64
+        assert list(arr(x)) == [fn(v) for v in x.tolist()]
+
+    def test_root_solve_matches_invert_phi(self, ured):
+        # the custom-ured expressions have no inverse: both routes solve
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        z = np.logspace(-300.0, 300.0, 1201)
+        got = _invert_phi_array(custom, z)
+        for zi, gi in zip(z.tolist(), got.tolist()):
+            # invert_phi's own tolerance: relative, absolute below 1e-300
+            assert abs(gi - invert_phi(custom, zi)) <= 2e-13 * max(gi, 1e-300), zi
+        # and against the closed form, where the scalar route agrees too
+        assert np.allclose(got[z < 1e200], [invert_phi(ured, v) for v in z[z < 1e200]],
+                           rtol=2e-13, atol=1e-300)
+
+    def test_bounded_map_out_of_range_is_inf(self):
+        capped = GeneratingFunction(
+            name="capped", phi=np.tanh, phi_prime=lambda x: 1.0 / np.cosh(x) ** 2,
+            phi_second=lambda x: -2.0 * np.tanh(x) / np.cosh(x) ** 2)
+        got = _invert_phi_array(capped, np.array([0.5, 2.0]))
+        assert got[0] == pytest.approx(math.atanh(0.5), rel=1e-13) and got[1] == math.inf
+
+    def test_any_shape(self):
+        # roots on ladder points converge at the first step, the others later
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        w = np.array([[2.0 ** (3 / 32), 1.2345], [7.0, 2.0 ** (5 / 32)]])
+        got = _invert_phi_array(custom, w)
+        assert got.shape == w.shape
+        assert list(got.ravel()) == list(_invert_phi_array(custom, w.ravel()))
+
+    def test_roots_do_not_depend_on_the_batch(self):
+        # each root stops at its own step and each table block is solved the
+        # same way whenever a query first reaches it
+        w = np.logspace(-40.0, 40.0, 301)
+        make = lambda: GeneratingFunction(
+            "custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        whole = _invert_phi_array(make(), w)
+        other = make()
+        parts = [_invert_phi_array(other, w[i::7]) for i in range(7)]
+        for i, part in enumerate(parts):
+            assert [v.hex() for v in part.tolist()] == [v.hex() for v in whole[i::7].tolist()]
+
+
+class TestPlainCallables:
+    """Plain math lambdas go through the same array routes as expressions.
+
+    The reference values are those of the scalar routes (one invert_phi per
+    quadrature node, scalar admissibility scans) that the array ones replaced.
+    """
+
+    @pytest.mark.parametrize("x0, want", [
+        ((1.0, 0.0), 0.2931452413632886),
+        ((0.3, -2.0), 0.27482878564107793),
+        ((-25.0, 4.0), 0.28262614042636053),
+        ((1e-3, 1e-3), 0.01544890683268479),
+    ])
+    def test_t0_exact(self, x0, want):
+        got = t0_exact(_math_ured(), ParamTriple(6.0, 4.5, 4.182), x0)
+        assert abs(got - want) <= 1e-8
+
+    def test_admissibility(self):
+        c = compute_admissibility(_math_ured())
+        assert not c.exact
+        for got, want in ((c.B, 3.1415926535900063), (c.C, 0.5773502691896258),
+                          (c.D, 1.0), (c.d_raw, 0.9999999880000005)):
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_pass_through_wrappers_change_nothing(self):
+        # a profiler that wraps the callables (dataclasses.replace) must see
+        # the same array routes and so the same values
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        wrapped = dataclasses.replace(custom, **{
+            name: (lambda f: lambda *a, **k: f(*a, **k))(getattr(custom, name))
+            for name in ("phi", "phi_prime", "phi_second")})
+        kappa, x0 = ParamTriple(6.0, 4.5, 4.182), (0.7, -1.3)
+        assert t0_exact(wrapped, kappa, x0) == t0_exact(custom, kappa, x0)
+        assert compute_admissibility(wrapped) == compute_admissibility(custom)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ftdiff.errors import ExpressionError
@@ -172,3 +173,49 @@ class TestCompiledMatchesPerCallEval:
                     assert got.hex() == want.hex(), (text, arg, got, want)
             else:
                 assert got is want, (text, arg, got, want)
+
+
+def _ulps(a, b):
+    """Distance of two finite floats in units in the last place of the larger."""
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+class TestArrayForm:
+    """The numpy form of a compiled expression against its scalar form."""
+
+    @pytest.mark.parametrize("text", TestCompiledMatchesPerCallEval.EXPRESSIONS)
+    def test_matches_scalar_form(self, text):
+        # numpy's exp, log and pow may differ from libm's in the last bits
+        # (by 4 ulp for ured's phi'' expression at x = 0.7, through
+        # cancellation); on this table they are bit-equal with numpy 2.4
+        args = TestCompiledMatchesPerCallEval.ARGS
+        f = compile_expression(text)
+        got = f(np.array(args, dtype=float))
+        assert got.shape == (len(args),) and got.dtype == np.float64
+        for arg, g in zip(args, got.tolist()):
+            want = f(arg)
+            if math.isnan(want):
+                assert math.isnan(g), (text, arg, g)
+            elif math.isinf(want) or want == 0.0:
+                assert g == want and math.copysign(1.0, g) == math.copysign(1.0, want), (text, arg, g)
+            else:
+                assert _ulps(g, want) <= 4, (text, arg, g, want)
+
+    def test_constant_expressions_broadcast(self):
+        x = np.zeros((2, 3))
+        assert np.array_equal(compile_expression("2*3 - 1")(x), np.full((2, 3), 5.0))
+        assert np.array_equal(compile_expression("2**3000 + 1/0")(x), np.full((2, 3), math.inf))
+
+    def test_sign_of_nan_is_zero_in_both_forms(self):
+        f = compile_expression("sign(x)")
+        assert f(math.nan) == 0.0
+        assert f(np.array([math.nan, -0.0, -2.0]))[0] == 0.0
+        assert list(f(np.array([math.nan, -0.0, -2.0]))) == [0.0, 0.0, -1.0]
+
+    def test_sqrt_of_negative_spoils_only_its_element(self):
+        # the scalar form turns math.sqrt's ValueError into nan for the whole
+        # expression, so even pow(., 0) is nan; numpy's sqrt gives nan in
+        # that one place, and pow(nan, 0) is 1
+        f = compile_expression("pow(sqrt(x), 0)")
+        assert math.isnan(f(-1.0))
+        assert list(f(np.array([-1.0, 4.0]))) == [1.0, 1.0]
