@@ -365,7 +365,10 @@ def nu2(dgf: GeneratingFunction, k3: float, x: float) -> float:
     return 2.0 * dgf.phi(u) * dgf.phi_prime(u)
 
 
-def invert_phi(dgf: GeneratingFunction, z: float, *, rel_tol: float = 1e-13) -> float:
+_REL_TOL = 1e-13  # of invert_phi by default, and of the array root solve
+
+
+def invert_phi(dgf: GeneratingFunction, z: float, *, rel_tol: float = _REL_TOL) -> float:
     """Solve phi(x) = z for x.
 
     Uses the closed-form inverse when the generating function provides one,
@@ -472,27 +475,30 @@ def _newton(
     lo: np.ndarray,
     hi: np.ndarray,
     root: np.ndarray,
-    rel_tol: float,
 ) -> np.ndarray:
     """Roots of phi = target from the starts root inside the brackets [lo, hi].
 
     Newton steps on phi', each kept inside its bracket (a bisection where
-    a step would leave it), until a step, or the error that it and the
-    step before predict for the next one (quadratic convergence), is at
-    most rel_tol relative. Each row stops at its own step, so a root does
-    not depend on the other rows of the batch.
+    a step would leave it), until a step is at most _REL_TOL relative, or
+    stays inside its bracket with the error that it and the Newton step
+    before it predict for the next one (quadratic convergence) at most
+    _REL_TOL. Each row stops at its own step, so a root does not depend on
+    the other rows of the batch.
     """
     out = rows = None  # set once some rows stop before others
-    prev = 0.0
+    prev = np.inf
+    newton = np.zeros(target.size, dtype=bool)  # root came from a Newton step
     for _ in range(100):
         f = phi(root) - target
         delta = f / phi_prime(root)
         step = root - delta
-        # relative, but absolute below 1e-300 as in invert_phi
+        below = f < 0.0
+        lo, hi = np.where(below, root, lo), np.where(below, hi, root)
+        inside = (lo < step) & (step < hi)
+        # relative, but absolute below 1e-300 as in invert_phi; a converged
+        # step may leave the bracket by rounding: it is taken as is
         r = np.abs(delta) / np.maximum(root, 1e-300)
-        # the error predicted for step is r (r / prev)^2 once the steps shrink;
-        # a converged step may leave the bracket by rounding: it is taken as is
-        done = r * np.fmin(1.0, (r / prev) ** 2) <= rel_tol
+        done = (r <= _REL_TOL) | (newton & inside & (r * (r / prev) ** 2 <= _REL_TOL))
         if done.any():
             if rows is None:
                 if done.all():
@@ -501,112 +507,77 @@ def _newton(
             out[rows[done]] = step[done]
             if done.all():
                 return out
-            rows, root, step, f, lo, hi, target, r = (
-                a[~done] for a in (rows, root, step, f, lo, hi, target, r))
-        below = f < 0.0
-        lo, hi = np.where(below, root, lo), np.where(below, hi, root)
-        inside = (lo < step) & (step < hi)
+            rows, root, step, lo, hi, target, r, inside = (
+                a[~done] for a in (rows, root, step, lo, hi, target, r, inside))
         root = step if inside.all() else np.where(inside, step, 0.5 * (lo + hi))
-        prev = r
+        prev, newton = r, inside
     if rows is None:
         return root
     out[rows] = root
     return out
 
 
-# Geometric ladders: x = 2^(k/2) from the smallest subnormal float up to
-# invert_phi's overflow guard 2^999, and w = 2^(k/32) over all positive floats
-_X_STEPS = 2
-_W_STEPS = 32
-_W_BLOCK = 256  # table entries per block, built when a query first reaches it
-_W_BLOCKS = -(-(1074 + 1024) * _W_STEPS // _W_BLOCK)
+# The x ladder 2^(k/_X_STEPS), from the smallest subnormal float up to
+# invert_phi's overflow guard 2^999, brackets every root; the w ladder
+# 2^(k/_W_STEPS) over all positive floats indexes it
+_X_STEPS = 8
+_W_STEPS = 16
 
 
-def _interpolate(w: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
-    """The x at w on the line from (w_lo, lo) to (w_hi, hi)."""
-    return lo + (w - w_lo) / (w_hi - w_lo) * (hi - lo)
-
-
-class _InverseTable:
-    """Phi^-1 at the w ladder 2^(k/32), built block by block as queries reach it.
-
-    An entry is 0 below the smallest float and inf past 2^999 or where
-    phi overflows. Each is bracketed by neighbours on the x ladder,
-    on which phi is evaluated once, and polished by _newton from the
-    interpolated point.
-    """
-
-    def __init__(self, dgf: GeneratingFunction) -> None:
-        self.phi, self.phi_prime = _arrays(dgf)[:2]
-        self.x = np.exp2(np.arange(-1074 * _X_STEPS, 999 * _X_STEPS + 1) / _X_STEPS)
-        with np.errstate(all="ignore"):
-            p = self.phi(self.x)
-        # nan is softened overflow; inf past the end stands for phi never reaching w
-        self.p = np.append(np.maximum.accumulate(np.where(np.isnan(p), np.inf, p)), np.inf)
-        self.table = np.empty(_W_BLOCKS * _W_BLOCK + 1)
-        self.built = np.zeros(_W_BLOCKS, dtype=bool)
-
-    def brackets(self, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Entries i and i + 1 of the table."""
-        if i.size:
-            first = i.min() // _W_BLOCK
-            span = self.built[first:i.max() // _W_BLOCK + 1]
-            if not span.all():
-                self._build(first + np.flatnonzero(~span))
-        return self.table[i], self.table[i + 1]
-
-    def _build(self, blocks: np.ndarray) -> None:
-        # each block also fills the first entry of the next, so that a built
-        # block holds both ends of every bracket that starts in it
-        k = (blocks[:, None] * _W_BLOCK + np.arange(_W_BLOCK + 1)).ravel()
-        p = self.p
-        with np.errstate(all="ignore"):
-            w = np.exp2(k / _W_STEPS - 1074.0)
-            j = np.searchsorted(p, w)  # p[j - 1] < w <= p[j]
-            x = np.where(j == 0, 0.0, np.inf)
-            # a root whose bracket reaches where phi overflows is left at
-            # inf: it lies within a factor sqrt(2) of that point
-            rows = np.flatnonzero((j > 0) & (p[j] < np.inf))
-            j, w = j[rows], w[rows]
-            lo, hi = self.x[j - 1], self.x[j]
-            x[rows] = _newton(self.phi, self.phi_prime, w, lo, hi,
-                              _interpolate(w, lo, hi, p[j - 1], p[j]), 1e-13)
-        self.table[k] = x
-        self.built[blocks] = True
+class _Ladder(NamedTuple):
+    x: np.ndarray
+    p: np.ndarray  # phi(x), made nondecreasing, with inf appended
+    j: np.ndarray  # where each point of the w ladder falls in p
 
 
 @functools.lru_cache(maxsize=16)
-def _inverse_table(dgf: GeneratingFunction) -> _InverseTable:
-    return _InverseTable(dgf)
+def _ladder(dgf: GeneratingFunction) -> _Ladder:
+    """The x ladder of dgf, phi on it and its index by the w ladder.
 
-
-def _invert_phi_array(dgf: GeneratingFunction, w: np.ndarray, rel_tol: float = 1e-13) -> np.ndarray:
-    """Solve phi(x) = w elementwise on an array of finite w > 0, to rel_tol.
-
-    The preimages of the two neighbours of w among 2^(k/32) bracket the
-    root; _newton polishes it from the interpolation between them. Gives 0
-    where the preimage underflows, and inf where phi stays below w up to
-    2^999 or reaches it only within a factor sqrt(2) of where phi
-    overflows. Agrees with invert_phi to within rel_tol.
+    nan in phi is softened overflow; the inf past the end stands for phi
+    never reaching w.
     """
-    table = _inverse_table(dgf)
+    x = np.exp2(np.arange(-1074 * _X_STEPS, 999 * _X_STEPS + 1) / _X_STEPS)
+    with np.errstate(all="ignore"):
+        p = _arrays(dgf).phi(x)
+        p = np.append(np.maximum.accumulate(np.where(np.isnan(p), np.inf, p)), np.inf)
+        w = np.exp2(np.arange((1074 + 1024) * _W_STEPS) / _W_STEPS - 1074.0)
+    return _Ladder(x, p, np.searchsorted(p, w))
+
+
+def _invert_phi_array(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:
+    """Solve phi(x) = w elementwise on an array of finite w > 0.
+
+    Neighbours on the x ladder bracket each root, and _newton polishes it
+    from the interpolation between them, to invert_phi's tolerance. Gives
+    0 where the preimage underflows, and inf where phi stays below w up to
+    2^999 or reaches it only past the last ladder point where phi is
+    finite.
+    """
+    x, p, index = _ladder(dgf)
+    phi, phi_prime = _arrays(dgf)[:2]
     shape, w = w.shape, w.ravel()
     with np.errstate(all="ignore"):
-        i = (np.log2(w) * _W_STEPS + 1074 * _W_STEPS).astype(np.intp)  # >= 0: the floor
-        lo, hi = table.brackets(i)
-        w_lo = np.exp2(i / _W_STEPS - 1074.0)
-        ok = (hi > 0.0) & (hi < np.inf)
+        # p[j - 1] < w <= p[j]: the index at the w ladder point below w, or
+        # one more; a search where phi is so flat that it is neither
+        j = index[(np.log2(w) * _W_STEPS + 1074 * _W_STEPS).astype(np.intp)]
+        j += p[j] < w
+        p_lo, p_hi = p[j - 1], p[j]
+        missed = (p_hi < w) | (p_lo >= w) & (j > 0)
+        if missed.any():
+            j[missed] = np.searchsorted(p, w[missed])
+            p_lo, p_hi = p[j - 1], p[j]
+        ok = (j > 0) & (p_hi < np.inf)
         every = ok.all()
         if not every:
-            x = np.where(hi == 0.0, 0.0, np.inf)
-            w, lo, hi, w_lo = w[ok], lo[ok], hi[ok], w_lo[ok]
-        root = _newton(table.phi, table.phi_prime, w, lo, hi,
-                       _interpolate(w, lo, hi, w_lo, w_lo * 2.0 ** (1.0 / _W_STEPS)), rel_tol)
+            root = np.where(j == 0, 0.0, np.inf)
+            w, j, p_lo, p_hi = w[ok], j[ok], p_lo[ok], p_hi[ok]
+        lo, hi = x[j - 1], x[j]
+        solved = _newton(phi, phi_prime, w, lo, hi, lo + (w - p_lo) / (p_hi - p_lo) * (hi - lo))
     if every:
-        return root.reshape(shape)
-    x[ok] = root
-    return x.reshape(shape)
+        return solved.reshape(shape)
+    root[ok] = solved
+    return root.reshape(shape)
 
 
 def _preimage(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:

@@ -202,7 +202,11 @@ class _Floats(ast.NodeTransformer):
 
     def visit_Constant(self, node: ast.Constant) -> ast.AST:
         name = f"_k{len(self.names)}"
-        self.names[name] = np.float64(min(node.value, math.inf))
+        try:
+            value = float(node.value)
+        except OverflowError:  # an int literal beyond the float range
+            value = math.inf
+        self.names[name] = np.float64(value)
         return ast.copy_location(ast.Name(id=name, ctx=ast.Load()), node)
 
 

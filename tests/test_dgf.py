@@ -381,6 +381,13 @@ URED_EXPRESSIONS = (
 )
 
 
+EXP_EXPRESSIONS = (
+    "sign(x)*sqrt(exp(abs(x)) - 1)",
+    "exp(abs(x))/(2*sqrt(exp(abs(x)) - 1))",
+    "sign(x)*(exp(abs(x))/(2*sqrt(exp(abs(x)) - 1)) - exp(2*abs(x))/(4*(exp(abs(x)) - 1)**1.5))",
+)
+
+
 def _math_ured():
     """ured from plain float lambdas over math, which take no arrays."""
     return GeneratingFunction(
@@ -419,24 +426,38 @@ class TestArrayForms:
         assert np.allclose(got[z < 1e200], [invert_phi(ured, v) for v in z[z < 1e200]],
                            rtol=2e-13, atol=1e-300)
 
+    def test_root_solve_matches_invert_phi_for_exp(self):
+        # exp written as expressions: roots up to x = 645; phi overflows past
+        # x = 709.8 (w = 1.3e154), so larger w have no root among the floats
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in EXP_EXPRESSIONS))
+        z = np.append(np.logspace(0.0, 140.0, 701), math.exp(250.0))
+        got = _invert_phi_array(custom, z)
+        for zi, gi in zip(z.tolist(), got.tolist()):
+            assert abs(gi - invert_phi(custom, zi)) <= 2e-13 * gi, zi
+        assert abs(got[-1] - 500.0) <= 1e-13 * 500.0
+        assert np.all(np.diff(np.sort(got)) > 0.0)
+        assert np.all(_invert_phi_array(custom, np.logspace(155.0, 200.0, 10)) == math.inf)
+
     def test_bounded_map_out_of_range_is_inf(self):
         capped = GeneratingFunction(
             name="capped", phi=np.tanh, phi_prime=lambda x: 1.0 / np.cosh(x) ** 2,
             phi_second=lambda x: -2.0 * np.tanh(x) / np.cosh(x) ** 2)
-        got = _invert_phi_array(capped, np.array([0.5, 2.0]))
-        assert got[0] == pytest.approx(math.atanh(0.5), rel=1e-13) and got[1] == math.inf
+        # near 1, tanh is so flat that many x ladder points share one w step
+        got = _invert_phi_array(capped, np.array([0.5, 0.999, 2.0]))
+        assert got[0] == pytest.approx(math.atanh(0.5), rel=1e-13)
+        assert got[1] == pytest.approx(math.atanh(0.999), rel=1e-12) and got[2] == math.inf
 
     def test_any_shape(self):
-        # roots on ladder points converge at the first step, the others later
+        # roots on ladder points (phi(1) = 2, phi(4) = 10) converge at the
+        # first step, the others later
         custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
-        w = np.array([[2.0 ** (3 / 32), 1.2345], [7.0, 2.0 ** (5 / 32)]])
+        w = np.array([[2.0, 1.2345], [7.0, 10.0]])
         got = _invert_phi_array(custom, w)
         assert got.shape == w.shape
         assert list(got.ravel()) == list(_invert_phi_array(custom, w.ravel()))
 
     def test_roots_do_not_depend_on_the_batch(self):
-        # each root stops at its own step and each table block is solved the
-        # same way whenever a query first reaches it
+        # each root stops at its own step
         w = np.logspace(-40.0, 40.0, 301)
         make = lambda: GeneratingFunction(
             "custom", *(compile_expression(t) for t in URED_EXPRESSIONS))

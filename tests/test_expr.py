@@ -149,13 +149,16 @@ def _outcome(f, arg):
         return type(exc)
 
 
+BIG_INT = "1" + "0" * 400  # an int literal beyond the float range
+
+
 class TestCompiledMatchesPerCallEval:
     EXPRESSIONS = [
         "sign(x)*(sqrt(abs(x)) + abs(x)**1.5)",
         "0.5/sqrt(abs(x)) + 1.5*sqrt(abs(x))",
         "sign(x)*(-0.25*abs(x)**-1.5 + 0.75*abs(x)**-0.5)",
         "exp(1000)*sign(x)", "1/x", "0/x", "x**0.5", "x**1e3", "log(x)",
-        "pow(x,3)", "-z**2+pi*e", "sqrt(x)", "x", "2*3 - 1",
+        "pow(x,3)", "-z**2+pi*e", "sqrt(x)", "x", "2*3 - 1", pytest.param(BIG_INT, id="BIG_INT"),
     ]
     ARGS = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 710.0, -710.0,
             math.inf, -math.inf, math.nan, 3]
@@ -219,3 +222,10 @@ class TestArrayForm:
         f = compile_expression("pow(sqrt(x), 0)")
         assert math.isnan(f(-1.0))
         assert list(f(np.array([-1.0, 4.0]))) == [1.0, 1.0]
+
+    def test_int_literal_beyond_float_range(self):
+        # the literal is inf in the array form; the scalar form turns the
+        # OverflowError of its int arithmetic into inf for the whole expression
+        f = compile_expression(BIG_INT + "*x")
+        assert f(-2.0) == math.inf
+        assert list(f(np.array([-2.0, 3.0]))) == [-math.inf, math.inf]
