@@ -129,6 +129,10 @@ class GeneratingFunction:
     # log phi is, so that t0_exact can enter from initial errors whose phi
     # overflows; x may be inf where log x is finite
     _log_phi: Optional[Callable[[float, float], float]] = field(default=None, repr=False)
+    # built-ins only: source of one step of sim's Euler loop that sets p = phi(z)
+    # and n2 = 0.0 if e == 0.0 else 2.0 * p * phi'(z) with the float operations
+    # of phi and phi_prime (names: abs; math's sqrt, copysign, exp, expm1, inf)
+    _euler_step: Optional[str] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +174,13 @@ def _sqrt_phi_prime(x: float) -> float:
     return 0.5 / math.sqrt(abs(x))
 
 
+_SQRT_STEP = """\
+ax = abs(z)
+p = copysign(ax ** 0.5, z) if ax else 0.0
+n2 = 0.0 if e == 0.0 else 2.0 * p * (0.5 / sqrt(ax))
+"""
+
+
 def _sqrt_phi_second(x: float) -> float:
     s = 1.0 if x > 0.0 else -1.0
     return s * (-0.25) * abs(x) ** -1.5
@@ -195,6 +206,14 @@ def _ured_phi(x: float) -> float:
 def _ured_phi_prime(x: float) -> float:
     s = math.sqrt(abs(x))
     return 0.5 / s + 1.5 * s
+
+
+_URED_STEP = """\
+ax = abs(z)
+s = sqrt(ax)
+p = copysign(s * (1.0 + ax), z)
+n2 = 0.0 if e == 0.0 else 2.0 * p * (0.5 / s + 1.5 * s)
+"""
 
 
 def _ured_phi_second(x: float) -> float:
@@ -254,6 +273,23 @@ def _exp_phi_prime(x: float) -> float:
     return math.exp(ax) / (2.0 * math.sqrt(math.expm1(ax)))
 
 
+# past 700 the error cannot be 0, so n2 needs no test for it
+_EXP_STEP = """\
+ax = abs(z)
+if ax > 1419.0:
+    p = copysign(inf, z)
+    n2 = 2.0 * p * inf
+elif ax > 700.0:
+    h = exp(0.5 * ax)
+    p = copysign(h, z)
+    n2 = 2.0 * p * (0.5 * h)
+else:
+    r = sqrt(expm1(ax))
+    p = copysign(r, z)
+    n2 = 0.0 if e == 0.0 else 2.0 * p * (exp(ax) / (2.0 * r))
+"""
+
+
 def _exp_phi_second(x: float) -> float:
     ax = abs(x)
     sgn = 1.0 if x > 0.0 else -1.0
@@ -296,6 +332,7 @@ _BUILTINS = {
         claimed_constants=None,  # reciprocal integral diverges: no uniform bound
         _inverse_slope=_sqrt_inverse_slope,
         _log_phi=_sqrt_log_phi,
+        _euler_step=_SQRT_STEP,
     ),
     "ured": GeneratingFunction(
         name="ured",
@@ -308,6 +345,7 @@ _BUILTINS = {
         ),
         _inverse_slope=_ured_inverse_slope,
         _log_phi=_ured_log_phi,
+        _euler_step=_URED_STEP,
     ),
     "exp": GeneratingFunction(
         name="exp",
@@ -318,6 +356,7 @@ _BUILTINS = {
         claimed_constants=AdmissibilityConstants(B=math.pi, C=1.0, D=1.0, exact=True),
         _inverse_slope=_exp_inverse_slope,
         _log_phi=_exp_log_phi,
+        _euler_step=_EXP_STEP,
     ),
 }
 
@@ -413,7 +452,8 @@ def invert_phi(dgf: GeneratingFunction, z: float, *, rel_tol: float = _REL_TOL) 
         if not (lo < root < hi):
             root = 0.5 * (lo + hi)
         fr = phi(root) - az
-        if fr == 0.0 or (hi - lo) <= rel_tol * max(abs(root), 1e-300):
+        # relative down to the subnormals, where the floats run out first
+        if fr == 0.0 or (hi - lo) <= max(rel_tol * abs(root), 5e-324):
             break
         if (fr > 0.0) == (fhi > 0.0):
             hi, fhi = root, fr
@@ -425,6 +465,10 @@ def invert_phi(dgf: GeneratingFunction, z: float, *, rel_tol: float = _REL_TOL) 
             if side == -1:
                 fhi *= 0.5
             side = -1
+    if not math.isfinite(fhi):
+        # the bracket closed on the point where phi overflows, below az
+        raise InversionRangeError(
+            f"inversion out of range: phi overflows before it reaches {az:.3e}")
     return math.copysign(root, z)
 
 
@@ -495,8 +539,8 @@ def _newton(
         below = f < 0.0
         lo, hi = np.where(below, root, lo), np.where(below, hi, root)
         inside = (lo < step) & (step < hi)
-        # relative, but absolute below 1e-300 as in invert_phi; a converged
-        # step may leave the bracket by rounding: it is taken as is
+        # relative, but absolute below 1e-300; a converged step may leave
+        # the bracket by rounding: it is taken as is
         r = np.abs(delta) / np.maximum(root, 1e-300)
         done = (r <= _REL_TOL) | (newton & inside & (r * (r / prev) ** 2 <= _REL_TOL))
         if done.any():

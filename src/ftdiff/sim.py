@@ -13,9 +13,11 @@ detected and reported rather than silently propagated.
 """
 from __future__ import annotations
 
+import functools
 import math
+import textwrap
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -161,6 +163,39 @@ class SimResult:
 # stepping
 
 
+# The Euler loop. {step} is one step body: from the error e and z = k3^2 e
+# it sets p = phi(z) and n2 = 0.0 if e == 0.0 else 2.0 * p * phi'(z)
+_LOOP = """\
+def euler(phi, pp, k1, k2, k3sq, inv_k3, Ts, y1, y2, meas, y1s, y2s):
+    for i, m in enumerate(meas):
+        y1s[i] = y1
+        y2s[i] = y2
+        if not (isfinite(y1) and isfinite(y2)):
+            return y1, y2, i
+        e = m - y1
+        z = k3sq * e
+{step}
+        y1 = y1 + Ts * (k1 * (inv_k3 * p) + y2)
+        y2 = y2 + Ts * k2 * n2
+    return y1, y2, None
+"""
+# other functions; zero error takes the midpoint of nu2's set-valued branch
+_GENERIC_STEP = """\
+p = phi(z)
+n2 = 0.0 if e == 0.0 else 2.0 * p * pp(z)
+"""
+_LOOP_GLOBALS = {"isfinite": math.isfinite, "sqrt": math.sqrt, "copysign": math.copysign,
+                 "exp": math.exp, "expm1": math.expm1, "inf": math.inf}
+
+
+@functools.lru_cache(maxsize=16)
+def _loop(step_body: str) -> Callable:
+    """The Euler loop with step_body, compiled once per distinct body."""
+    ns = dict(_LOOP_GLOBALS)
+    exec(_LOOP.format(step=textwrap.indent(step_body, " " * 8)), ns)
+    return ns["euler"]
+
+
 def _euler(
     dgf: GeneratingFunction,
     kappa: ParamTriple,
@@ -175,27 +210,12 @@ def _euler(
 
     Returns the final state and the index of the first non-finite recorded
     state (None if every one is finite); stepping stops there. Phi is
-    evaluated once per step and shared by both injections.
+    evaluated once per step and shared by both injections; the built-ins
+    evaluate it inline.
     """
-    phi = dgf.phi
-    pp = dgf.phi_prime
-    k1, k2 = kappa.k1, kappa.k2
-    k3sq = kappa.k3 * kappa.k3
-    inv_k3 = 1.0 / kappa.k3
-    isfinite = math.isfinite
-    for i, m in enumerate(meas):
-        y1s[i] = y1
-        y2s[i] = y2
-        if not (isfinite(y1) and isfinite(y2)):
-            return y1, y2, i
-        e = m - y1
-        z = k3sq * e
-        p = phi(z)
-        # exactly zero error: midpoint of nu2's set-valued branch
-        n2 = 0.0 if e == 0.0 else 2.0 * p * pp(z)
-        y1 = y1 + Ts * (k1 * (inv_k3 * p) + y2)
-        y2 = y2 + Ts * k2 * n2
-    return y1, y2, None
+    loop = _loop(dgf._euler_step or _GENERIC_STEP)
+    k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
+    return loop(dgf.phi, dgf.phi_prime, k1, k2, k3 * k3, 1.0 / k3, Ts, y1, y2, meas, y1s, y2s)
 
 
 def step(

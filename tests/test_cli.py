@@ -1,8 +1,12 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ftdiff
 from ftdiff.cli import main
 
 SQRT8 = math.sqrt(8.0)
@@ -12,6 +16,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_imports_only_stdlib_numpy_and_ftdiff():
+    # the runtime dependency is numpy only; the interpreter may preload
+    # other packages at start-up, so only what the import adds counts
+    code = (
+        "import json, sys\n"
+        "before = {m.partition('.')[0] for m in sys.modules}\n"
+        "import ftdiff, ftdiff.cli\n"
+        "after = {m.partition('.')[0] for m in sys.modules}\n"
+        "print(json.dumps(sorted(after - before - set(sys.stdlib_module_names))))\n"
+    )
+    src = str(Path(ftdiff.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                         timeout=60, check=True, capture_output=True, text=True).stdout
+    added = json.loads(out)
+    assert "ftdiff" in added and "numpy" in added
+    assert set(added) <= {"ftdiff", "numpy"}, added
 
 
 class TestTopLevel:

@@ -175,6 +175,26 @@ class TestInversion:
         with pytest.raises(InversionRangeError):
             invert_phi(capped, 2.0)
 
+    def test_target_beyond_the_float_range_raises(self):
+        # exp written as expressions has no inverse; its phi overflows past
+        # x = 709.78, where it is 1.3e154, so no float x reaches these targets
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in EXP_EXPRESSIONS))
+        for w in (1e200, 1e155, 1.5e154):
+            with pytest.raises(InversionRangeError):
+                invert_phi(custom, w)
+            with pytest.raises(InversionRangeError):
+                invert_phi(custom, -w)
+        for w in (1e100, 1e154, 1.3e154):
+            assert invert_phi(custom, w) == pytest.approx(
+                invert_phi(builtin_dgf("exp"), w), rel=2e-13)
+
+    def test_tiny_roots_are_relative(self):
+        # the root 1e-307 lies below the old absolute floor of 1e-313 per step
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        x = invert_phi(custom, 3.1622776601683795e-154)
+        assert abs(x - 1e-307) <= 1e-13 * 1e-307
+        assert invert_phi(custom, -3.1622776601683795e-154) == -x
+
 
 class TestInjections:
     @given(x=st.floats(min_value=1e-9, max_value=1e9),
@@ -420,7 +440,7 @@ class TestArrayForms:
         z = np.logspace(-300.0, 300.0, 1201)
         got = _invert_phi_array(custom, z)
         for zi, gi in zip(z.tolist(), got.tolist()):
-            # invert_phi's own tolerance: relative, absolute below 1e-300
+            # the array solve's tolerance: relative, absolute below 1e-300
             assert abs(gi - invert_phi(custom, zi)) <= 2e-13 * max(gi, 1e-300), zi
         # and against the closed form, where the scalar route agrees too
         assert np.allclose(got[z < 1e200], [invert_phi(ured, v) for v in z[z < 1e200]],

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ftdiff.convtime import global_convtime_numeric, t0_exact
 from ftdiff.dgf import GeneratingFunction, ParamTriple, builtin_dgf, nu1, nu2
 from ftdiff.errors import SimulationDivergedError
 from ftdiff.expr import compile_expression
@@ -19,6 +21,7 @@ from ftdiff.sim import (
     step,
     sweep_slopes,
 )
+from ftdiff.tuning import TuningRequest, tune
 
 # gains from the prescribed-time design: T = 1, L = 1, gamma = 4.5
 KAPPA_URED = ParamTriple(6.0, 4.5, 4.1820315344461525)
@@ -217,6 +220,117 @@ class TestRunMatchesReferenceLoop:
             out = run(dgf, KAPPA_URED, SampledSignal(np.array([m, m]), Ts),
                       SimConfig(Ts=Ts, horizon=Ts), DifferentiatorState(y1, y2))
             assert (got.y1, got.y2) == (out.y1_series[1], out.y2_series[1])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def _step_or_error(dgf, kappa, state, m, Ts):
+    try:
+        out = step(dgf, kappa, state, m, Ts)
+    except (SimulationDivergedError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+    return _bits([out.y1, out.y2])
+
+
+class TestInlineStepMatchesGeneric:
+    """The built-ins' inlined step bodies against their own phi and phi'."""
+
+    @staticmethod
+    def _pair(name):
+        dgf = builtin_dgf(name)
+        generic = dataclasses.replace(dgf, _euler_step=None)
+        assert dgf._euler_step is not None and generic._euler_step is None
+        return dgf, generic
+
+    @pytest.mark.parametrize("name", ["ured", "exp", "sqrt"])
+    def test_fig1(self, name):
+        dgf, generic = self._pair(name)
+        kappa = KAPPA_STA if name == "sqrt" else KAPPA_URED
+        a, b = (run(d, kappa, Fig1Signal(), FIG1_CONFIG) for d in (dgf, generic))
+        assert _bits(a.y1_series) == _bits(b.y1_series)
+        assert _bits(a.y2_series) == _bits(b.y2_series)
+        assert a.tau == b.tau is not None
+
+    # exp's k3^2 |e| passes 700 from |e| = 37.8 and 1419 from |e| = 76.7;
+    # forward Euler diverges for exp from |x1| = 0.85 and for ured from 5e4
+    @pytest.mark.parametrize("name", ["ured", "exp", "sqrt"])
+    @pytest.mark.parametrize("x1", [-1e5, -80.0, -40.0, -0.85, 0.3, 0.8, 40.0, 80.0, 1e3, 1e4])
+    def test_large_initial_errors(self, name, x1):
+        dgf, generic = self._pair(name)
+        kappa = {"ured": KAPPA_URED, "exp": KAPPA_EXP, "sqrt": KAPPA_STA}[name]
+        config = SimConfig(Ts=1e-4, horizon=0.5)
+        sig = SampledSignal(np.zeros(5001), 1e-4, derivative=np.zeros(5001))
+        init = DifferentiatorState(-x1, 0.0)
+        a, b = (run(d, kappa, sig, config, init, raise_on_divergence=False)
+                for d in (dgf, generic))
+        assert _bits(a.y1_series) == _bits(b.y1_series)
+        assert _bits(a.y2_series) == _bits(b.y2_series)
+        assert (a.diverged, a.times.size, a.tau) == (b.diverged, b.times.size, b.tau)
+        if name != "sqrt":
+            assert a.diverged == (abs(x1) >= (0.85 if name == "exp" else 1e5))
+        if a.diverged:
+            for d in (dgf, generic):
+                with pytest.raises(SimulationDivergedError) as info:
+                    run(d, kappa, sig, config, init)
+                assert info.value.step_index == a.times.size
+
+    @pytest.mark.parametrize("name", ["ured", "exp", "sqrt"])
+    def test_step_at_edge_states(self, name):
+        dgf, generic = self._pair(name)
+        states = [(0.3, -0.2, 1.1), (1.0, 0.5, 1.0), (0.0, 0.0, -0.0), (0.0, -0.0, 0.0),
+                  (-0.0, -0.0, -0.0), (2.0, 1.0, 2.0), (0.0, 1.0, 5e-324),
+                  (-40.0, 3.0, 0.0), (40.0, 0.0, 0.0), (-80.0, 0.0, 0.0), (80.0, -2.0, 0.0),
+                  (1e300, 0.0, 0.0), (0.0, 1e308, 1.0), (math.inf, 0.0, 0.0)]
+        for kappa in (KAPPA_EXP, ParamTriple(6.0, 4.5, 0.5)):
+            for y1, y2, m in states:
+                for Ts in (1e-4, 0.2):
+                    state = DifferentiatorState(y1, y2)
+                    got = _step_or_error(dgf, kappa, state, m, Ts)
+                    assert got == _step_or_error(generic, kappa, state, m, Ts), (y1, y2, m)
+
+    @pytest.mark.parametrize("name", ["ured", "exp", "sqrt"])
+    def test_underflowing_error_still_divides_by_zero(self, name):
+        # k3^2 = 1/4 takes e = 5e-324 to z = 0 while e != 0: phi'(0) divides by zero
+        dgf, generic = self._pair(name)
+        for d in (dgf, generic):
+            with pytest.raises(ZeroDivisionError):
+                step(d, ParamTriple(6.0, 4.5, 0.5), DifferentiatorState(0.0, 0.0), 5e-324, 1e-4)
+
+
+class TestSimAgainstAnalysis:
+    """Simulated settling against t0_exact, the numeric sup and T (T = 1, L = 1)."""
+
+    # the tabulated one-decimal bounds of the normalized triple (sqrt 8, 1, 1)
+    @pytest.mark.parametrize("name, ttilde, magnitudes, sup", [
+        ("ured", 6.9, (0.1, 1.0, 10.0, 100.0), 0.3214),
+        # forward Euler diverges for exp from |x1| = 0.85 at Ts = 1e-4
+        ("exp", 7.1, (0.1, 0.5), 0.3899),
+    ])
+    def test_tau_below_t0_below_sup_below_T(self, name, ttilde, magnitudes, sup):
+        dgf = builtin_dgf(name)
+        req = TuningRequest(dgf_id=name, normalized_triple=ParamTriple(math.sqrt(8.0), 1.0, 1.0),
+                            ttilde=ttilde, T=1.0, L=1.0, gamma=4.5)
+        tuned = tune(req)
+        kappa = tuned.kappa
+        assert kappa.k3 == pytest.approx(KAPPA_URED.k3 if name == "ured" else KAPPA_EXP.k3,
+                                         rel=1e-12)
+        config = SimConfig(Ts=1e-4, horizon=1.0)
+        zero = SampledSignal(np.zeros(10001), 1e-4, derivative=np.zeros(10001))
+        taus = []
+        for r in magnitudes:
+            for k in range(6):
+                theta = math.pi * (2 * k + 1) / 6
+                x0 = (r * math.cos(theta), r * math.sin(theta))
+                out = run(dgf, kappa, zero, config, DifferentiatorState(-x0[0], -x0[1]))
+                gap = t0_exact(dgf, kappa, x0) - out.tau
+                assert 0.0 < gap <= 3e-3, (r, k, gap)
+                taus.append(out.tau)
+        numeric_sup = global_convtime_numeric(dgf, kappa).value
+        assert numeric_sup == pytest.approx(sup, abs=1e-4)
+        assert max(taus) <= numeric_sup <= req.T
+        assert req.T / numeric_sup <= tuned.tightness_ratio_bound
 
 
 @pytest.fixture(scope="module")
