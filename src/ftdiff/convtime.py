@@ -791,7 +791,7 @@ class GlobalConvtime:
 # (a row whose zero lies far out gets its own shape, see _circle_values). The
 # kernel evaluates 1/2 Psi'(A E) for all rows at once on Gauss-Kronrod
 # panels whose nodes every row shares, in log|h| so that neither A nor E
-# overflows, and walks outward one block of panels at a time.
+# overflows, and walks outward a stride of blocks of panels at a time.
 
 _GRADED_PANELS = 8  # GK15 panels, halving toward a zero of h, per graded stretch
 _MAX_LEVEL = 3  # rows over tolerance are redone with 2x, 4x, 8x the panels
@@ -800,19 +800,30 @@ _CHUNK = 1 << 14  # Psi' values per slice of rows: 128 kB per temporary
 _FAR_ZERO = 100.0  # |lam tz| past which a repeated-case row is walked from t = 0
 
 
-class _Block(NamedTuple):
-    """Panels of one walking step: log|E| at the nodes and the weights, shape (P, 15).
+class _Side(NamedTuple):
+    """The blocks of panels of one side of a walk, outward.
 
-    The weights carry the panel Jacobians and the factor 1/2 of 1/2 Psi'.
-    On the right side log_env and log_tail bound |E| beyond the block and
-    the time integral of that bound; on the left both are None.
+    blocks yields one cheap descriptor (key, log_env, log_tail) per block,
+    at most _MAX_BLOCKS of them. On the right side log_env and log_tail
+    bound |E| beyond the block and the time integral of that bound; on the
+    left both are None. nodes(keys) gives log|E| at the nodes of a run of n
+    consecutive blocks of P panels each, and the Kronrod and Gauss weights,
+    which carry the panel Jacobians and the factor 1/2 of 1/2 Psi', shapes
+    (n, P, 15) and (n or 1, P, 15). The first block comes in a run of its
+    own, and no later block has more panels than an earlier one.
     """
 
-    log_e: np.ndarray
-    wk: np.ndarray
-    wg: np.ndarray
-    log_env: Optional[float]
-    log_tail: Optional[float]
+    blocks: Iterator[tuple[object, Optional[float], Optional[float]]]
+    nodes: Callable[[list], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+class _Tally:
+    """Work counts of one worst-case search, for its debug record."""
+
+    __slots__ = ("calls", "blocks", "passes", "values", "level")
+
+    def __init__(self) -> None:
+        self.calls = self.blocks = self.passes = self.values = self.level = 0
 
 
 def _graded(length: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -830,26 +841,33 @@ def _graded(length: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return length * v ** 3, wk * jac, wg * jac
 
 
-def _complex_blocks(mu: float, omega: float, level: int, right: bool) -> Iterator[_Block]:
+def _complex_blocks(mu: float, omega: float, level: int, right: bool) -> _Side:
     """Half periods between the zeros s = -pi/2 + n pi of cos s, outward from s = -pi/2.
 
     Every half period has the same nodes, graded toward both of its zeros;
-    |cos| there is the sine of the offset, free of cancellation.
+    |cos| there is the sine of the offset, free of cancellation. A block's
+    key is the zero it starts from.
     """
     off, wk, wg = _graded(0.5 * math.pi, level)
     d = np.concatenate([off, math.pi - off])
     log_sin = np.log(np.sin(np.concatenate([off, off])))
-    wk = np.concatenate([wk, wk]) / omega
-    wg = np.concatenate([wg, wg]) / omega
+    wk = np.concatenate([wk, wk])[None] / omega
+    wg = np.concatenate([wg, wg])[None] / omega
     rate = mu / omega
-    for n in range(_MAX_BLOCKS):
-        z = -0.5 * math.pi + (n if right else -1 - n) * math.pi
-        log_e = rate * (z + d) + log_sin
-        if right:
-            end = rate * (z + math.pi)
-            yield _Block(log_e, wk, wg, end, end - math.log(-mu))
-        else:
-            yield _Block(log_e, wk, wg, None, None)
+
+    def blocks() -> Iterator[tuple[float, Optional[float], Optional[float]]]:
+        for n in range(_MAX_BLOCKS):
+            z = -0.5 * math.pi + (n if right else -1 - n) * math.pi
+            if right:
+                end = rate * (z + math.pi)
+                yield z, end, end - math.log(-mu)
+            else:
+                yield z, None, None
+
+    def nodes(zs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return rate * (np.array(zs)[:, None, None] + d) + log_sin, wk, wg
+
+    return _Side(blocks(), nodes)
 
 
 def _walk(
@@ -859,24 +877,38 @@ def _walk(
     level: int,
     right: bool,
     bound: Callable[[float], tuple[float, float]],
-) -> Iterator[_Block]:
-    """A stretch graded toward the zero at t = 0, then panels of the given widths."""
+) -> _Side:
+    """A stretch graded toward the zero at t = 0, then panels of the given widths.
+
+    The graded block's key is None, every later block's its start and width.
+    """
     sign = 1.0 if right else -1.0
-    off, wk, wg = _graded(graded, level)
-    yield _Block(log_e(sign * off), wk, wg, *(bound(graded) if right else (None, None)))
-    pos = graded
-    for _ in range(_MAX_BLOCKS - 1):
-        width = next(widths)
-        edges = pos + width * np.linspace(0.0, 1.0, (1 << level) + 1)
-        t, wk, wg = _gk_panels(edges[:-1], edges[1:])
-        pos += width
-        yield _Block(log_e(sign * t), 0.5 * wk, 0.5 * wg,
-                     *(bound(pos) if right else (None, None)))
+    off, wk0, wg0 = _graded(graded, level)
+    frac = np.linspace(0.0, 1.0, (1 << level) + 1)
+
+    def blocks() -> Iterator[tuple[object, Optional[float], Optional[float]]]:
+        yield None, *(bound(graded) if right else (None, None))
+        pos = graded
+        for _ in range(_MAX_BLOCKS - 1):
+            width = next(widths)
+            key = pos, width
+            pos += width
+            yield key, *(bound(pos) if right else (None, None))
+
+    def nodes(keys: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if keys[0] is None:
+            return log_e(sign * off)[None], wk0[None], wg0[None]
+        pos, width = np.array(keys).T[:, :, None]  # each (n, 1)
+        edges = pos + width * frac
+        t, wk, wg = _gk_panels(edges[:, :-1].ravel(), edges[:, 1:].ravel())
+        shape = len(keys), -1, t.shape[-1]
+        return (log_e(sign * t).reshape(shape), (0.5 * wk).reshape(shape),
+                (0.5 * wg).reshape(shape))
+
+    return _Side(blocks(), nodes)
 
 
-def _distinct_blocks(
-    lam1: float, lam2: float, sign: float, level: int, right: bool
-) -> Iterator[_Block]:
+def _distinct_blocks(lam1: float, lam2: float, sign: float, level: int, right: bool) -> _Side:
     """E(t) = e^(lam1 t) + sign e^(lam2 t); its only possible zero is t = 0."""
     gap = lam1 - lam2
 
@@ -899,7 +931,7 @@ def _distinct_blocks(
     return _walk(log_e, graded, widths, level, right, bound)
 
 
-def _repeated_blocks(lam: float, level: int, right: bool) -> Iterator[_Block]:
+def _repeated_blocks(lam: float, level: int, right: bool) -> _Side:
     """E(t) = t e^(lam t): the zero is at t = 0 and |E| peaks at t = 1/|lam|."""
     scale = 1.0 / -lam
 
@@ -914,7 +946,7 @@ def _repeated_blocks(lam: float, level: int, right: bool) -> Iterator[_Block]:
     return _walk(log_e, scale, itertools.repeat(scale), level, right, bound)
 
 
-def _far_zero_blocks(lam: float, eps: float, level: int, right: bool) -> Iterator[_Block]:
+def _far_zero_blocks(lam: float, eps: float, level: int, right: bool) -> _Side:
     """E(t) = e^(lam t) (1 + eps t) with |eps| < |lam| / _FAR_ZERO.
 
     The zero -1/eps lies where |h| is negligible (right) or far past the
@@ -935,29 +967,45 @@ def _far_zero_blocks(lam: float, eps: float, level: int, right: bool) -> Iterato
 
 
 def _panel_sums(
-    psi: Callable[[np.ndarray], np.ndarray], loga: np.ndarray, blk: _Block
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod and Gauss sums of every row on every panel of a block, each (rows, P).
+    psi: Callable[[np.ndarray], np.ndarray],
+    loga: np.ndarray,
+    upto: np.ndarray,
+    log_e: np.ndarray,
+    wk: np.ndarray,
+    wg: np.ndarray,
+    tally: _Tally,
+) -> np.ndarray:
+    """Kronrod sum and summed |Kronrod - Gauss| of each row on each block of a stride, (2, rows, n).
 
-    Rows go through Psi' in slices of at most _CHUNK values, which bounds
-    the temporaries whatever the batch size.
+    upto[i] (non-increasing) counts the blocks that rows i, i+1, ... need;
+    beyond what a slice of rows needs, both are 0. Rows go through Psi' in
+    slices of at most _CHUNK values, which bounds the temporaries whatever
+    the batch size.
     """
-    k = np.empty((loga.size, blk.log_e.shape[0]))
-    gauss = np.empty_like(k)
-    step = max(1, _CHUNK // blk.log_e.size)
-    for i in range(0, loga.size, step):
-        g = psi(np.exp(loga[i:i + step, None, None] + blk.log_e))
-        k[i:i + step] = (g * blk.wk).sum(axis=-1)
-        gauss[i:i + step] = (g * blk.wg).sum(axis=-1)
-    return k, gauss
+    n, panels, per_panel = log_e.shape
+    flat = log_e.reshape(-1, per_panel)
+    sums = np.zeros((2, loga.size, n))
+    i = 0
+    while i < loga.size:
+        m = int(upto[i])
+        j = i + max(1, _CHUNK // (m * panels * per_panel))
+        g = psi(np.exp(loga[i:j, None, None] + flat[:m * panels]))
+        tally.values += g.size
+        g = g.reshape(-1, m, panels, per_panel)
+        k = (g * wk[:m]).sum(axis=-1)
+        sums[0, i:j, :m] = k.sum(axis=-1)
+        sums[1, i:j, :m] = np.abs(k - (g * wg[:m]).sum(axis=-1)).sum(axis=-1)
+        i = j
+    return sums
 
 
 def _integrate_side(
     psi: Callable[[np.ndarray], np.ndarray],
     loga: np.ndarray,
-    blocks: Iterator[_Block],
+    side: _Side,
     tol: float,
     log_delta0: float,
+    tally: _Tally,
 ) -> tuple[np.ndarray, np.ndarray]:
     """integral of 1/2 Psi'(e^loga E) over one side for every row, with error estimates.
 
@@ -968,49 +1016,112 @@ def _integrate_side(
     geometric remainder is below tol/4 (or both exactly zero); the
     remainder is added to the value and to the error. Each panel adds
     |Kronrod - Gauss| to its row's error.
+
+    Each pass evaluates a stride of blocks at once and applies those rules
+    block by block, in order, so the result does not depend on the stride.
+    On the right side a row's last block depends on its amplitude alone:
+    a stride runs to the block that ends the largest amplitude, and each
+    row is evaluated up to its own last block (rows go by falling
+    amplitude, so a slice of them needs about as many blocks as its first).
+    On the left side the rule needs the sums, which shrink geometrically
+    once past the peak of Psi': a stride runs to where that decay would
+    end the walk, or twice as far as the last while some row's sums do not
+    shrink yet. No stride takes more than _CHUNK values a row on the right
+    or _CHUNK values in all on the left, so walks whose every block is
+    that large go one block at a time.
     """
     value = np.zeros(loga.size)
     err = np.zeros(loga.size)
-    prev = np.full(loga.size, math.inf)
-    rows = np.arange(loga.size)
+    prev = np.full(loga.size, math.inf)  # left side: the last block's sum
+    ratio = np.zeros(loga.size)  # and its ratio to the one before
+    q = 0.25 * tol
+    rows = np.argsort(-loga, kind="stable")
+    log_cut = math.log(tol / 15.0)  # 1.5 e^log_tail < tol/10
+    n = per_block = 0
+    right = False
     # overflow makes |h| inf (Psi' = 0 there); a diverging integral makes the
     # sums inf or nan, which no stopping rule or error check accepts
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for blk in blocks:
+        while rows.size:
             la = loga[rows]
-            k, gauss = _panel_sums(psi, la, blk)
-            c = k.sum(axis=-1)
-            value[rows] += c
-            err[rows] += np.abs(k - gauss).sum(axis=-1)
-            if blk.log_env is not None:
-                tail = 1.5 * np.exp(la + blk.log_tail)
-                done = (la + blk.log_env <= log_delta0) & (tail < 0.1 * tol)
-                err[rows[done]] += tail[done]
+            if not n:
+                stride = list(itertools.islice(side.blocks, 1))
+            elif right:
+                top = float(la[0])
+                cap = max(1, _CHUNK // per_block)
+                stride = []
+                for blk in side.blocks:
+                    stride.append(blk)
+                    if (top + blk[1] <= log_delta0 and top + blk[2] < log_cut
+                            or len(stride) == cap):
+                        break
             else:
-                p = prev[rows]
+                # the block where the rule would end a row whose last sum were the largest
+                # and whose sums kept shrinking by the largest last ratio: the sum before
+                # it and the rest c rho / (1 - rho) after it both below q
+                c0, rho = float(prev[rows].max()), float(ratio[rows].max())
+                if 0.0 < c0 < math.inf and 0.0 < rho < 1.0:
+                    lr = math.log(rho)
+                    want = 1 + math.floor(max(math.log(q / c0) / lr + 1.0,
+                                              math.log(q * (1.0 - rho) / c0) / lr - 1.0, 0.0))
+                else:
+                    want = 2 * n
+                stride = list(itertools.islice(
+                    side.blocks, max(1, min(want, _CHUNK // (rows.size * per_block)))))
+            if not stride:
+                break
+            keys, envs, tails = zip(*stride)
+            right = envs[0] is not None
+            n = len(stride)
+            log_e, wk, wg = side.nodes(list(keys))
+            per_block = log_e[0].size
+            if right:
+                tail = 1.5 * np.exp(la[:, None] + np.array(tails))
+                done = (la[:, None] + np.array(envs) <= log_delta0) & (tail < 0.1 * tol)
+                stop = done.any(axis=1)
+                last = np.where(stop, done.argmax(axis=1), n - 1)
+                upto = np.maximum.accumulate(last[::-1])[::-1] + 1
+                sums = _panel_sums(psi, la, upto, log_e, wk, wg, tally)
+            else:
+                sums = _panel_sums(psi, la, np.full(la.size, n), log_e, wk, wg, tally)
+            tally.blocks += n
+            tally.passes += 1
+            c = sums[0]
+            if not right:
+                p = np.concatenate([prev[rows, None], c[:, :-1]], axis=1)
                 shrinking = (0.0 < c) & (c < p)
-                rest = np.where(shrinking, c * c / (p - c), 0.0)  # c rho / (1 - rho)
-                done = (c < 0.25 * tol) & (p < 0.25 * tol) & (
-                    (shrinking & (rest < 0.25 * tol)) | ((c == 0.0) & (p == 0.0)))
-                value[rows[done]] += rest[done]
-                err[rows[done]] += rest[done]
-                prev[rows] = c
-            rows = rows[~done]
-            if rows.size == 0:
-                return value, err
-    side = "right" if blk.log_env is not None else "left"
+                tail = np.where(shrinking, c * c / (p - c), 0.0)  # c rho / (1 - rho)
+                done = (c < q) & (p < q) & ((shrinking & (tail < q)) | ((c == 0.0) & (p == 0.0)))
+                stop = done.any(axis=1)
+                last = np.where(stop, done.argmax(axis=1), n - 1)
+                prev[rows] = c[:, -1]
+                ratio[rows] = c[:, -1] / p[:, -1]
+            # the value and error up to each row's last block, added in block order
+            sums[0, :, 0] += value[rows]
+            sums[1, :, 0] += err[rows]
+            np.add.accumulate(sums, axis=-1, out=sums)
+            value[rows], err[rows] = sums[:, np.arange(rows.size), last]
+            fin = rows[stop]
+            rest = tail[stop, last[stop]]  # the right tail bound, or the left remainder
+            if not right:
+                value[fin] += rest
+            err[fin] += rest
+            rows = rows[~stop]
+    if not rows.size:
+        return value, err
     raise QuadratureError(
-        f"quadrature failure: {side} tail of {rows.size} responses did not converge "
-        f"within {_MAX_BLOCKS} blocks"
+        f"quadrature failure: {'right' if right else 'left'} tail of {rows.size} responses "
+        f"did not converge within {_MAX_BLOCKS} blocks"
     )
 
 
 def _full_line(
     psi: Callable[[np.ndarray], np.ndarray],
-    blocks: Callable[[int, bool], Iterator[_Block]],
+    blocks: Callable[[int, bool], _Side],
     loga: np.ndarray,
     tol: float,
     log_delta0: float,
+    tally: _Tally,
 ) -> np.ndarray:
     """Full-line integrals of 1/2 Psi'(h) for rows h = e^loga E, each within tol.
 
@@ -1018,11 +1129,15 @@ def _full_line(
     up to _MAX_LEVEL times; a row still over tol raises QuadratureError
     rather than being accepted.
     """
+    tally.calls += 1
     values = np.empty(loga.size)
     rows = np.arange(loga.size)
     for level in range(_MAX_LEVEL + 1):
-        right, err_r = _integrate_side(psi, loga[rows], blocks(level, True), tol, log_delta0)
-        left, err_l = _integrate_side(psi, loga[rows], blocks(level, False), tol, log_delta0)
+        tally.level = max(tally.level, level)
+        right, err_r = _integrate_side(psi, loga[rows], blocks(level, True), tol, log_delta0,
+                                       tally)
+        left, err_l = _integrate_side(psi, loga[rows], blocks(level, False), tol, log_delta0,
+                                      tally)
         values[rows] = right + left
         err = err_r + err_l
         rows = rows[~(err <= tol)]  # a nan estimate is not converged either
@@ -1056,6 +1171,7 @@ def _circle_values(
     theta: np.ndarray,
     tol: float,
     log_delta0: float,
+    tally: _Tally,
 ) -> np.ndarray:
     """Full-line integrals from the unit states at angles theta, complex or repeated case."""
     v1, v2 = np.cos(theta), np.sin(theta)
@@ -1064,7 +1180,7 @@ def _circle_values(
         c2 = (sys.mu * v1 + 0.5 * v2) / sys.omega
         loga = np.log(np.hypot(v1, c2)) + sys.mu / sys.omega * np.arctan2(c2, v1)
         blocks = functools.partial(_complex_blocks, sys.mu, sys.omega)
-        return _full_line(psi, blocks, loga, tol, log_delta0)
+        return _full_line(psi, blocks, loga, tol, log_delta0, tally)
 
     # h = e^(lam t) (v1 + c2 t) = c2 e^(lam tz) (t - tz) e^(lam (t - tz)),
     # tz = -v1/c2. From the zero, |h| settles only about |lam tz| blocks out,
@@ -1078,10 +1194,11 @@ def _circle_values(
     if near.any():
         loga = np.log(np.abs(c2[near])) - lam * v1[near] / c2[near]
         blocks = functools.partial(_repeated_blocks, lam)
-        out[near] = _full_line(psi, blocks, loga, tol, log_delta0)
+        out[near] = _full_line(psi, blocks, loga, tol, log_delta0, tally)
     for i in np.flatnonzero(far):
         blocks = functools.partial(_far_zero_blocks, lam, c2[i] / v1[i])
-        out[i] = _full_line(psi, blocks, np.log(np.abs(v1[i:i + 1])), tol, log_delta0)[0]
+        out[i] = _full_line(psi, blocks, np.log(np.abs(v1[i:i + 1])), tol, log_delta0,
+                            tally)[0]
     return out
 
 
@@ -1100,16 +1217,20 @@ def global_convtime_numeric(
     angles on the unit circle. Either way: a coarse grid, then batched zoom
     rounds around the best point. Every full-line integral comes from one
     batched Gauss-Kronrod kernel and is accurate to inner_tol by its own
-    error estimate.
+    error estimate. The logger "ftdiff" gets one DEBUG record of the work
+    done: full-line calls, blocks walked, Psi' passes and values, and the
+    highest panel level.
     """
     sys = system_matrix(kappa.k1, kappa.k2)
     psi = _psi_prime_array(dgf, kappa.k3)
     log_delta0 = math.log(_delta0(dgf, kappa.k3))
+    tally = _Tally()
 
     if sys.kind == _REAL_DISTINCT:
         def values(log_b: np.ndarray, sign: float) -> np.ndarray:
             blocks = functools.partial(_distinct_blocks, sys.lam1, sys.lam2, sign)
-            return _full_line(psi, blocks, math.log(10.0) * log_b, inner_tol, log_delta0)
+            return _full_line(psi, blocks, math.log(10.0) * log_b, inner_tol, log_delta0,
+                              tally)
 
         # Degenerate single-mode profiles are the b -> inf / b -> 0 limits of
         # the family; their full-line values have the closed reduction
@@ -1137,20 +1258,26 @@ def global_convtime_numeric(
             val, argmax = lim_fast, 0.0
         if lim_slow > val:
             val, argmax = lim_slow, math.inf
-        return GlobalConvtime(
-            value=val, dgf_name=dgf.name, kappa=kappa, search="two-exponential",
-            argmax=argmax, grid_points=grid_points, inner_tol=inner_tol,
-        )
+        search = "two-exponential"
+    else:
+        def values(theta: np.ndarray) -> np.ndarray:
+            # Psi' is even, so v and -v coincide and [0, pi) covers the circle
+            return _circle_values(sys, psi, theta, inner_tol, log_delta0, tally)
 
-    def values(theta: np.ndarray) -> np.ndarray:
-        # Psi' is even, so v and -v coincide and [0, pi) covers the circle
-        return _circle_values(sys, psi, theta, inner_tol, log_delta0)
+        thetas = math.pi * np.arange(grid_points) / grid_points
+        vals = values(thetas)
+        i = int(np.argmax(vals))
+        argmax, val = zoom_max(values, float(thetas[i]), float(vals[i]), math.pi / grid_points)
+        search = "unit-circle"
+    import logging  # here rather than at the top: importing ftdiff need not load logging
 
-    thetas = math.pi * np.arange(grid_points) / grid_points
-    vals = values(thetas)
-    i = int(np.argmax(vals))
-    arg, val = zoom_max(values, float(thetas[i]), float(vals[i]), math.pi / grid_points)
+    log = logging.getLogger("ftdiff")
+    if log.isEnabledFor(logging.DEBUG):
+        counts = {name: getattr(tally, name) for name in _Tally.__slots__}
+        log.debug("global_convtime_numeric %s at (%g, %g, %g): %d full-line calls, %d blocks "
+                  "in %d Psi' passes, %d Psi' values, panel level up to %d", dgf.name,
+                  kappa.k1, kappa.k2, kappa.k3, *counts.values(), extra={"counts": counts})
     return GlobalConvtime(
-        value=val, dgf_name=dgf.name, kappa=kappa, search="unit-circle",
-        argmax=arg, grid_points=grid_points, inner_tol=inner_tol,
+        value=val, dgf_name=dgf.name, kappa=kappa, search=search,
+        argmax=argmax, grid_points=grid_points, inner_tol=inner_tol,
     )

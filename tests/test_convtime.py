@@ -1,5 +1,6 @@
 import cmath
 import functools
+import logging
 import math
 import subprocess
 import sys
@@ -15,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ftdiff
+from ftdiff import convtime
 from ftdiff.convtime import (
     GlobalConvtime,
+    _Tally,
     _circle_values,
     _delta0,
+    _integrate_side,
     _psi_prime_array,
     expm2,
     global_convtime_numeric,
@@ -612,7 +616,7 @@ class TestGlobalConvtime:
         kappa = ParamTriple(k1, k1 * k1 / 8.0, 1.0)
         theta = 78.0 * math.pi / 256.0 + offset
         got = _circle_values(system_matrix(kappa.k1, kappa.k2), _psi_prime_array(ured, 1.0),
-                             np.array([theta]), 1e-6, math.log(_delta0(ured, 1.0)))
+                             np.array([theta]), 1e-6, math.log(_delta0(ured, 1.0)), _Tally())
         want = full_line_oracle(ured, kappa, theta, lo=-300.0, hi=120.0)
         assert abs(got[0] - want) <= 1e-6
 
@@ -640,6 +644,151 @@ class TestGlobalConvtime:
         with pytest.raises(QuadratureError):
             global_convtime_numeric(sqrtdgf, ParamTriple(2.0, 1.0, 1.0),
                                     grid_points=8)
+
+
+# k1 = 2 tan(78 pi/256) with k2 = k1^2/8: repeated eigenvalue, and the unit
+# states near 78 pi/256 put the zero of h far out
+FAR_K1 = 2.0 * math.tan(78.0 * math.pi / 256.0)
+FAR_THETAS = 78.0 * math.pi / 256.0 + np.array([0.0, 1e-12, 3e-3, -1e-2])
+EIGEN_KAPPAS = {"distinct": (5.0, 1.0, 1.0), "repeated": (SQRT8, 1.0, 1.0),
+                "complex": (2.0, 1.0, 1.0)}
+
+
+def _custom_ured():
+    return GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+
+
+class TestStridedWalk:
+    """The side walks take a stride of blocks per Psi' pass; the stride must not show."""
+
+    @pytest.mark.parametrize("name, kind", [
+        (name, kind) for name in ("ured", "exp", "custom") for kind in EIGEN_KAPPAS
+    ] + [("ured", "far"), ("exp", "far")])
+    def test_stride_does_not_show(self, monkeypatch, name, kind):
+        dgf = _custom_ured() if name == "custom" else builtin_dgf(name)
+        if kind == "far":
+            kappa = ParamTriple(FAR_K1, FAR_K1 * FAR_K1 / 8.0, 1.0)
+
+            def search():
+                return _circle_values(system_matrix(kappa.k1, kappa.k2),
+                                      _psi_prime_array(dgf, 1.0), FAR_THETAS, 1e-6,
+                                      math.log(_delta0(dgf, 1.0)), _Tally())
+        else:
+            kappa = ParamTriple(*EIGEN_KAPPAS[kind])
+
+            def search():
+                out = global_convtime_numeric(dgf, kappa, grid_points=16)
+                return out.value, out.argmax
+
+        calls = []
+        full_line = convtime._full_line
+
+        def record(psi, blocks, loga, tol, log_delta0, tally):
+            calls.append((psi, blocks, loga, tol, log_delta0))
+            return full_line(psi, blocks, loga, tol, log_delta0, tally)
+
+        with monkeypatch.context() as m:
+            m.setattr(convtime, "_full_line", record)
+            want = search()
+        with monkeypatch.context() as m:
+            m.setattr(convtime, "_CHUNK", 1)  # one block a pass, one row a Psi' call
+            got = search()
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+        # per row and side, at two panel levels: the grid and the last zoom round
+        # (far rows come one a call)
+        if kind != "far":
+            calls = [calls[0], calls[-1]]
+        strided = _Tally()
+        for psi, blocks, loga, tol, log_delta0 in calls:
+            for level in (0, 1):
+                for right in (True, False):
+                    want = _integrate_side(psi, loga, blocks(level, right), tol, log_delta0,
+                                           strided)
+                    with monkeypatch.context() as m:
+                        m.setattr(convtime, "_CHUNK", 1)
+                        single = _Tally()
+                        got = _integrate_side(psi, loga, blocks(level, right), tol, log_delta0,
+                                              single)
+                    assert single.passes == single.blocks
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == b.tobytes()
+        assert strided.passes < strided.blocks
+
+    @pytest.mark.parametrize("kind", list(EIGEN_KAPPAS))
+    def test_no_psi_call_takes_more_than_a_chunk(self, monkeypatch, ured, kind):
+        sizes = []
+        psi_prime_array = convtime._psi_prime_array
+
+        def counted_psi(dgf, k3):
+            psi = psi_prime_array(dgf, k3)
+
+            def counted(z):
+                sizes.append(z.size)
+                return psi(z)
+
+            return counted
+
+        monkeypatch.setattr(convtime, "_psi_prime_array", counted_psi)
+        global_convtime_numeric(ured, ParamTriple(*EIGEN_KAPPAS[kind]))
+        assert 0 < max(sizes) <= convtime._CHUNK
+
+    def test_block_cap_counts_blocks_not_strides(self, monkeypatch, ured):
+        # the walks of ured at (5, 1, 1) need 25 to 62 blocks
+        monkeypatch.setattr(convtime, "_MAX_BLOCKS", 20)
+        taken = []
+        distinct_blocks = convtime._distinct_blocks
+
+        def counted_blocks(*args):
+            side = distinct_blocks(*args)
+            taken.append(0)
+            i = len(taken) - 1
+
+            def blocks():
+                for blk in side.blocks:
+                    taken[i] += 1
+                    yield blk
+
+            return side._replace(blocks=blocks())
+
+        monkeypatch.setattr(convtime, "_distinct_blocks", counted_blocks)
+        with pytest.raises(QuadratureError, match="within 20 blocks"):
+            global_convtime_numeric(ured, ParamTriple(5.0, 1.0, 1.0), grid_points=16)
+        assert max(taken) == 20
+
+    def test_divergent_search_raises_promptly_on_the_default_grid(self):
+        code = (
+            "from ftdiff import ParamTriple, builtin_dgf, global_convtime_numeric\n"
+            "from ftdiff.errors import QuadratureError\n"
+            "try:\n"
+            "    global_convtime_numeric(builtin_dgf('sqrt'), ParamTriple(2.0, 1.0, 1.0))\n"
+            "except QuadratureError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no QuadratureError')\n"
+        )
+        src = str(Path(ftdiff.__file__).resolve().parents[1])
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                       timeout=60, check=True)
+        assert time.perf_counter() - start < 10.0
+
+    def test_search_logs_its_work(self, caplog, ured):
+        kappa = ParamTriple(5.0, 1.0, 1.0)
+        with caplog.at_level(logging.INFO, logger="ftdiff"):
+            global_convtime_numeric(ured, kappa, grid_points=16)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="ftdiff"):
+            global_convtime_numeric(ured, kappa, grid_points=16)
+        [record] = caplog.records
+        assert record.name == "ftdiff" and record.levelno == logging.DEBUG
+        counts = record.counts
+        # two signs of the grid, then seven zoom rounds; each call walks both sides
+        assert counts["calls"] == 9 and counts["level"] == 0
+        assert 2 * counts["calls"] <= counts["passes"] < counts["blocks"]
+        assert counts["values"] >= 15 * counts["blocks"]
+        message = record.getMessage()
+        assert f"{counts['blocks']} blocks in {counts['passes']} Psi' passes" in message
 
 
 class TestPsiPrimeArray:
