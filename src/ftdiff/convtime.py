@@ -975,7 +975,7 @@ def _panel_sums(
     wg: np.ndarray,
     tally: _Tally,
 ) -> np.ndarray:
-    """Kronrod sum and summed |Kronrod - Gauss| of each row on each block of a stride, (2, rows, n).
+    """Each row's Kronrod sum and summed |Kronrod - Gauss| per block of a stride, (2, rows, n).
 
     upto[i] (non-increasing) counts the blocks that rows i, i+1, ... need;
     beyond what a slice of rows needs, both are 0. Rows go through Psi' in
@@ -1056,18 +1056,19 @@ def _integrate_side(
                             or len(stride) == cap):
                         break
             else:
-                # the block where the rule would end a row whose last sum were the largest
-                # and whose sums kept shrinking by the largest last ratio: the sum before
-                # it and the rest c rho / (1 - rho) after it both below q
-                c0, rho = float(prev[rows].max()), float(ratio[rows].max())
-                if 0.0 < c0 < math.inf and 0.0 < rho < 1.0:
-                    lr = math.log(rho)
-                    want = 1 + math.floor(max(math.log(q / c0) / lr + 1.0,
-                                              math.log(q * (1.0 - rho) / c0) / lr - 1.0, 0.0))
-                else:
-                    want = 2 * n
-                stride = list(itertools.islice(
-                    side.blocks, max(1, min(want, _CHUNK // (rows.size * per_block)))))
+                cap = _CHUNK // (rows.size * per_block)
+                want = 2 * n
+                if cap > 1:
+                    c0, rho = float(prev[rows].max()), float(ratio[rows].max())
+                    if 0.0 < c0 < math.inf and 0.0 < rho < 1.0:
+                        # the block where the rule would end a row whose last sum were the
+                        # largest and whose sums kept shrinking by the largest last ratio:
+                        # the sum before it and the rest c rho / (1 - rho) after it below q
+                        lr = math.log(rho)
+                        want = 1 + math.floor(max(math.log(q / c0) / lr + 1.0,
+                                                  math.log(q * (1.0 - rho) / c0) / lr - 1.0,
+                                                  0.0))
+                stride = list(itertools.islice(side.blocks, max(1, min(want, cap))))
             if not stride:
                 break
             keys, envs, tails = zip(*stride)
@@ -1091,7 +1092,8 @@ def _integrate_side(
                 p = np.concatenate([prev[rows, None], c[:, :-1]], axis=1)
                 shrinking = (0.0 < c) & (c < p)
                 tail = np.where(shrinking, c * c / (p - c), 0.0)  # c rho / (1 - rho)
-                done = (c < q) & (p < q) & ((shrinking & (tail < q)) | ((c == 0.0) & (p == 0.0)))
+                # c < q too: it follows from p < q on either branch
+                done = (p < q) & ((shrinking & (tail < q)) | ((c == 0.0) & (p == 0.0)))
                 stop = done.any(axis=1)
                 last = np.where(stop, done.argmax(axis=1), n - 1)
                 prev[rows] = c[:, -1]
