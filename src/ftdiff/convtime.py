@@ -1027,8 +1027,8 @@ def _integrate_side(
     once past the peak of Psi': a stride runs to where that decay would
     end the walk, or twice as far as the last while some row's sums do not
     shrink yet. No stride takes more than _CHUNK values a row on the right
-    or _CHUNK values in all on the left, so walks whose every block is
-    that large go one block at a time.
+    or _CHUNK values in all on the left, so left walks whose every block
+    takes more go one block at a time.
     """
     value = np.zeros(loga.size)
     err = np.zeros(loga.size)
@@ -1092,7 +1092,7 @@ def _integrate_side(
                 p = np.concatenate([prev[rows, None], c[:, :-1]], axis=1)
                 shrinking = (0.0 < c) & (c < p)
                 tail = np.where(shrinking, c * c / (p - c), 0.0)  # c rho / (1 - rho)
-                # c < q too: it follows from p < q on either branch
+                # c < q needs no test: on either branch it follows from p < q
                 done = (p < q) & ((shrinking & (tail < q)) | ((c == 0.0) & (p == 0.0)))
                 stop = done.any(axis=1)
                 last = np.where(stop, done.argmax(axis=1), n - 1)
