@@ -126,6 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="send the ftdiff logger's DEBUG records (the work "
+                             "counts of worst-case searches) to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common, custom], allow_abbrev=False,
@@ -233,7 +236,7 @@ def _apply_config(parser: argparse.ArgumentParser,
                 for tok in argv if tok.startswith("--")}
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest in ("config", "command", "func"):
+        if dest in ("config", "command", "func", "verbose"):
             raise _UsageError(f"config file {path}: key {key!r} not allowed")
         if not hasattr(args, dest):
             raise _UsageError(
@@ -767,7 +770,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = _apply_config(parser, argv)
         except SystemExit as exc:  # argparse already printed the message
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        return args.func(args)
+        if not args.verbose:
+            return args.func(args)
+        import logging  # only here: importing the CLI need not load logging
+
+        log = logging.getLogger("ftdiff")
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+        level = log.level
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
+        try:
+            return args.func(args)
+        finally:
+            log.removeHandler(handler)
+            log.setLevel(level)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

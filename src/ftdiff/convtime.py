@@ -791,12 +791,13 @@ class GlobalConvtime:
 # (a row whose zero lies far out gets its own shape, see _circle_values). The
 # kernel evaluates 1/2 Psi'(A E) for all rows at once on Gauss-Kronrod
 # panels whose nodes every row shares, in log|h| so that neither A nor E
-# overflows, and walks outward a stride of blocks of panels at a time.
+# overflows, and walks outward a stride of blocks of panels at a time. Rows
+# over tolerance then have only their worst blocks redone with more panels.
 
 _GRADED_PANELS = 8  # GK15 panels, halving toward a zero of h, per graded stretch
-_MAX_LEVEL = 3  # rows over tolerance are redone with 2x, 4x, 8x the panels
+_MAX_LEVEL = 3  # blocks over their share are redone with 2x, 4x, 8x the panels
 _MAX_BLOCKS = 2000  # blocks per side before a row counts as unconverged
-_CHUNK = 1 << 14  # Psi' values per slice of rows: 128 kB per temporary
+_CHUNK = 1 << 14  # Psi' values per slice of rows: 128 kB per scratch array
 _FAR_ZERO = 100.0  # |lam tz| past which a repeated-case row is walked from t = 0
 
 
@@ -818,12 +819,27 @@ class _Side(NamedTuple):
 
 
 class _Tally:
-    """Work counts of one worst-case search, for its debug record."""
+    """Work counts of one worst-case search, for its debug record, and the
+    scratch arrays that its Psi' slices write into.
 
-    __slots__ = ("calls", "blocks", "passes", "values", "level")
+    The scratch is allocated once, at the size of the first slice or
+    _CHUNK values, whichever is larger, so that a search's slices reuse the
+    same memory instead of growing and trimming the heap for each one.
+    """
+
+    COUNTS = ("calls", "blocks", "passes", "values", "level", "refined", "refined_values")
+    __slots__ = COUNTS + ("_scratch",)
 
     def __init__(self) -> None:
-        self.calls = self.blocks = self.passes = self.values = self.level = 0
+        for name in self.COUNTS:
+            setattr(self, name, 0)
+        self._scratch = np.empty((3, 0))
+
+    def scratch(self, n: int) -> np.ndarray:
+        """Three arrays of n values each, as (3, n)."""
+        if self._scratch.shape[1] < n:
+            self._scratch = np.empty((3, max(n, _CHUNK)))
+        return self._scratch[:, :n]
 
 
 def _graded(length: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -967,7 +983,7 @@ def _far_zero_blocks(lam: float, eps: float, level: int, right: bool) -> _Side:
 
 
 def _panel_sums(
-    psi: Callable[[np.ndarray], np.ndarray],
+    psi: Callable[..., np.ndarray],
     loga: np.ndarray,
     upto: np.ndarray,
     log_e: np.ndarray,
@@ -980,33 +996,58 @@ def _panel_sums(
     upto[i] (non-increasing) counts the blocks that rows i, i+1, ... need;
     beyond what a slice of rows needs, both are 0. Rows go through Psi' in
     slices of at most _CHUNK values, which bounds the temporaries whatever
-    the batch size.
+    the batch size; every slice is worked in the search's scratch arrays.
     """
     n, panels, per_panel = log_e.shape
-    flat = log_e.reshape(-1, per_panel)
     sums = np.zeros((2, loga.size, n))
     i = 0
     while i < loga.size:
         m = int(upto[i])
-        j = i + max(1, _CHUNK // (m * panels * per_panel))
-        g = psi(np.exp(loga[i:j, None, None] + flat[:m * panels]))
+        la = loga[i:i + max(1, _CHUNK // (m * panels * per_panel))]
+        j = i + la.size
+        shape = la.size, m, panels, per_panel
+        x, g, p = tally.scratch(math.prod(shape))
+        x, g = x.reshape(shape), g.reshape(shape)
+        np.add(la[:, None, None, None], log_e[:m], out=x)
+        np.exp(x, out=x)
+        psi(x, out=g)
         tally.values += g.size
-        g = g.reshape(-1, m, panels, per_panel)
-        k = (g * wk[:m]).sum(axis=-1)
-        sums[0, i:j, :m] = k.sum(axis=-1)
-        sums[1, i:j, :m] = np.abs(k - (g * wg[:m]).sum(axis=-1)).sum(axis=-1)
+        k, d = p[:2 * g.size // per_panel].reshape(2, *shape[:-1])
+        np.sum(np.multiply(g, wk[:m], out=x), axis=-1, out=k)
+        np.sum(np.multiply(g, wg[:m], out=x), axis=-1, out=d)
+        np.subtract(k, d, out=d)
+        np.abs(d, out=d)
+        np.sum(k, axis=-1, out=sums[0, i:j, :m])
+        np.sum(d, axis=-1, out=sums[1, i:j, :m])
         i = j
     return sums
 
 
+class _SideWalk(NamedTuple):
+    """One side's walk for every row of a batch.
+
+    value and err include the tail term, the right tail bound or the left
+    remainder; count is the number of blocks the row took. passes holds one
+    (keys, rows, sums, last) entry per Psi' pass: the pass's block keys, the
+    rows it evaluated, their per-block Kronrod sums and |Kronrod - Gauss|
+    (2, rows, n) as _panel_sums gave them, and each row's last block in it.
+    """
+
+    value: np.ndarray
+    err: np.ndarray
+    tail: np.ndarray
+    count: np.ndarray
+    passes: list
+
+
 def _integrate_side(
-    psi: Callable[[np.ndarray], np.ndarray],
+    psi: Callable[..., np.ndarray],
     loga: np.ndarray,
     side: _Side,
     tol: float,
     log_delta0: float,
     tally: _Tally,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> _SideWalk:
     """integral of 1/2 Psi'(e^loga E) over one side for every row, with error estimates.
 
     Walks the blocks outward and drops each row once its side is done. The
@@ -1015,7 +1056,8 @@ def _integrate_side(
     the error. The left side ends after two blocks below tol/4 whose
     geometric remainder is below tol/4 (or both exactly zero); the
     remainder is added to the value and to the error. Each panel adds
-    |Kronrod - Gauss| to its row's error.
+    |Kronrod - Gauss| to its row's error. The walk stops early once an
+    error estimate is not finite, and returns it so.
 
     Each pass evaluates a stride of blocks at once and applies those rules
     block by block, in order, so the result does not depend on the stride.
@@ -1032,6 +1074,9 @@ def _integrate_side(
     """
     value = np.zeros(loga.size)
     err = np.zeros(loga.size)
+    tail_term = np.zeros(loga.size)
+    count = np.zeros(loga.size, dtype=np.int64)
+    passes = []
     prev = np.full(loga.size, math.inf)  # left side: the last block's sum
     ratio = np.zeros(loga.size)  # and its ratio to the one before
     q = 0.25 * tol
@@ -1040,7 +1085,7 @@ def _integrate_side(
     n = per_block = 0
     right = False
     # overflow makes |h| inf (Psi' = 0 there); a diverging integral makes the
-    # sums inf or nan, which no stopping rule or error check accepts
+    # sums inf or nan, which ends the walk
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while rows.size:
             la = loga[rows]
@@ -1098,27 +1143,41 @@ def _integrate_side(
                 last = np.where(stop, done.argmax(axis=1), n - 1)
                 prev[rows] = c[:, -1]
                 ratio[rows] = c[:, -1] / p[:, -1]
+            passes.append((keys, rows, sums, last))
+            count[rows] += last + 1
             # the value and error up to each row's last block, added in block order
-            sums[0, :, 0] += value[rows]
-            sums[1, :, 0] += err[rows]
-            np.add.accumulate(sums, axis=-1, out=sums)
-            value[rows], err[rows] = sums[:, np.arange(rows.size), last]
+            acc = sums.copy()
+            acc[0, :, 0] += value[rows]
+            acc[1, :, 0] += err[rows]
+            np.add.accumulate(acc, axis=-1, out=acc)
+            value[rows], err[rows] = acc[:, np.arange(rows.size), last]
             fin = rows[stop]
             rest = tail[stop, last[stop]]  # the right tail bound, or the left remainder
             if not right:
                 value[fin] += rest
             err[fin] += rest
+            tail_term[fin] = rest
+            if not np.isfinite(err[rows]).all():
+                break
             rows = rows[~stop]
-    if not rows.size:
-        return value, err
-    raise QuadratureError(
-        f"quadrature failure: {'right' if right else 'left'} tail of {rows.size} responses "
-        f"did not converge within {_MAX_BLOCKS} blocks"
-    )
+    if rows.size and np.isfinite(err).all():
+        raise QuadratureError(
+            f"quadrature failure: {'right' if right else 'left'} tail of {rows.size} responses "
+            f"did not converge within {_MAX_BLOCKS} blocks"
+        )
+    return _SideWalk(value, err, tail_term, count, passes)
+
+
+def _raise_if_not_finite(err: np.ndarray, level: int) -> None:
+    bad = ~np.isfinite(err)
+    if bad.any():
+        raise QuadratureError(
+            f"quadrature failure: {int(bad.sum())} full-line integrals have an error estimate "
+            f"that is not finite ({err[bad][0]}) at panel level {level}")
 
 
 def _full_line(
-    psi: Callable[[np.ndarray], np.ndarray],
+    psi: Callable[..., np.ndarray],
     blocks: Callable[[int, bool], _Side],
     loga: np.ndarray,
     tol: float,
@@ -1127,42 +1186,73 @@ def _full_line(
 ) -> np.ndarray:
     """Full-line integrals of 1/2 Psi'(h) for rows h = e^loga E, each within tol.
 
-    Rows whose error estimate exceeds tol are redone with twice the panels,
-    up to _MAX_LEVEL times; a row still over tol raises QuadratureError
-    rather than being accepted.
+    Both sides are walked at panel level 0. In a row whose error estimate
+    exceeds tol, each block whose |Kronrod - Gauss| exceeds its share is
+    evaluated again with twice the panels, up to _MAX_LEVEL times, and its
+    new sums replace the old ones in the row's value and error. A block's
+    share is tol less the row's tail terms, split evenly over the row's
+    blocks, as t0_exact splits tol over its panels. A row still over tol
+    raises QuadratureError rather than being accepted, and so does an
+    estimate that is not finite, at once: more panels cannot make it so.
     """
     tally.calls += 1
-    values = np.empty(loga.size)
-    rows = np.arange(loga.size)
-    for level in range(_MAX_LEVEL + 1):
+    walks = []
+    for right in (True, False):
+        walks.append(_integrate_side(psi, loga, blocks(0, right), tol, log_delta0, tally))
+        _raise_if_not_finite(walks[-1].err, 0)
+    values = walks[0].value + walks[1].value
+    err = walks[0].err + walks[1].err
+    over = err > tol
+    share = (tol - walks[0].tail - walks[1].tail) / (walks[0].count + walks[1].count)
+    level = 0
+    while over.any():
+        if level == _MAX_LEVEL:
+            raise QuadratureError(
+                f"quadrature failure: {int(over.sum())} full-line integrals kept an error "
+                f"estimate up to {err[over].max():.3e} above tolerance {tol:g} at "
+                f"{_MAX_LEVEL + 1} panel levels")
+        level += 1
         tally.level = max(tally.level, level)
-        right, err_r = _integrate_side(psi, loga[rows], blocks(level, True), tol, log_delta0,
-                                       tally)
-        left, err_l = _integrate_side(psi, loga[rows], blocks(level, False), tol, log_delta0,
-                                      tally)
-        values[rows] = right + left
-        err = err_r + err_l
-        rows = rows[~(err <= tol)]  # a nan estimate is not converged either
-        if rows.size == 0:
-            return values
-    raise QuadratureError(
-        f"quadrature failure: {rows.size} full-line integrals kept an error estimate "
-        f"up to {err.max():.3e} above tolerance {tol:g} at {_MAX_LEVEL + 1} panel levels"
-    )
+        for right, walk in zip((True, False), walks):
+            nodes = blocks(level, right).nodes
+            for keys, rows, sums, last in walk.passes:
+                redo = ((sums[1] > share[rows, None]) & over[rows, None]
+                        & (np.arange(len(keys)) <= last[:, None]))
+                for b in np.flatnonzero(redo.any(axis=0)):
+                    r = np.flatnonzero(redo[:, b])
+                    at = rows[r]
+                    before = tally.values
+                    new = _panel_sums(psi, loga[at], np.ones(r.size, dtype=np.int64),
+                                      *nodes([keys[b]]), tally)[:, :, 0]
+                    tally.refined += r.size
+                    tally.refined_values += tally.values - before
+                    values[at] += new[0] - sums[0, r, b]
+                    err[at] += new[1] - sums[1, r, b]
+                    sums[:, r, b] = new
+        _raise_if_not_finite(err, level)
+        over &= err > tol
+    return values
 
 
-def _psi_prime_array(dgf: GeneratingFunction, k3: float) -> Callable[[np.ndarray], np.ndarray]:
+def _psi_prime_array(dgf: GeneratingFunction, k3: float) -> Callable[..., np.ndarray]:
     """Psi' of the scaled map on an array of |z| >= 0; 0 at z = 0 and z = inf.
 
     Psi'_k3(z) = Psi'_1(k3 z) / k3. The built-ins give Psi'_1 in closed
     form; other functions take 1/Phi' at the array preimage, from their
-    inverse or from the array root solve.
+    inverse or from the array root solve. psi(z, out) writes the result
+    into out and overwrites z; the built-ins then allocate nothing.
     """
     slope = dgf._inverse_slope or functools.partial(_slope_at_preimage, dgf)
 
-    def psi(z: np.ndarray) -> np.ndarray:
-        w = k3 * z
-        return np.where((w > 0.0) & (w < math.inf), slope(w) / k3, 0.0)
+    def psi(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        w = np.multiply(z, k3, out=None if out is None else z)
+        # the slopes give 0 at w = 0; inf and nan are zeroed here
+        bad = None if np.max(w, initial=0.0) < math.inf else ~(w < math.inf)
+        g = slope(w, out)
+        g /= k3
+        if bad is not None:
+            g[bad] = 0.0
+        return g
 
     return psi
 
@@ -1220,8 +1310,9 @@ def global_convtime_numeric(
     rounds around the best point. Every full-line integral comes from one
     batched Gauss-Kronrod kernel and is accurate to inner_tol by its own
     error estimate. The logger "ftdiff" gets one DEBUG record of the work
-    done: full-line calls, blocks walked, Psi' passes and values, and the
-    highest panel level.
+    done: full-line calls, blocks walked, Psi' passes and values, the
+    highest panel level, and the blocks refined and the Psi' values they
+    took.
     """
     sys = system_matrix(kappa.k1, kappa.k2)
     psi = _psi_prime_array(dgf, kappa.k3)
@@ -1275,10 +1366,11 @@ def global_convtime_numeric(
 
     log = logging.getLogger("ftdiff")
     if log.isEnabledFor(logging.DEBUG):
-        counts = {name: getattr(tally, name) for name in _Tally.__slots__}
+        counts = {name: getattr(tally, name) for name in _Tally.COUNTS}
         log.debug("global_convtime_numeric %s at (%g, %g, %g): %d full-line calls, %d blocks "
-                  "in %d Psi' passes, %d Psi' values, panel level up to %d", dgf.name,
-                  kappa.k1, kappa.k2, kappa.k3, *counts.values(), extra={"counts": counts})
+                  "in %d Psi' passes, %d Psi' values, panel level up to %d, %d blocks refined "
+                  "with %d Psi' values", dgf.name, kappa.k1, kappa.k2, kappa.k3,
+                  *counts.values(), extra={"counts": counts})
     return GlobalConvtime(
         value=val, dgf_name=dgf.name, kappa=kappa, search=search,
         argmax=argmax, grid_points=grid_points, inner_tol=inner_tol,

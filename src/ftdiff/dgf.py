@@ -120,9 +120,11 @@ class GeneratingFunction:
     phi_second: ScalarMap
     inverse: Optional[ScalarMap] = None
     claimed_constants: Optional[AdmissibilityConstants] = None
-    # built-ins only: w >= 0 |-> 1/phi'(phi^-1(w)) elementwise on numpy arrays,
-    # which lets the worst-case search evaluate Psi' without scalar calls
-    _inverse_slope: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+    # built-ins only: (w, out=None) |-> 1/phi'(phi^-1(w)) elementwise on numpy
+    # arrays of w >= 0, 0 at w = 0, which lets the worst-case search evaluate
+    # Psi' without scalar calls; with out, the result goes there and w may be
+    # overwritten, so that a slice of nodes allocates nothing
+    _inverse_slope: Optional[Callable[..., np.ndarray]] = field(
         default=None, repr=False
     )
     # built-ins only: (x, log x) |-> log phi(x) for x > 0, finite wherever
@@ -190,8 +192,8 @@ def _sqrt_inverse(z: float) -> float:
     return math.copysign(z * z, z)
 
 
-def _sqrt_inverse_slope(w: np.ndarray) -> np.ndarray:
-    return 2.0 * w
+def _sqrt_inverse_slope(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.multiply(w, 2.0, out=out)
 
 
 def _sqrt_log_phi(x: float, lx: float) -> float:
@@ -239,14 +241,37 @@ def _ured_inverse(z: float) -> float:
     return math.copysign(s * s, z)
 
 
-def _ured_inverse_slope(w: np.ndarray) -> np.ndarray:
-    # 1/phi'(s^2) = 2s/(1 + 3s^2) with s^3 + s = w, solved as in _ured_inverse
+# s^3 + s = w in closed form: s = (2/sqrt 3) sinh(asinh(3 sqrt(3) w/2)/3). The
+# absolute rounding of asinh, about 709 ulp(1) at the top of the float range,
+# becomes the relative error of s, and below about 1e-308 the intermediates
+# lose bits as subnormals. Past _URED_CBRT_FROM s = cbrt(w) to within
+# w^(-2/3)/3, and below _URED_LINEAR_BELOW s = w to within w^2, both under 1e-17
+_URED_ASINH_SCALE = 1.5 * math.sqrt(3.0)
+_URED_SINH_SCALE = 2.0 / math.sqrt(3.0)
+_URED_CBRT_FROM = 1e25
+_URED_LINEAR_BELOW = 1e-150
+
+
+def _ured_inverse_slope(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # 1/phi'(s^2) = 2s/(1 + 3s^2)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.sqrt(0.25 * w * w + 1.0 / 27.0)
-        s = np.where(w > 1e100, np.cbrt(w), np.cbrt(r + 0.5 * w) - np.cbrt(r - 0.5 * w))
-        for _ in range(2):
-            s -= (s * (s * s + 1.0) - w) / (3.0 * s * s + 1.0)
-        return 2.0 * s / (1.0 + 3.0 * s * s)
+        s = np.multiply(w, _URED_ASINH_SCALE, out=out)
+        np.arcsinh(s, out=s)
+        s /= 3.0
+        np.sinh(s, out=s)
+        s *= _URED_SINH_SCALE
+        if np.max(w, initial=0.0) > _URED_CBRT_FROM:
+            big = w > _URED_CBRT_FROM
+            s[big] = np.cbrt(w[big])
+        if np.min(w, initial=math.inf) < _URED_LINEAR_BELOW:
+            small = w < _URED_LINEAR_BELOW
+            s[small] = w[small]
+        d = np.multiply(s, s, out=None if out is None else w)
+        d *= 3.0
+        d += 1.0
+        s *= 2.0
+        s /= d
+    return s
 
 
 def _ured_log_phi(x: float, lx: float) -> float:
@@ -309,12 +334,17 @@ def _exp_inverse(z: float) -> float:
     return math.copysign(math.log1p(az * az), z)
 
 
-def _exp_inverse_slope(w: np.ndarray) -> np.ndarray:
+def _exp_inverse_slope(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # phi^-1(w) = log(1 + w^2), so 1/phi' = 2w/(1 + w^2), which is the same
     # at 1/w; in r = min(w, 1/w) <= 1 neither r^2 nor 1/r can overflow
     with np.errstate(over="ignore", divide="ignore"):
-        r = np.minimum(w, 1.0 / w)
-    return 2.0 * r / (1.0 + r * r)
+        r = np.divide(1.0, w, out=out)
+    np.minimum(w, r, out=r)
+    d = np.multiply(r, r, out=None if out is None else w)
+    d += 1.0
+    r *= 2.0
+    r /= d
+    return r
 
 
 def _exp_log_phi(x: float, lx: float) -> float:
@@ -630,8 +660,9 @@ def _preimage(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:
     return _invert_phi_array(dgf, w) if inverse is None else inverse(w)
 
 
-def _slope_at_preimage(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:
-    """1/Phi'(Phi^-1(w)) on an array of w >= 0.
+def _slope_at_preimage(dgf: GeneratingFunction, w: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """1/Phi'(Phi^-1(w)) on an array of w >= 0, into out if given.
 
     0 at w = 0 and w = inf, where the preimage underflows to 0 or lies
     beyond the float range, and where Phi' overflows, as psi_prime's
@@ -642,12 +673,12 @@ def _slope_at_preimage(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:
         x = _preimage(dgf, w if ok.all() else w[ok])
         good = (x > 0.0) & (x < math.inf)
         if good.all() and x.size == w.size:
-            d = _arrays(dgf).phi_prime(x)
-            return np.where(np.isinf(d), 0.0, 1.0 / d)
-        d = _arrays(dgf).phi_prime(x[good])
-        out = np.zeros(w.shape)
+            return np.divide(1.0, _arrays(dgf).phi_prime(x), out=out)
+        if out is None:
+            out = np.empty(w.shape)
+        out.fill(0.0)
         ok[ok] = good
-        out[ok] = np.where(np.isinf(d), 0.0, 1.0 / d)
+        out[ok] = 1.0 / _arrays(dgf).phi_prime(x[good])
     return out
 
 
@@ -667,7 +698,7 @@ def psi_prime(dgf: GeneratingFunction, k3: float, z: float) -> float:
         return 0.0
     if dgf._inverse_slope is not None:
         with np.errstate(over="ignore"):
-            return float(dgf._inverse_slope(np.float64(w))) / k3
+            return float(dgf._inverse_slope(np.array([w]))[0]) / k3
     x = invert_phi(dgf, w)
     if x == 0.0:
         # the inverse underflowed (subnormal z); same continuous extension

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -59,6 +60,36 @@ class TestTopLevel:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "subcommand" in out or "check" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("convtime", "--k1", "2", "--k2", "1", "--k3", "1", "--global", "--grid-points", "16"),
+        ("check", "--format", "json"),
+        ("table1",),
+    ])
+    def test_verbose_changes_stderr_only(self, capsys, argv):
+        # JSON, JSON and CSV on stdout; only the worst-case search logs
+        code, quiet, quiet_err = run_cli(capsys, *argv)
+        assert code == 0 and quiet_err == ""
+        for flag in ("-v", "--verbose"):
+            code, loud, err = run_cli(capsys, flag, *argv)
+            assert code == 0
+            assert loud == quiet
+            if argv[0] == "convtime":
+                assert err.startswith("ftdiff: global_convtime_numeric ured at (2, 1, 1): ")
+                assert "blocks refined" in err
+            else:
+                assert err == ""
+        log = logging.getLogger("ftdiff")
+        assert not log.handlers and log.level == logging.NOTSET
+
+    def test_verbose_writes_files_unchanged(self, capsys, tmp_path):
+        argv = ("convtime", "--k1", "5", "--k2", "1", "--k3", "1", "--global",
+                "--grid-points", "16", "--out")
+        assert run_cli(capsys, *argv, str(tmp_path / "quiet"))[0] == 0
+        code, _, err = run_cli(capsys, "-v", *argv, str(tmp_path / "loud"))
+        assert code == 0 and "global_convtime_numeric" in err
+        assert ((tmp_path / "loud" / "convtime.json").read_bytes()
+                == (tmp_path / "quiet" / "convtime.json").read_bytes())
 
 
 class TestCheck:

@@ -711,9 +711,63 @@ class TestStridedWalk:
                         got = _integrate_side(psi, loga, blocks(level, right), tol, log_delta0,
                                               single)
                     assert single.passes == single.blocks
-                    for a, b in zip(got, want):
+                    # value, error, tail term and block count; the pass records
+                    # differ by construction
+                    for a, b in zip(got[:4], want[:4]):
                         assert a.tobytes() == b.tobytes()
         assert strided.passes < strided.blocks
+
+    @pytest.mark.parametrize("name", ["ured", "exp"])
+    def test_stride_does_not_show_in_refined_blocks(self, monkeypatch, caplog, name):
+        # at (2, 1, 1) both functions have rows over tolerance whose first
+        # blocks are redone with twice the panels
+        dgf = builtin_dgf(name)
+        kappa = ParamTriple(2.0, 1.0, 1.0)
+        full_line = convtime._full_line
+
+        def search(chunk):
+            rows = []
+
+            def record(*args):
+                rows.append(full_line(*args))
+                return rows[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(convtime, "_full_line", record)
+                m.setattr(convtime, "_CHUNK", chunk)
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="ftdiff"):
+                    out = global_convtime_numeric(dgf, kappa, grid_points=16)
+            [log] = caplog.records
+            return rows, out, log.counts
+
+        want_rows, want, strided = search(convtime._CHUNK)
+        got_rows, got, single = search(1)
+        assert strided["refined"] > 0 and strided["level"] == 1
+        assert single["refined"] == strided["refined"]
+        assert single["passes"] == single["blocks"] > strided["passes"]
+        assert len(got_rows) == len(want_rows)
+        for a, b in zip(got_rows, want_rows):
+            assert a.tobytes() == b.tobytes()
+        assert (got.value, got.argmax) == (want.value, want.argmax)
+
+    def test_psi_values_per_search(self, caplog):
+        def counts(name, kappa):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="ftdiff"):
+                global_convtime_numeric(builtin_dgf(name), ParamTriple(*kappa))
+            [record] = caplog.records
+            return record.counts
+
+        # whole rows redone at twice the panels took 3,045,840 values; only
+        # the blocks over their share are redone now
+        exp = counts("exp", (2.0, 1.0, 1.0))
+        assert exp["values"] <= 1_600_000
+        assert exp["refined"] >= 1 and 0 < exp["refined_values"] < exp["values"]
+        # nothing to refine: the walk alone, as before
+        ured = counts("ured", (5.0, 1.0, 1.0))
+        assert ured["values"] == 412_410
+        assert ured["refined"] == ured["refined_values"] == 0
 
     @pytest.mark.parametrize("kind", list(EIGEN_KAPPAS))
     def test_no_psi_call_takes_more_than_a_chunk(self, monkeypatch, ured, kind):
@@ -723,9 +777,9 @@ class TestStridedWalk:
         def counted_psi(dgf, k3):
             psi = psi_prime_array(dgf, k3)
 
-            def counted(z):
+            def counted(z, *args, **kwargs):
                 sizes.append(z.size)
-                return psi(z)
+                return psi(z, *args, **kwargs)
 
             return counted
 
@@ -771,7 +825,12 @@ class TestStridedWalk:
         start = time.perf_counter()
         subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                        timeout=60, check=True)
-        assert time.perf_counter() - start < 10.0
+        assert time.perf_counter() - start < 3.0
+
+    def test_divergent_estimate_raises_at_level_0(self, sqrtdgf):
+        # the sums overflow in the level-0 walk; more panels cannot mend that
+        with pytest.raises(QuadratureError, match="not finite .* at panel level 0"):
+            global_convtime_numeric(sqrtdgf, ParamTriple(2.0, 1.0, 1.0), grid_points=8)
 
     def test_search_logs_its_work(self, caplog, ured):
         kappa = ParamTriple(5.0, 1.0, 1.0)
@@ -787,8 +846,10 @@ class TestStridedWalk:
         assert counts["calls"] == 9 and counts["level"] == 0
         assert 2 * counts["calls"] <= counts["passes"] < counts["blocks"]
         assert counts["values"] >= 15 * counts["blocks"]
+        assert counts["refined"] == counts["refined_values"] == 0
         message = record.getMessage()
         assert f"{counts['blocks']} blocks in {counts['passes']} Psi' passes" in message
+        assert "0 blocks refined with 0 Psi' values" in message
 
 
 class TestPsiPrimeArray:

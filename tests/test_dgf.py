@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftdiff import dgf as dgf_module
 from ftdiff.convtime import t0_exact
 from ftdiff.dgf import (
     AdmissibilityConstants,
@@ -128,6 +130,48 @@ class TestBuiltins:
         assert r == pytest.approx(math.exp(0.1), rel=1e-3)
         assert expdgf.phi(1500.0) == math.inf
         assert expdgf.phi(-1500.0) == -math.inf
+
+
+def _ured_slope_60_digits(w: float) -> decimal.Decimal:
+    """2s/(1 + 3s^2) with s^3 + s = w, by Newton's method at 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        wd = decimal.Decimal(w)
+        s = decimal.Decimal(w ** (1.0 / 3.0) if w > 1.0 else w)
+        for _ in range(100):
+            step = (s * s * s + s - wd) / (3 * s * s + 1)
+            s -= step
+            if abs(step) <= s * decimal.Decimal("1e-50"):
+                break
+        return 2 * s / (1 + 3 * s * s)
+
+
+class TestUredInverseSlope:
+    # every finite w > 0: 3,000 log-spaced points, subnormals, both ends of the
+    # float range, and both sides of the switches to the series forms
+    W = np.concatenate([np.logspace(-300.0, math.log10(1.7e308), 3000),
+                        np.logspace(-323.0, -308.0, 16),
+                        [5e-324, 2.2250738585072014e-308, 1e-150, 1.0000000000000002e-150,
+                         1e25, 1.0000000000000002e25, 6.9e307, 1.7976931348623157e308]])
+
+    def test_within_1e_14_of_a_60_digit_root(self):
+        got = dgf_module._ured_inverse_slope(self.W.copy())
+        assert np.isfinite(got).all() and (got > 0.0).all()
+        worst = max(abs(decimal.Decimal(g) / _ured_slope_60_digits(w) - 1)
+                    for w, g in zip(self.W.tolist(), got.tolist()))
+        assert worst <= decimal.Decimal("1e-14")
+
+    @pytest.mark.parametrize("name", ["sqrt", "ured", "exp"])
+    def test_out_form_matches(self, name):
+        slope = builtin_dgf(name)._inverse_slope
+        w = np.concatenate([[0.0], self.W])
+        out = np.empty_like(w)
+        with np.errstate(over="ignore"):  # sqrt's 2w at the top of the range
+            want = slope(w)
+            assert w.tobytes() == np.concatenate([[0.0], self.W]).tobytes()  # w is kept
+            assert slope(w.copy(), out) is out
+        assert out.tobytes() == want.tobytes()
+        assert want[0] == 0.0
 
 
 class TestInversion:
