@@ -3,13 +3,13 @@
 Everything here is deliberately self-contained: the convergence-time
 integrals pair an implementation route with an independent cross-check
 route in the tests, so the integrator itself stays free of third-party
-dependencies. zoom_max refines the maximum of a function evaluated on
-numpy arrays.
+dependencies. zoom_max refines maxima of a function evaluated on numpy
+arrays; the Gauss-Kronrod panels here serve every array integral.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -21,6 +21,53 @@ __all__ = [
     "reciprocal_integral",
     "zoom_max",
 ]
+
+
+# QUADPACK's 15-point Kronrod rule on [-1, 1], nodes from the edge to the
+# centre, and the weights of its embedded 7-point Gauss rule (zero at the
+# Kronrod-only nodes)
+_XK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245, 0.0])
+_WK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+                0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
+_GK_X = np.concatenate([-_XK, _XK[-2::-1]])
+_GK_WK = np.concatenate([_WK, _WK[-2::-1]])
+_GK_WG = np.concatenate([_WG, _WG[-2::-1]])
+
+
+def _gk_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GK15 nodes, Kronrod and Gauss weights on the panels [lo, hi], each (P, 15)."""
+    half = 0.5 * (hi - lo)[:, None]
+    mid = 0.5 * (hi + lo)[:, None]
+    return mid + half * _GK_X, half * _GK_WK, half * _GK_WG
+
+
+_PROBE = np.array([-2.5, -0.7, 0.3, 1.0, 4.0])
+
+
+def _array_form(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """fn itself if it maps a probe array to its scalar values, else fn elementwise.
+
+    Compiled expressions and numpy functions pass; a callable written for
+    floats, such as a lambda over math, fails the probe or raises on it,
+    and is applied one element at a time.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(_PROBE)
+            if (isinstance(out, np.ndarray) and out.shape == _PROBE.shape and np.allclose(
+                    out, [fn(p) for p in _PROBE.tolist()], rtol=1e-12, atol=0.0, equal_nan=True)):
+                return fn
+    except Exception:  # whatever it raises on an array, it is a scalar-only callable
+        pass
+    each = np.frompyfunc(fn, 1, 1)
+    return lambda a: each(a).astype(float)
 
 
 # Integrand evaluations one adaptive_simpson call may spend. The largest
@@ -123,73 +170,146 @@ _ZOOM_ROUNDS = 7  # 4x narrower per round; the argmax ends within 1e-4 grid step
 
 
 def zoom_max(
-    f: Callable[[np.ndarray], np.ndarray], x: float, v: float, step: float
-) -> tuple[float, float]:
-    """Refine a grid maximum (x, v) of an array function with batched rounds of probes.
+    f: Callable[[np.ndarray], np.ndarray], x, v, step: float
+) -> tuple:
+    """Refine grid maxima (x, v) of an array function with batched rounds of probes.
 
-    Each round probes x +/- step in one call of f, moves to its best probe,
-    if better, and shrinks the bracket to one probe spacing. Returns the
-    best (argument, value) seen.
+    x and v are floats, or 1-d arrays of maxima refined side by side. Each
+    round probes every x +/- step in one call of f, on an array of shape
+    x.shape + (8,), moves each x to its best probe, if better, and shrinks
+    the bracket to one probe spacing. Returns the best (arguments, values)
+    seen and the number of rounds in which each moved: floats and an int
+    for float x.
     """
+    scalar = np.ndim(x) == 0
+    x, v = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(v, dtype=float))
+    rows = np.arange(x.size)
+    moved = np.zeros(x.size, dtype=int)
     for _ in range(_ZOOM_ROUNDS):
-        xs = x + step * _ZOOM_OFFSETS
-        vals = f(xs)
-        i = int(np.argmax(vals))
-        if vals[i] > v:
-            x, v = float(xs[i]), float(vals[i])
+        xs = x[:, None] + step * _ZOOM_OFFSETS
+        vals = f(xs[0] if scalar else xs).reshape(xs.shape)
+        i = vals.argmax(axis=1)
+        best = vals[rows, i]
+        up = best > v
+        if up.any():
+            x = np.where(up, xs[rows, i], x)
+            v = np.where(up, best, v)
+            moved += up
         step *= _ZOOM_OFFSETS[-1] - _ZOOM_OFFSETS[-2]
-    return x, v
+    if scalar:
+        return float(x[0]), float(v[0]), int(moved[0])
+    return x, v, moved
 
 
-# Reciprocal integral of an odd increasing map phi:
-#   I(X) = integral_0^X dx / phi(x),     X = None means X -> infinity.
-# The integrand has an integrable singularity at 0 (phi(x) ~ sqrt(x)); the
-# substitution x = u^2 regularizes it. The tail uses x = 1/w^2, which maps
-# [1, inf) onto (0, 1] with integrand 2 / (w^3 phi(w^-2)).
-
-_U_FLOOR = 1e-150  # keeps u*u above the subnormal range inside the integrand
-_W_FLOOR = 1e-9  # transformed tail integrand is continuous at w=0; O(w^2) perturbation
+_ROUNDS = 10  # rounds of bisection before an estimate counts as unconverged
 
 
-def _near_part(phi: Callable[[float], float], x_hi: float, tol: float) -> float:
-    # integral_0^{x_hi} dx/phi = integral_0^{sqrt(x_hi)} 2u/phi(u^2) du
-    def g(u: float) -> float:
-        if u < _U_FLOOR:
-            u = _U_FLOOR
-        t = phi(u * u)
-        if t == 0.0:
-            # Rounding can flush phi to zero for tiny arguments (a user
-            # expression written exp(x)-1 loses everything below 2e-16).
-            # The square-root leading behavior makes the true limit 2.
-            return 2.0
-        return 2.0 * u / t
+def _refine(sums: Callable, panels: NamedTuple, budget: float, max_nodes: int) -> tuple:
+    """Bisect the panels whose |Kronrod - Gauss| exceeds their share of budget, until within it.
 
-    return adaptive_simpson(g, 0.0, math.sqrt(x_hi), tol)
+    panels is a NamedTuple of (P,) arrays ending in the panel ends lo and
+    hi; sums maps it to the Kronrod and Gauss sums on each panel. Returns
+    (Kronrod total, |Kronrod - Gauss| total, panels). Raises QuadratureError
+    where that total is not finite or stays above budget after _ROUNDS
+    rounds, or the panels would need more than max_nodes nodes.
+    """
+    k, g = sums(panels)
+    for rounds in range(_ROUNDS + 1):
+        err = np.abs(k - g)
+        total = err.sum()
+        if total <= budget:
+            return float(k.sum()), float(total), panels
+        split = err > budget / err.size  # the panels over their share
+        if (rounds == _ROUNDS or not math.isfinite(total)
+                or 15 * (k.size + split.sum()) > max_nodes):
+            break
+        lo, hi = panels[-2][split], panels[-1][split]
+        mid = 0.5 * (lo + hi)
+        halves = panels._make([*(np.tile(f[split], 2) for f in panels[:-2]),
+                               np.concatenate([lo, mid]), np.concatenate([mid, hi])])
+        k2, g2 = sums(halves)
+        keep = ~split
+        panels = panels._make(np.concatenate([f[keep], h]) for f, h in zip(panels, halves))
+        k, g = np.concatenate([k[keep], k2]), np.concatenate([g[keep], g2])
+    raise QuadratureError(f"quadrature failure: error estimate {total:.3e} above {budget:.3g} "
+                          f"after {rounds} rounds of bisection")
 
 
-def _far_part(phi: Callable[[float], float], x_lo: float, x_hi: float | None, tol: float) -> float:
-    # integral_{x_lo}^{x_hi} dx/phi = integral_{w_hi^-1/2}^{w_lo^-1/2} 2/(w^3 phi(w^-2)) dw
-    w_hi = 1.0 / math.sqrt(x_lo)
-    w_lo = 0.0 if x_hi is None else 1.0 / math.sqrt(x_hi)
+# Integrals over the whole log axis, of functions that decay toward both of
+# its ends, go on unit panels from the upper limit down to about _S_MIN, near
+# which x = e^s leaves the positive floats; without an upper limit they start
+# at _S_MAX, the log of the largest float.
+_S_MIN = -744.0
+_S_MAX = math.log(1.7976931348623157e308)  # the largest float
+_LOG_STRIDE = 4  # panels per probe interval
+_LOG_REL = 1e-16  # of the integral: the most the tail may take, below its rounding
+_LOG_MAX_NODES = 1 << 18
 
-    def g(w: float) -> float:
-        if w < _W_FLOOR:
-            w = _W_FLOOR
-        t = phi(1.0 / (w * w))
-        if math.isinf(t):
-            return 0.0  # phi overflowed: the true integrand is below float tiny here
-        return 2.0 / (w * w * w * t)
 
-    return adaptive_simpson(g, w_lo, w_hi, tol)
+class _Span(NamedTuple):
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+class _Integral(NamedTuple):
+    value: float
+    error: float  # the panels' |Kronrod - Gauss| plus the tail
+    panels: int
+    values: int  # integrand values, probes included
+
+
+def _log_axis_integral(
+    f: Callable[[np.ndarray], np.ndarray], top: Optional[float], tol: float
+) -> _Integral:
+    """integral_{-inf}^{top} f(s) ds of an array function f >= 0 decaying toward both ends.
+
+    top=None means +inf. f is probed every _LOG_STRIDE. Where f is monotone,
+    a stretch between probes holds at most its length times the larger one;
+    past an open end, the bound is a stride times the last probe. On either
+    side, the outer stretches whose bounds add up to at most half a tenth of
+    tol, or of _LOG_REL of the integral if less, are the tail. The rest goes
+    on unit GK15 panels in one array pass, and _refine bisects those over
+    their share of tol. Raises QuadratureError where f is not finite and
+    nonnegative, or the error estimate stays above tol.
+    """
+    end = _S_MAX if top is None else top
+    probes = end - _LOG_STRIDE * np.arange(max(math.floor((end - _S_MIN) / _LOG_STRIDE), 1) + 1.0)
+    with np.errstate(all="ignore"):
+        p = f(probes)
+        ends = p[-1] + (p[0] if top is None else 0.0)
+        c = np.cumsum(_LOG_STRIDE * np.maximum(p[:-1], p[1:]))
+        mass = float(c[-1])
+        if not ((p >= 0.0).all() and math.isfinite(mass)):
+            raise QuadratureError("quadrature failure: integrand is not finite and nonnegative")
+        share = 0.05 * min(tol, _LOG_REL * mass)
+        # the stretches [0, a) and [b, end) hold at most share each
+        a = int(np.searchsorted(c, share, side="right"))
+        b = int(np.searchsorted(c, mass - share, side="left")) + 1
+        tail = (c[a - 1] if a else 0.0) + mass - c[b - 1] + _LOG_STRIDE * ends
+        if a >= b:
+            return _Integral(0.0, tail, 0, p.size)
+        if not tail < tol:
+            raise QuadratureError(f"quadrature failure: tail {tail:.3e} above tolerance {tol:g}")
+        edges = probes[a] - np.arange(_LOG_STRIDE * (b - a) + 1.0)
+
+        def sums(span: _Span) -> tuple[np.ndarray, np.ndarray]:
+            half = 0.5 * (span.hi - span.lo)
+            fs = f((0.5 * (span.hi + span.lo))[:, None] + half[:, None] * _GK_X)
+            return half * (fs @ _GK_WK), half * (fs @ _GK_WG)
+
+        value, error, done = _refine(sums, _Span(edges[1:], edges[:-1]), tol - tail,
+                                     _LOG_MAX_NODES)
+    n = done.lo.size
+    return _Integral(value, error + tail, n, p.size + 15 * (2 * n - edges.size + 1))
 
 
 def _probe_tail_divergence(phi: Callable[[float], float]) -> None:
     # The tail integral converges iff phi grows superlinearly. Estimate the
-    # local growth exponent of G(w) = w^3 phi(w^-2) near w = 0; the
-    # transformed integrand is 2/G, so exponent >= 1 means divergence. A phi
-    # that overflows at these arguments grows far faster than any power, so
-    # the tail certainly converges.
-    w1, w2 = 1e-6, _W_FLOOR
+    # local growth exponent of G(w) = w^3 phi(w^-2) near w = 0, where
+    # integral_1^inf dx/phi = integral_0^1 2/G(w) dw, so exponent >= 1 means
+    # divergence. A phi that overflows at these arguments grows far faster
+    # than any power, so the tail certainly converges.
+    w1, w2 = 1e-6, 1e-9
     p1, p2 = phi(w1 ** -2), phi(w2 ** -2)
     if math.isinf(p1) or math.isinf(p2):
         return
@@ -204,6 +324,26 @@ def _probe_tail_divergence(phi: Callable[[float], float]) -> None:
         )
 
 
+def _x_over_phi(phi: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """s |-> e^s / phi(e^s) for an array phi: 1/phi on the log axis, x = e^s.
+
+    Where rounding flushes phi to zero (exp(x)-1 written out does below
+    2e-16) it takes sqrt(x), the leading behaviour of phi at 0; where phi is
+    nan (softened overflow in an expression, such as inf/inf) it takes 0,
+    as where phi overflows.
+    """
+    def f(s: np.ndarray) -> np.ndarray:
+        x = np.exp(s)
+        p = phi(x)
+        r = x / p
+        odd = ~(r < np.inf)
+        if odd.any():
+            r[odd] = np.where(p[odd] == 0.0, np.sqrt(x[odd]), 0.0)
+        return r
+
+    return f
+
+
 def reciprocal_integral(
     phi: Callable[[float], float],
     upper: float | None = None,
@@ -212,16 +352,19 @@ def reciprocal_integral(
 ) -> float:
     """integral_0^upper dx/phi(x) for an odd increasing phi; upper=None means infinity.
 
-    Raises QuadratureError when the improper tail diverges (detected from the
+    One array pass of GK15 panels in log x (_log_axis_integral), with phi
+    applied to arrays if it takes them and elementwise otherwise. Raises
+    QuadratureError when the improper tail diverges (detected from the
     growth exponent of phi before any panel work is spent).
     """
     if upper is not None:
-        if upper < 0.0:
+        if not upper >= 0.0:
             raise ValueError("upper must be nonnegative")
         if upper == 0.0:
             return 0.0
-        if upper <= 1.0:
-            return _near_part(phi, upper, tol)
-        return _near_part(phi, 1.0, 0.5 * tol) + _far_part(phi, 1.0, upper, 0.5 * tol)
-    _probe_tail_divergence(phi)
-    return _near_part(phi, 1.0, 0.5 * tol) + _far_part(phi, 1.0, None, 0.5 * tol)
+        if upper == math.inf:
+            upper = None
+    if upper is None:
+        _probe_tail_divergence(phi)
+    top = None if upper is None else math.log(upper)
+    return _log_axis_integral(_x_over_phi(_array_form(phi)), top, tol).value

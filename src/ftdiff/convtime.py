@@ -30,15 +30,15 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from ._quad import adaptive_simpson, reciprocal_integral, zoom_max
+from ._quad import _gk_panels, _refine, adaptive_simpson, zoom_max
 from .dgf import (
     AdmissibilityConstants,
     GeneratingFunction,
     ParamTriple,
     _arrays,
     _preimage,
+    _reciprocal_to,
     _slope_at_preimage,
-    invert_phi,
     nu1,
 )
 from .errors import (
@@ -279,34 +279,6 @@ def _delta0(dgf: GeneratingFunction, k3: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod panels
-
-# QUADPACK's 15-point Kronrod rule on [-1, 1], nodes from the edge to the
-# centre, and the weights of its embedded 7-point Gauss rule (zero at the
-# Kronrod-only nodes)
-_XK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-                0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-                0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-                0.207784955007898467600689403773245, 0.0])
-_WK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-                0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
-_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-                0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
-_GK_X = np.concatenate([-_XK, _XK[-2::-1]])
-_GK_WK = np.concatenate([_WK, _WK[-2::-1]])
-_GK_WG = np.concatenate([_WG, _WG[-2::-1]])
-
-
-def _gk_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """GK15 nodes, Kronrod and Gauss weights on the panels [lo, hi], each (P, 15)."""
-    half = 0.5 * (hi - lo)[:, None]
-    mid = 0.5 * (hi + lo)[:, None]
-    return mid + half * _GK_X, half * _GK_WK, half * _GK_WG
-
-
-# ---------------------------------------------------------------------------
 # exact unperturbed convergence time
 #
 # t0_exact lays out all of its panels on [0, T] before it evaluates any:
@@ -317,7 +289,6 @@ def _gk_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 _T0_GRADED = 6  # GK15 panels, halving toward a zero of h, on each side of it
 _T0_WIDTH = 3.0  # uniform panels are at most this many 1/|rate| wide
-_T0_ROUNDS = 10  # rounds of bisection before the estimate counts as unconverged
 _T0_MAX_NODES = 1 << 19  # nodes per call (4 MB per array) past which it raises
 _V_EDGES = [0.5 ** k for k in range(_T0_GRADED - 1, -1, -1)]  # graded panel ends past v = 0
 
@@ -335,11 +306,6 @@ class _Panels(NamedTuple):
     cubic: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-    def bisect(self, sel: np.ndarray) -> "_Panels":
-        mid = 0.5 * (self.lo[sel] + self.hi[sel])
-        return _Panels(*(np.tile(f[sel], 2) for f in self[:3]),
-                       np.concatenate([self.lo[sel], mid]), np.concatenate([mid, self.hi[sel]]))
 
 
 def _too_many_nodes(t_end: float) -> None:
@@ -576,26 +542,8 @@ def t0_exact(
         f *= 0.5 * np.abs(scale) * np.where(cubic, 3.0 * s * s, 1.0)  # dt/ds and the 1/2
         return (f * wk).sum(axis=-1), (f * wg).sum(axis=-1)
 
-    budget = 0.9 * tol
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k, g = sums(panels)
-        for rounds in range(_T0_ROUNDS + 1):
-            err = np.abs(k - g)
-            total = err.sum()
-            if total <= budget:
-                return float(k.sum())
-            split = err > budget / err.size  # the panels over their share
-            if (rounds == _T0_ROUNDS or not math.isfinite(total)
-                    or 15 * (k.size + split.sum()) > _T0_MAX_NODES):
-                break
-            halves = panels.bisect(split)
-            k2, g2 = sums(halves)
-            keep = ~split
-            panels = _Panels(*(np.concatenate([f[keep], h]) for f, h in zip(panels, halves)))
-            k, g = np.concatenate([k[keep], k2]), np.concatenate([g[keep], g2])
-    raise QuadratureError(
-        f"quadrature failure: t0 error estimate {total:.3e} above tolerance {tol:g} "
-        f"after {rounds} rounds of bisection")
+        return _refine(sums, panels, 0.9 * tol, _T0_MAX_NODES)[0]
 
 
 def single_exp_reduction(
@@ -618,8 +566,7 @@ def single_exp_reduction(
         raise ValueError("k3 must be a positive finite scalar")
     if c == 0.0:
         return 0.0
-    upper = abs(invert_phi(dgf, k3 * abs(c)))
-    return reciprocal_integral(dgf.phi, upper, tol=tol) / (k3 * -lam)
+    return _reciprocal_to(dgf, k3 * abs(c), tol).value / (k3 * -lam)
 
 
 # ---------------------------------------------------------------------------
@@ -1329,7 +1276,7 @@ def global_convtime_numeric(
         # the family; their full-line values have the closed reduction
         # B / (2 k3 |lam|), entered as explicit candidates so a supremum
         # attained only in the limit never chases the grid edge outward.
-        b_full = reciprocal_integral(dgf.phi, None, tol=min(1e-3 * inner_tol, 1e-9))
+        b_full = _reciprocal_to(dgf, None, min(1e-3 * inner_tol, 1e-9)).value
         lim_slow = b_full / (2.0 * kappa.k3 * -sys.lam1)
         lim_fast = b_full / (2.0 * kappa.k3 * -sys.lam2)
 
@@ -1345,7 +1292,7 @@ def global_convtime_numeric(
                 break
             lo_edge, hi_edge = 2.0 * lo_edge, 2.0 * hi_edge  # widen and rescan
         step = (hi_edge - lo_edge) / (half - 1)
-        arg, val = zoom_max(lambda lb: values(lb, sgn), best_lb, best_v, step)
+        arg, val, _ = zoom_max(lambda lb: values(lb, sgn), best_lb, best_v, step)
         argmax = sgn * 10.0 ** arg
         if lim_fast > val:
             val, argmax = lim_fast, 0.0
@@ -1360,7 +1307,8 @@ def global_convtime_numeric(
         thetas = math.pi * np.arange(grid_points) / grid_points
         vals = values(thetas)
         i = int(np.argmax(vals))
-        argmax, val = zoom_max(values, float(thetas[i]), float(vals[i]), math.pi / grid_points)
+        argmax, val, _ = zoom_max(values, float(thetas[i]), float(vals[i]),
+                                  math.pi / grid_points)
         search = "unit-circle"
     import logging  # here rather than at the top: importing ftdiff need not load logging
 

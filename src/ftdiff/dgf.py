@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._quad import reciprocal_integral, zoom_max
+from ._quad import (_Integral, _array_form, _log_axis_integral, _probe_tail_divergence,
+                    _x_over_phi, zoom_max)
 from .errors import (
     InversionRangeError,
     NotAdmissibleError,
@@ -228,16 +229,19 @@ def _ured_inverse(z: float) -> float:
     # phi(x) = sqrt(x)(1 + x) for x >= 0, so s = sqrt(x) solves the depressed
     # cubic s^3 + s = z. Cardano gives the unique real root; the subtraction
     # of cube roots loses digits for tiny z, so polish with two Newton steps.
+    # Past 1e100 the steps divide by s^2: s^3 overflows near the largest float.
     az = abs(z)
     if az == 0.0:
         return 0.0
     if az > 1e100:
         s = az ** (1.0 / 3.0)
+        for _ in range(2):
+            s -= (s - az / (s * s) + 1.0 / s) / (3.0 + 1.0 / (s * s))
     else:
         r = math.sqrt(0.25 * az * az + 1.0 / 27.0)
         s = (r + 0.5 * az) ** (1.0 / 3.0) - (r - 0.5 * az) ** (1.0 / 3.0)
-    for _ in range(2):
-        s -= (s * (s * s + 1.0) - az) / (3.0 * s * s + 1.0)
+        for _ in range(2):
+            s -= (s * (s * s + 1.0) - az) / (3.0 * s * s + 1.0)
     return math.copysign(s * s, z)
 
 
@@ -506,28 +510,6 @@ def invert_phi(dgf: GeneratingFunction, z: float, *, rel_tol: float = _REL_TOL) 
 # array forms
 
 
-_PROBE = np.array([-2.5, -0.7, 0.3, 1.0, 4.0])
-
-
-def _array_form(fn: ScalarMap) -> Callable[[np.ndarray], np.ndarray]:
-    """fn itself if it maps a probe array to its scalar values, else fn elementwise.
-
-    Compiled expressions and numpy functions pass; a callable written for
-    floats, such as a lambda over math, fails the probe or raises on it,
-    and is applied one element at a time.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            out = fn(_PROBE)
-            if (isinstance(out, np.ndarray) and out.shape == _PROBE.shape and np.allclose(
-                    out, [fn(p) for p in _PROBE.tolist()], rtol=1e-12, atol=0.0, equal_nan=True)):
-                return fn
-    except Exception:  # whatever it raises on an array, it is a scalar-only callable
-        pass
-    each = np.frompyfunc(fn, 1, 1)
-    return lambda a: each(a).astype(float)
-
-
 class _ArrayForms(NamedTuple):
     phi: Callable[[np.ndarray], np.ndarray]
     phi_prime: Callable[[np.ndarray], np.ndarray]
@@ -748,6 +730,27 @@ _CHECK_GRID = _log_grid(1e-8, 1e8, 100)
 _DIFF_GRID = _log_grid(1e-3, 1e3, 13)
 _SLOPE_POINTS = np.array([10.0 ** -k for k in range(4, 13, 2)])
 _RATIO_POINTS = np.array([1e-6, 1e-9, 1e-12])
+_DIFF_STEP = 1e-6 * _DIFF_GRID
+
+
+def _points(*parts: np.ndarray) -> tuple[np.ndarray, list[slice]]:
+    """The parts laid end to end, and the slices that take a result on them back apart."""
+    ends = np.cumsum([0] + [p.size for p in parts]).tolist()
+    return np.concatenate(parts), [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
+# check_dgf calls each callable once, on these points
+_CHECK_PHI_AT = _points(_CHECK_GRID, -_CHECK_GRID, _DIFF_GRID + _DIFF_STEP,
+                        _DIFF_GRID - _DIFF_STEP)
+_CHECK_PRIME_AT = _points(_DIFF_GRID, _DIFF_GRID + _DIFF_STEP, _DIFF_GRID - _DIFF_STEP,
+                          _CHECK_GRID, _SLOPE_POINTS, _RATIO_POINTS)
+_CHECK_SECOND_AT = _points(_DIFF_GRID, _RATIO_POINTS)
+
+
+def _at(fn: Callable[[np.ndarray], np.ndarray],
+        points: tuple[np.ndarray, list[slice]]) -> list[np.ndarray]:
+    values = fn(points[0])
+    return [values[part] for part in points[1]]
 
 
 def _worst(err: np.ndarray, grid: np.ndarray) -> tuple[float, Optional[float]]:
@@ -769,8 +772,11 @@ def check_dgf(dgf: GeneratingFunction) -> CheckReport:
     grid = _CHECK_GRID
 
     with np.errstate(all="ignore"):
+        p, q, f_hi, f_lo = _at(phi, _CHECK_PHI_AT)
+        d, d_hi, d_lo, d_grid, slopes, d_ratio = _at(phi_prime, _CHECK_PRIME_AT)
+        s, second = _at(phi_second, _CHECK_SECOND_AT)
+
         # (1) odd symmetry; in the overflow range the signs must still mirror
-        p, q = phi(grid), phi(-grid)
         err = np.where(np.isfinite(p) & np.isfinite(q),
                        np.abs(p + q) / np.maximum(np.abs(p), 1e-300),
                        np.where(p == -q, 0.0, np.inf))
@@ -782,15 +788,11 @@ def check_dgf(dgf: GeneratingFunction) -> CheckReport:
         )
 
         # (2) derivative consistency away from zero (smoothness proxy)
-        x = _DIFF_GRID
-        h = 1e-6 * x
-        fd1 = (phi(x + h) - phi(x - h)) / (2.0 * h)
-        d = phi_prime(x)
+        fd1 = (f_hi - f_lo) / (2.0 * _DIFF_STEP)
         e1 = np.abs(fd1 - d) / np.maximum(np.abs(d), 1e-300)
-        fd2 = (phi_prime(x + h) - phi_prime(x - h)) / (2.0 * h)
-        s = phi_second(x)
+        fd2 = (d_hi - d_lo) / (2.0 * _DIFF_STEP)
         e2 = np.abs(fd2 - s) / np.maximum(np.maximum(np.abs(s), np.abs(fd2)), 1e-300)
-        worst, witness = _worst(np.where(e2 > e1, e2, e1), x)
+        worst, witness = _worst(np.where(e2 > e1, e2, e1), _DIFF_GRID)
         ok = worst <= 1e-3
         items.append(
             CheckItem(2, "smooth away from zero", ok, None if ok else witness,
@@ -800,14 +802,12 @@ def check_dgf(dgf: GeneratingFunction) -> CheckReport:
         # (3) strictly increasing; nan samples (softened overflow in a custom
         # expression, e.g. inf/inf far out on the grid) carry no sign information
         # and are skipped rather than counted as failures
-        d = phi_prime(grid)
-        bad = np.flatnonzero(~(d > 0.0) & ~np.isnan(d))
+        bad = np.flatnonzero(~(d_grid > 0.0) & ~np.isnan(d_grid))
         witness = float(grid[bad[0]]) if bad.size else None
         items.append(CheckItem(3, "strictly increasing", witness is None, witness,
                                "" if witness is None else f"(phi'({witness:g}) <= 0)"))
 
         # (4) slope blows up at the origin
-        slopes = phi_prime(_SLOPE_POINTS)
         increasing = bool(np.all(slopes[1:] > slopes[:-1]))
         ok = increasing and bool(slopes[-1] >= 1e3)
         items.append(
@@ -816,9 +816,7 @@ def check_dgf(dgf: GeneratingFunction) -> CheckReport:
         )
 
         # (5) curvature ratio |2 phi'^3 / phi''| tends to one
-        second = phi_second(_RATIO_POINTS)
-        ratios = np.where(second == 0.0, np.inf,
-                          np.abs(2.0 * phi_prime(_RATIO_POINTS) ** 3 / second))
+        ratios = np.where(second == 0.0, np.inf, np.abs(2.0 * d_ratio ** 3 / second))
     errs = np.abs(ratios - 1.0).tolist()
     ok = all(b <= a + 1e-15 for a, b in zip(errs, errs[1:])) and errs[-1] <= 1e-2
     items.append(
@@ -838,25 +836,42 @@ _SCAN_LOG = np.array([-9.0 + i * _SCAN_STEP for i in range(2001)])
 _SCAN_GRID = np.array([10.0 ** t for t in _SCAN_LOG.tolist()])
 
 
-def _sup_on_log_grid(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, bool]:
-    """Supremum of f over the scan grid, refined by zoom rounds; nan samples are skipped.
+def _reciprocal_to(dgf: GeneratingFunction, w: Optional[float], tol: float) -> _Integral:
+    """integral_0^{Phi^-1(w)} dx / Phi(x) in one pass on the log axis; w=None gives B.
 
-    Returns (value, at_upper_edge). The refinement works on the log axis
-    between the grid neighbors of the best point; at_upper_edge flags a
-    supremum that keeps growing toward the right end of the grid.
+    The built-ins integrate 1/Phi'(Phi^-1(e^u)) over u = log Phi(x) < log w,
+    with no scalar calls; other functions x/Phi(x) over log x. For the whole
+    line, raises QuadratureError when the tail diverges.
     """
-    def g(x: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            v = f(x)
-        return np.where(np.isnan(v), -np.inf, v)
+    slope = dgf._inverse_slope
+    if w is None or w == math.inf:
+        _probe_tail_divergence(dgf.phi)
+        top = None
+    else:
+        end = w if slope is not None else invert_phi(dgf, w)  # in log Phi(x), else in log x
+        if end == 0.0:
+            return _Integral(0.0, 0.0, 0, 0)
+        top = math.log(end)
+    if slope is None:
+        return _log_axis_integral(_x_over_phi(_arrays(dgf).phi), top, tol)
+    return _log_axis_integral(lambda u: slope(np.exp(u)), top, tol)
 
-    v = g(_SCAN_GRID)
-    i = int(np.argmax(v))
-    _, value = zoom_max(lambda t: g(10.0 ** np.clip(t, _SCAN_LOG[0], _SCAN_LOG[-1])),
-                        float(_SCAN_LOG[i]), float(v[i]), _SCAN_STEP)
-    return value, i == v.size - 1
+
+def _c_and_d(d_c: np.ndarray, d_d: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Rows 1/phi' (inf where phi' <= 0) and |phi''| / (2 |phi'|^3) (nan where phi''
+    overflows), from phi' at their points and phi'' at the second's; nan is -inf.
+    """
+    v = np.empty((2,) + d_c.shape)
+    np.divide(1.0, d_c, out=v[0])
+    v[0][d_c <= 0.0] = np.inf
+    num = np.abs(second)
+    np.divide(num, 2.0 * np.abs(d_d) ** 3, out=v[1])
+    v[1][~(num < np.inf)] = np.nan
+    v[np.isnan(v)] = -np.inf
+    return v
 
 
+@functools.lru_cache(maxsize=64)
 def compute_admissibility(
     dgf: GeneratingFunction,
     *,
@@ -865,13 +880,18 @@ def compute_admissibility(
 ) -> AdmissibilityConstants:
     """Compute (B, C, D) numerically and reconcile with claimed constants.
 
-    B is the reciprocal integral of phi; C and D are suprema over a log
-    grid spanning [1e-9, 1e9], refined by batched zoom rounds. If the
-    claimed constants agree within match_rel_tol the claimed (exact)
-    values are returned; otherwise the computed ones, flagged inexact.
+    B is the reciprocal integral of phi; C and D are suprema over a log grid
+    spanning [1e-9, 1e9], from one scan of phi' and phi'', refined side by
+    side by batched zoom rounds. If the claimed constants agree within
+    match_rel_tol the claimed (exact) values are returned; otherwise the
+    computed ones, flagged inexact. The result is computed once per (dgf,
+    quad_tol, match_rel_tol) and shared: the callables of dgf are taken to
+    be pure, as the other per-function caches take them. Each computation
+    logs one DEBUG record on the "ftdiff" logger: B's panels, values and
+    error estimate, where C and D peak, zoom rounds that moved, grid edges.
 
-    Raises NotAdmissibleError when the reciprocal integral diverges or a
-    supremum is unbounded.
+    Raises NotAdmissibleError, which is not cached, when the reciprocal
+    integral diverges or a supremum is unbounded.
     """
     report = check_dgf(dgf)
     if not report.passed:
@@ -881,7 +901,7 @@ def compute_admissibility(
         )
 
     try:
-        b_val = reciprocal_integral(dgf.phi, None, tol=quad_tol)
+        b = _reciprocal_to(dgf, None, quad_tol)
     except QuadratureError as exc:
         raise NotAdmissibleError(
             f"not admissible: item (i) fails, reciprocal integral of {dgf.name!r} "
@@ -890,26 +910,40 @@ def compute_admissibility(
 
     _, phi_prime, phi_second, _ = _arrays(dgf)
 
-    def c_integrand(x: np.ndarray) -> np.ndarray:
-        # 1/phi', inf where phi' <= 0; nan (no information) where phi' is nan
+    def probe(t: np.ndarray) -> np.ndarray:
+        # rows of t: C's probes, D's probes, on the log axis
+        x = 10.0 ** np.minimum(np.maximum(t, _SCAN_LOG[0]), _SCAN_LOG[-1])
         d = phi_prime(x)
-        return np.where(d > 0.0, 1.0 / d, np.where(np.isnan(d), np.nan, np.inf))
+        return _c_and_d(d[0], d[1], phi_second(x[1]))
 
-    c_val, c_at_edge = _sup_on_log_grid(c_integrand)
-    if c_at_edge:
+    with np.errstate(all="ignore"):
+        d = phi_prime(_SCAN_GRID)
+        v = _c_and_d(d, d, phi_second(_SCAN_GRID))
+        i = np.argmax(v, axis=1)
+        (c_at, d_at), (c_val, d_raw), moved = zoom_max(probe, _SCAN_LOG[i], v[(0, 1), i],
+                                                       _SCAN_STEP)
+    c_val, d_raw = float(c_val), float(d_raw)
+    if i[0] == v.shape[1] - 1:
         raise NotAdmissibleError(
             f"not admissible: item (ii) fails, 1/phi' of {dgf.name!r} grows without bound"
         )
-
-    def d_integrand(x: np.ndarray) -> np.ndarray:
-        # |phi''| / (2 |phi'|^3): about 0 where the slope cubed overflows, nan
-        # where the curvature overflows
-        num = np.abs(phi_second(x))
-        return np.where(np.isfinite(num), num / (2.0 * np.abs(phi_prime(x)) ** 3), np.nan)
-
-    d_raw, _ = _sup_on_log_grid(d_integrand)
     d_val = max(d_raw, 1.0)
 
+    import logging  # here rather than at the top: importing ftdiff need not load logging
+
+    log = logging.getLogger("ftdiff")
+    if log.isEnabledFor(logging.DEBUG):
+        edges = [f"{row} at the {'lower' if j == 0 else 'upper'} end"
+                 for row, j in zip("CD", i.tolist()) if j in (0, v.shape[1] - 1)]
+        info = {"b": b._asdict(), "c_at": 10.0 ** c_at, "d_at": 10.0 ** d_at,
+                "moved": moved.tolist(), "edges": edges}
+        log.debug("compute_admissibility %s: B %.17g from %d panels, %d values, error "
+                  "estimate %.2e; C peaks at x = %.6g, D at x = %.6g; zoom rounds moved %d "
+                  "(C), %d (D); grid edge: %s", dgf.name, b.value, b.panels, b.values,
+                  b.error, info["c_at"], info["d_at"], *info["moved"],
+                  ", ".join(edges) or "none", extra=info)
+
+    b_val = b.value
     claimed = dgf.claimed_constants
     if claimed is not None:
         db = abs(b_val - claimed.B) / claimed.B

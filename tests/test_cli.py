@@ -27,14 +27,16 @@ def test_imports_only_stdlib_numpy_and_ftdiff():
         "before = {m.partition('.')[0] for m in sys.modules}\n"
         "import ftdiff, ftdiff.cli\n"
         "after = {m.partition('.')[0] for m in sys.modules}\n"
-        "print(json.dumps(sorted(after - before - set(sys.stdlib_module_names))))\n"
+        "print(json.dumps(sorted(after - before)))\n"
     )
     src = str(Path(ftdiff.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                          timeout=60, check=True, capture_output=True, text=True).stdout
-    added = json.loads(out)
+    added = set(json.loads(out))
     assert "ftdiff" in added and "numpy" in added
-    assert set(added) <= {"ftdiff", "numpy"}, added
+    assert added - set(sys.stdlib_module_names) <= {"ftdiff", "numpy"}, added
+    # cli and convtime import logging only where a record is made or -v is given
+    assert "logging" not in added
 
 
 class TestTopLevel:
@@ -134,6 +136,20 @@ class TestCheck:
 
 
 class TestCustomExpressions:
+    def test_verbose_check_logs_the_admissibility_record(self, capsys):
+        argv = ("check", "--phi", "sign(x)*(sqrt(abs(x)) + abs(x)**1.5)",
+                "--phi-prime", "0.5/sqrt(abs(x)) + 1.5*sqrt(abs(x))",
+                "--phi-second", "sign(x)*(-0.25*abs(x)**-1.5 + 0.75*abs(x)**-0.5)")
+        for form in ((), ("--format", "json")):
+            code, quiet, quiet_err = run_cli(capsys, *argv, *form)
+            assert code == 0 and quiet_err == ""
+            # each run compiles new callables, so the constants are computed again
+            code, loud, err = run_cli(capsys, "-v", *argv, *form)
+            assert code == 0 and loud == quiet
+            [line] = err.splitlines()
+            assert line.startswith("ftdiff: compute_admissibility custom: B 3.14159265")
+            assert "grid edge: D at the lower end" in line
+
     def test_partial_flags_rejected(self, capsys):
         code, _, err = run_cli(capsys, "check", "--phi", "x")
         assert code == 2

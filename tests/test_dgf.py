@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import logging
 import math
 
 import numpy as np
@@ -132,8 +133,8 @@ class TestBuiltins:
         assert expdgf.phi(-1500.0) == -math.inf
 
 
-def _ured_slope_60_digits(w: float) -> decimal.Decimal:
-    """2s/(1 + 3s^2) with s^3 + s = w, by Newton's method at 60 digits."""
+def _ured_root_60_digits(w: float) -> decimal.Decimal:
+    """The root s of s^3 + s = w, by Newton's method at 60 digits."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         wd = decimal.Decimal(w)
@@ -143,6 +144,14 @@ def _ured_slope_60_digits(w: float) -> decimal.Decimal:
             s -= step
             if abs(step) <= s * decimal.Decimal("1e-50"):
                 break
+        return s
+
+
+def _ured_slope_60_digits(w: float) -> decimal.Decimal:
+    """2s/(1 + 3s^2) with s^3 + s = w, at 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        s = _ured_root_60_digits(w)
         return 2 * s / (1 + 3 * s * s)
 
 
@@ -188,6 +197,22 @@ class TestInversion:
         back = invert_phi(dgf, z)
         assert back == pytest.approx(x, rel=1e-10)
         assert invert_phi(dgf, -z) == pytest.approx(-x, rel=1e-10)
+
+    def test_ured_inverse_within_1e_14_of_a_60_digit_root(self, ured):
+        # phi^-1(z) = s^2 up to the largest float, where s^3 overflows; relative
+        # while s^2 is a normal float (z above about 1.5e-154), absolute below
+        zs = np.concatenate([np.logspace(-300.0, math.log10(1.7e308), 1200),
+                             [1e100, 1.0000000000000002e100, 1.5e308, 1.7976931348623157e308]])
+        worst = decimal.Decimal(0)
+        for z in zs.tolist():
+            x = invert_phi(ured, z)
+            assert invert_phi(ured, -z) == -x
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                want = _ured_root_60_digits(z) ** 2
+                scale = max(want, decimal.Decimal(2.2250738585072014e-308))
+                worst = max(worst, abs(decimal.Decimal(x) - want) / scale)
+        assert worst <= decimal.Decimal("1e-14")
 
     def test_ured_cardano_extremes(self, ured):
         for z in (1e-300, 1e-20, 1e-3, 0.9, 3.0, 1e80, 1e120, 1e200):
@@ -422,6 +447,24 @@ class TestComputeAdmissibility:
         with pytest.raises(NotAdmissibleError):
             compute_admissibility(sqrtdgf)
 
+    @pytest.mark.parametrize("name, C, d_raw", [
+        ("ured", 0.5773502691896178, 0.9999999880000001),
+        ("exp", 0.9999999999999369, 0.999999997),
+        ("custom", 0.5773502691896178, 0.9999999880000001),
+    ])
+    def test_computed_without_claims(self, name, C, d_raw):
+        # the built-ins' B from their inverse slope, custom ured's from phi on
+        # the log axis; C and d_raw are the values of the separate scans that
+        # one scan replaced
+        if name == "custom":
+            dgf = GeneratingFunction(name, *(compile_expression(t) for t in URED_EXPRESSIONS))
+        else:
+            dgf = dataclasses.replace(builtin_dgf(name), claimed_constants=None)
+        c = compute_admissibility(dgf)
+        assert not c.exact and abs(c.B - math.pi) <= 1e-10
+        assert c.C == pytest.approx(C, rel=1e-12, abs=0.0)
+        assert c.d_raw == pytest.approx(d_raw, rel=1e-12, abs=0.0) and c.D == 1.0
+
     def test_wrong_claim_replaced_by_computed(self, ured):
         liar = GeneratingFunction(
             name="liar",
@@ -460,6 +503,73 @@ def _math_ured():
         phi_prime=lambda x: 0.5 / math.sqrt(abs(x)) + 1.5 * math.sqrt(abs(x)),
         phi_second=lambda x: math.copysign(0.25, x) * (3.0 * abs(x) - 1.0) / abs(x) ** 1.5,
     )
+
+
+def _counted(name, exprs):
+    """A generating function from expressions, and the values its callables evaluated."""
+    counts = {"phi": 0, "phi_prime": 0, "phi_second": 0}
+
+    def counting(field, fn):
+        def f(x):
+            counts[field] += np.size(x)
+            return fn(x)
+        return f
+
+    fns = (counting(f, compile_expression(t)) for f, t in zip(counts, exprs))
+    return GeneratingFunction(name, *fns), counts
+
+
+class TestAdmissibilityCache:
+    def test_second_call_is_shared_and_evaluates_nothing(self):
+        custom, counts = _counted("counted", URED_EXPRESSIONS)
+        first = compute_admissibility(custom)
+        spent = dict(counts)
+        assert all(spent.values())
+        assert compute_admissibility(custom) is first
+        assert counts == spent
+
+    def test_replaced_copy_computes_afresh(self):
+        custom, counts = _counted("counted", URED_EXPRESSIONS)
+        first = compute_admissibility(custom)
+        spent = dict(counts)
+        again = compute_admissibility(dataclasses.replace(custom))
+        assert again is not first and again == first
+        assert all(counts[f] > spent[f] for f in counts)
+
+    def test_quad_tol_is_its_own_entry(self):
+        custom, counts = _counted("counted", URED_EXPRESSIONS)
+        first = compute_admissibility(custom)
+        spent = counts["phi"]
+        finer = compute_admissibility(custom, quad_tol=1e-11)
+        assert finer is not first and counts["phi"] > spent
+        assert compute_admissibility(custom, quad_tol=1e-11) is finer
+        assert abs(finer.B - math.pi) <= 1e-11
+
+    def test_not_admissible_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(NotAdmissibleError):
+                compute_admissibility(builtin_dgf("sqrt"))
+
+    def test_each_computation_logs_one_record(self, caplog):
+        custom, _ = _counted("counted", URED_EXPRESSIONS)
+        with caplog.at_level(logging.DEBUG, logger="ftdiff"):
+            compute_admissibility(custom)
+            compute_admissibility(custom)  # the cache answers: no record
+        [record] = caplog.records
+        assert record.name == "ftdiff" and record.levelno == logging.DEBUG
+        b = record.b
+        assert b["values"] >= 15 * b["panels"] > 0
+        assert 0.0 < b["error"] <= 1e-9 and abs(b["value"] - math.pi) <= 1e-10
+        # 1/phi' peaks where phi' = 1/(2 sqrt x) + 1.5 sqrt x is least, at x = 1/3;
+        # the curvature ratio tends to one from below toward x = 0
+        assert record.c_at == pytest.approx(1.0 / 3.0, rel=1e-5)
+        assert record.d_at == pytest.approx(1e-9, rel=1e-12)
+        assert record.moved[0] > 0 and record.moved[1] == 0
+        assert record.edges == ["D at the lower end"]
+        message = record.getMessage()
+        assert message.startswith("compute_admissibility counted: B ")
+        assert f"from {b['panels']} panels, {b['values']} values" in message
+        assert message.endswith("grid edge: D at the lower end")
 
 
 class TestArrayForms:

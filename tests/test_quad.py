@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ftdiff._quad import adaptive_simpson, golden_max, reciprocal_integral
@@ -76,3 +77,55 @@ class TestReciprocalIntegral:
         # phi(x) = x: the tail of 1/x is logarithmic
         with pytest.raises(QuadratureError):
             reciprocal_integral(lambda x: x, None, tol=1e-8)
+
+    # Phi(x) = sign(x)(sqrt|x| + |x|^a): with x = t^2 the integral up to U is
+    # that of 2/(1 + t^(2a-1)) up to sqrt U, 2T 2F1(1, 1/p; 1 + 1/p; -T^p) with
+    # p = 2a - 1 and T = sqrt U, and (2pi/p)/sin(pi/p) over the whole line
+    UPPERS = [None] + [10.0 ** k for k in range(-300, 301, 20)]
+
+    @staticmethod
+    def _power_reference(a, upper):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            p = mpmath.mpf(2 * a - 1)
+            if upper is None:
+                return float(2 * (mpmath.pi / p) / mpmath.sin(mpmath.pi / p))
+            t = mpmath.sqrt(mpmath.mpf(upper))
+            return float(2 * t * mpmath.hyp2f1(1, 1 / p, 1 + 1 / p, -t ** p))
+
+    @pytest.mark.parametrize("a", [1.1, 1.5, 3.0])
+    def test_power_tails_against_mpmath(self, a):
+        phi = lambda x: np.sign(x) * (np.sqrt(np.abs(x)) + np.abs(x) ** a)  # takes arrays
+        for upper in self.UPPERS:
+            want = self._power_reference(a, upper)
+            got = reciprocal_integral(phi, upper, tol=1e-10)
+            assert abs(got - want) <= 1e-10 * want, (upper, got, want)
+
+    def test_exp_against_mpmath(self, expdgf):
+        # integral_0^U dx / sqrt(e^x - 1) = 2 atan(sqrt(e^U - 1)); phi takes floats only
+        mpmath = pytest.importorskip("mpmath")
+        for upper in self.UPPERS:
+            with mpmath.workdps(40):
+                want = float(mpmath.pi if upper is None else
+                             2 * mpmath.atan(mpmath.sqrt(mpmath.expm1(mpmath.mpf(upper)))))
+            got = reciprocal_integral(expdgf.phi, upper, tol=1e-10)
+            assert abs(got - want) <= 1e-10 * want, (upper, got, want)
+
+    def test_nan_past_overflow_counts_as_overflow(self):
+        # ured written so that phi is inf/inf = nan far out, as softened
+        # overflow in an expression can be
+        phi = lambda x: (np.sign(x) * np.sqrt(np.abs(x)) * (1.0 + np.abs(x))
+                         * np.exp(np.abs(x) / 1e300) / np.exp(np.abs(x) / 1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(phi(np.array([1e308]))[0])
+        assert reciprocal_integral(phi, None, tol=1e-10) == pytest.approx(math.pi, rel=1e-12)
+
+    def test_infinite_upper_is_the_whole_line(self, ured, sqrtdgf):
+        assert reciprocal_integral(ured.phi, math.inf) == reciprocal_integral(ured.phi)
+        with pytest.raises(QuadratureError):
+            reciprocal_integral(sqrtdgf.phi, math.inf)
+
+    @pytest.mark.parametrize("upper", [-1.0, math.nan])
+    def test_bad_upper(self, ured, upper):
+        with pytest.raises(ValueError):
+            reciprocal_integral(ured.phi, upper)
