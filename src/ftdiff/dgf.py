@@ -760,12 +760,13 @@ def _worst(err: np.ndarray, grid: np.ndarray) -> tuple[float, Optional[float]]:
     return float(err[i]), (float(grid[i]) if err[i] > 0.0 else None)
 
 
+@functools.lru_cache(maxsize=64)
 def check_dgf(dgf: GeneratingFunction) -> CheckReport:
     """Verify the five defining requirements on sampled grids.
 
     Sampling cannot prove the limits, so items (iv) and (v) check the trend
     over shrinking arguments; that reliably separates genuine generating
-    functions from smooth maps such as Phi(x) = x.
+    functions from smooth maps such as Phi(x) = x. The report is shared per function.
     """
     phi, phi_prime, phi_second, _ = _arrays(dgf)
     items: list[CheckItem] = []

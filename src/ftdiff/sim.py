@@ -465,7 +465,5 @@ def result_to_csv(result: SimResult) -> str:
     fd = result.x2_series + result.y2_series
     cols = (result.times, f, fd, result.y1_series, result.y2_series,
             result.x1_series, result.x2_series)
-    # one %-format per row over plain floats; numpy scalars format far slower
-    row = "%.10g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-    lines = map(row.__mod__, zip(*(c.tolist() for c in cols)))
-    return "\n".join(["t,f,f_dot,y1,y2,x1,x2", *lines]) + "\n"
+    from . import _gfmt  # here rather than at the top: importing ftdiff need not load it
+    return _gfmt.csv_text("t,f,f_dot,y1,y2,x1,x2", cols, (10, 17, 17, 17, 17, 17, 17))

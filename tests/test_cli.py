@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ftdiff
@@ -27,16 +28,23 @@ def test_imports_only_stdlib_numpy_and_ftdiff():
         "before = {m.partition('.')[0] for m in sys.modules}\n"
         "import ftdiff, ftdiff.cli\n"
         "after = {m.partition('.')[0] for m in sys.modules}\n"
-        "print(json.dumps(sorted(after - before)))\n"
+        "formatter = 'ftdiff._gfmt' in sys.modules\n"
+        "import ftdiff._gfmt as g\n"
+        "built = [f.cache_info().currsize for f in (g._tables, g._layouts)]\n"
+        "print(json.dumps([sorted(after - before), formatter, built]))\n"
     )
     src = str(Path(ftdiff.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                          timeout=60, check=True, capture_output=True, text=True).stdout
-    added = set(json.loads(out))
+    added, formatter, built = json.loads(out)
+    added = set(added)
     assert "ftdiff" in added and "numpy" in added
     assert added - set(sys.stdlib_module_names) <= {"ftdiff", "numpy"}, added
     # cli and convtime import logging only where a record is made or -v is given
     assert "logging" not in added
+    # result_to_csv imports its formatter, which builds its tables on first use
+    assert not formatter and built == [0, 0]
+    assert not added & {"fractions", "decimal"}
 
 
 class TestTopLevel:
@@ -149,6 +157,30 @@ class TestCustomExpressions:
             [line] = err.splitlines()
             assert line.startswith("ftdiff: compute_admissibility custom: B 3.14159265")
             assert "grid edge: D at the lower end" in line
+
+    def test_check_evaluates_each_callable_on_the_check_points_once(self, capsys, monkeypatch):
+        from ftdiff import cli, dgf
+        from ftdiff.expr import compile_expression
+
+        calls = []
+
+        def counting(text):
+            fn = compile_expression(text)
+
+            def f(x):
+                calls.append((text, np.array(x, dtype=float)))
+                return fn(x)
+            return f
+
+        monkeypatch.setattr(cli, "compile_expression", counting)
+        texts = ("sign(x)*(sqrt(abs(x)) + abs(x)**1.5)", "0.5/sqrt(abs(x)) + 1.5*sqrt(abs(x))",
+                 "sign(x)*(-0.25*abs(x)**-1.5 + 0.75*abs(x)**-0.5)")
+        code, out, _ = run_cli(capsys, "check", "--phi", texts[0], "--phi-prime", texts[1],
+                               "--phi-second", texts[2])
+        assert code == 0 and "admissible: yes" in out
+        for text, (points, _) in zip(texts, (dgf._CHECK_PHI_AT, dgf._CHECK_PRIME_AT,
+                                             dgf._CHECK_SECOND_AT)):
+            assert sum(t == text and np.array_equal(x, points) for t, x in calls) == 1
 
     def test_partial_flags_rejected(self, capsys):
         code, _, err = run_cli(capsys, "check", "--phi", "x")

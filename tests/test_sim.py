@@ -567,3 +567,46 @@ class TestCsv:
         text = result_to_csv(out)
         assert "nan" in text and "-inf" in text
         assert text == "\n".join(lines) + "\n"
+
+
+def _per_element_csv(out):
+    """result_to_csv's text from one f-string per element, as in TestCsv."""
+    cols = [out.times, out.x1_series + out.y1_series, out.x2_series + out.y2_series,
+            out.y1_series, out.y2_series, out.x1_series, out.x2_series]
+    t, *rest = (c.tolist() for c in cols)
+    lines = ["t,f,f_dot,y1,y2,x1,x2"]
+    for row in zip(t, *rest):
+        lines.append(f"{row[0]:.10g}," + ",".join(f"{v:.17g}" for v in row[1:]))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvFullSize:
+    def test_fig1_results(self, expdgf, fig1_result):
+        assert result_to_csv(fig1_result) == _per_element_csv(fig1_result)
+        out = run(expdgf, KAPPA_EXP, Fig1Signal(), FIG1_CONFIG)
+        assert out.times.size == 40001
+        assert result_to_csv(out) == _per_element_csv(out)
+
+    def test_slope_run(self, ured):
+        out = run(ured, KAPPA_URED, SlopeSignal(1.0, 2.5), FIG1_CONFIG)
+        assert result_to_csv(out) == _per_element_csv(out)
+
+    def test_truncated_by_divergence(self, ured):
+        # forward Euler diverges for ured from |x1| = 1e5; the estimates pass 1e175
+        sig = SampledSignal(np.zeros(5001), 1e-4, derivative=np.zeros(5001))
+        out = run(ured, KAPPA_URED, sig, SimConfig(Ts=1e-4, horizon=0.5),
+                  DifferentiatorState(-1e5, 0.0), raise_on_divergence=False)
+        assert out.diverged and 1 < out.times.size < 5001
+        assert result_to_csv(out) == _per_element_csv(out)
+
+    def test_diverged_at_step_zero_is_header_only(self, ured):
+        out = run(ured, KAPPA_URED, Fig1Signal(), FIG1_CONFIG,
+                  DifferentiatorState(math.inf, 0.0), raise_on_divergence=False)
+        assert out.diverged and out.times.size == 0
+        assert result_to_csv(out) == _per_element_csv(out) == "t,f,f_dot,y1,y2,x1,x2\n"
+
+    def test_sampled_signal_without_derivative(self, ured):
+        sig = SampledSignal(values=np.sin(np.arange(20001) * 1e-4), sample_period=1e-4)
+        out = run(ured, KAPPA_URED, sig, SimConfig(Ts=1e-4, horizon=2.0))
+        assert np.isnan(out.x2_series).all()
+        assert result_to_csv(out) == _per_element_csv(out)
