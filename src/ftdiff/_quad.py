@@ -204,32 +204,36 @@ def zoom_max(
 _ROUNDS = 10  # rounds of bisection before an estimate counts as unconverged
 
 
-def _refine(sums: Callable, panels: NamedTuple, budget: float, max_nodes: int) -> tuple:
+def _refine(sums: Callable, panels: np.ndarray, k: np.ndarray, g: np.ndarray, budget: float,
+            max_nodes: int) -> tuple:
     """Bisect the panels whose |Kronrod - Gauss| exceeds their share of budget, until within it.
 
-    panels is a NamedTuple of (P,) arrays ending in the panel ends lo and
-    hi; sums maps it to the Kronrod and Gauss sums on each panel. Returns
-    (Kronrod total, |Kronrod - Gauss| total, panels). Raises QuadratureError
-    where that total is not finite or stays above budget after _ROUNDS
-    rounds, or the panels would need more than max_nodes nodes.
+    panels is an (F, P) array whose last two rows are the panel ends lo and
+    hi, or a function that makes it, called before the first bisection;
+    sums maps such an array to the Kronrod and Gauss sums on each panel,
+    and k, g are those of panels. Returns (Kronrod total, |Kronrod - Gauss|
+    total, panel count, rounds of bisection). Raises QuadratureError where
+    that total is not finite or stays above budget after _ROUNDS rounds, or
+    the panels would need more than max_nodes nodes.
     """
-    k, g = sums(panels)
     for rounds in range(_ROUNDS + 1):
         err = np.abs(k - g)
         total = err.sum()
         if total <= budget:
-            return float(k.sum()), float(total), panels
+            return float(k.sum()), float(total), k.size, rounds
         split = err > budget / err.size  # the panels over their share
         if (rounds == _ROUNDS or not math.isfinite(total)
                 or 15 * (k.size + split.sum()) > max_nodes):
             break
-        lo, hi = panels[-2][split], panels[-1][split]
-        mid = 0.5 * (lo + hi)
-        halves = panels._make([*(np.tile(f[split], 2) for f in panels[:-2]),
-                               np.concatenate([lo, mid]), np.concatenate([mid, hi])])
+        if callable(panels):
+            panels = panels()
+        part = panels[:, split]
+        n = part.shape[1]
+        halves = np.concatenate([part, part], axis=1)  # left halves, then right halves
+        halves[-1, :n] = halves[-2, n:] = 0.5 * (part[-2] + part[-1])
         k2, g2 = sums(halves)
         keep = ~split
-        panels = panels._make(np.concatenate([f[keep], h]) for f, h in zip(panels, halves))
+        panels = np.concatenate([panels[:, keep], halves], axis=1)
         k, g = np.concatenate([k[keep], k2]), np.concatenate([g[keep], g2])
     raise QuadratureError(f"quadrature failure: error estimate {total:.3e} above {budget:.3g} "
                           f"after {rounds} rounds of bisection")
@@ -244,11 +248,6 @@ _S_MAX = math.log(1.7976931348623157e308)  # the largest float
 _LOG_STRIDE = 4  # panels per probe interval
 _LOG_REL = 1e-16  # of the integral: the most the tail may take, below its rounding
 _LOG_MAX_NODES = 1 << 18
-
-
-class _Span(NamedTuple):
-    lo: np.ndarray
-    hi: np.ndarray
 
 
 class _Integral(NamedTuple):
@@ -292,14 +291,14 @@ def _log_axis_integral(
             raise QuadratureError(f"quadrature failure: tail {tail:.3e} above tolerance {tol:g}")
         edges = probes[a] - np.arange(_LOG_STRIDE * (b - a) + 1.0)
 
-        def sums(span: _Span) -> tuple[np.ndarray, np.ndarray]:
-            half = 0.5 * (span.hi - span.lo)
-            fs = f((0.5 * (span.hi + span.lo))[:, None] + half[:, None] * _GK_X)
+        def sums(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            lo, hi = span
+            half = 0.5 * (hi - lo)
+            fs = f((0.5 * (hi + lo))[:, None] + half[:, None] * _GK_X)
             return half * (fs @ _GK_WK), half * (fs @ _GK_WG)
 
-        value, error, done = _refine(sums, _Span(edges[1:], edges[:-1]), tol - tail,
-                                     _LOG_MAX_NODES)
-    n = done.lo.size
+        span = np.array([edges[1:], edges[:-1]])
+        value, error, n, _ = _refine(sums, span, *sums(span), tol - tail, _LOG_MAX_NODES)
     return _Integral(value, error + tail, n, p.size + 15 * (2 * n - edges.size + 1))
 
 

@@ -25,12 +25,13 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from ._quad import _gk_panels, _refine, adaptive_simpson, zoom_max
+from ._quad import _GK_WG, _GK_WK, _GK_X, _gk_panels, _refine, adaptive_simpson, zoom_max
 from .dgf import (
     AdmissibilityConstants,
     GeneratingFunction,
@@ -283,68 +284,106 @@ def _delta0(dgf: GeneratingFunction, k3: float) -> float:
 #
 # t0_exact lays out all of its panels on [0, T] before it evaluates any:
 # cubic-graded stretches on both sides of every zero of h, uniform panels
-# between, and T where the envelope of |h| certifies the rest. It then
-# evaluates 1/2 Psi'(h) at every node in one array pass, in log|h|, and
-# bisects only the panels whose |Kronrod - Gauss| exceeds their share of tol.
+# between, and T where the envelope of |h| certifies the rest. The panels
+# are sized in u = log(k3 e^log_s |h|), the log of Psi'_1's argument:
+# 1/2 Psi'_1(e^u) bends only inside a band of u (_bend), and there no panel
+# spans more than _T0_STEP of u. One array pass then evaluates 1/2 Psi'(h)
+# at every node, in log|h|; _refine bisects the panels whose |Kronrod -
+# Gauss| still exceeds their share of tol, which few calls leave.
 
-_T0_GRADED = 6  # GK15 panels, halving toward a zero of h, on each side of it
-_T0_WIDTH = 3.0  # uniform panels are at most this many 1/|rate| wide
+_T0_STEP = 1.5  # the most u a graded panel spans inside the band
+_T0_COARSE = 3.0 * math.log(4.0)  # u across a graded panel past the band, where v quarters
+_T0_WIDTH = 2.0  # uniform panels are at most this many 1/|rate| wide
+_T0_WIDE = 3.0  # and this many times wider where u is known to lie outside the band
+_T0_SMALL = 1e-3  # of tol: the most a graded stretch's first panel may hold across the band
 _T0_MAX_NODES = 1 << 19  # nodes per call (4 MB per array) past which it raises
-_V_EDGES = [0.5 ** k for k in range(_T0_GRADED - 1, -1, -1)]  # graded panel ends past v = 0
+_BEND = 1e-3  # |d^2/du^2 log Psi'_1(e^u)| past which Psi'_1 bends
+_GK_KG = np.stack([_GK_WK, _GK_WG], axis=1)  # (15, 2)
 
 
-class _Panels(NamedTuple):
-    """GK15 panels with nodes t = anchor + scale s^p, s in [lo, hi], each field (P,).
+@functools.lru_cache(maxsize=64)
+def _bend(dgf: GeneratingFunction) -> tuple[float, float, float]:
+    """(lo, hi, top): the band of u where log Psi'_1(e^u) bends, and the peak of 1/2 Psi'_1.
 
-    p = 3 (cubic) on a stretch graded toward the zero of h at anchor, else
-    p = 1; the sign of scale gives the direction. The offset scale s^p from
-    the anchor is what log|h| needs near a zero, free of cancellation.
+    Read off the ladder of _small_slope_threshold, a step of log(10)/4 in u:
+    the band runs from the first to the last point where the second
+    difference of log Psi'_1 exceeds _BEND per unit of u squared. Outside it
+    Psi'_1 is so nearly a power of its argument that GK15 panels several
+    units of u wide integrate it; a pure power, such as sqrt's, has none.
     """
+    w = _SLOPE_LADDER
+    step = math.log(w[1] / w[0])
+    with np.errstate(all="ignore"):
+        g = _psi_prime_array(dgf, 1.0)(w)
+        i = np.flatnonzero(np.abs(np.diff(np.log(g), 2)) > _BEND * step * step)
+    top = 0.5 * float(np.max(g[np.isfinite(g)], initial=1e-300))
+    if not i.size:
+        return 0.0, 0.0, top
+    return math.log(w[i[0]]), math.log(w[i[-1] + 2]), top
 
-    anchor: np.ndarray
-    scale: np.ndarray
-    cubic: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+
+@functools.lru_cache(maxsize=256)
+def _graded_edges(above: int, inside: int) -> tuple[list[float], list[float]]:
+    """Panel ends (lo, hi) in v of a stretch graded toward v = 0, the first panel from 0.
+
+    From v = 1, `above` panels quarter v and then `inside` panels shrink it
+    by e^(-_T0_STEP/3), so that each spans _T0_STEP of u where |h| ~ v^3.
+    Built on first use and shared: callers copy, never change, them.
+    """
+    v = [0.0, *(0.25 ** above * math.exp(-_T0_STEP / 3.0 * k) for k in range(inside, 0, -1)),
+         *(0.25 ** k for k in range(above, -1, -1))]
+    return v[:-1], v[1:]
 
 
-def _too_many_nodes(t_end: float) -> None:
-    raise QuadratureError(
-        f"quadrature failure: t0 needs more than {_T0_MAX_NODES} nodes to cover [0, {t_end:.6g}]")
+def _too_many_nodes(nodes: float, t_end: float) -> None:
+    raise QuadratureError(f"quadrature failure: t0 needs {nodes:.0f} or more nodes to cover "
+                          f"[0, {t_end:.6g}], past the cap of {_T0_MAX_NODES}")
 
 
 def _plan(
-    zeros: list[tuple[float, int]], graded: float, width: float, t_end: float
-) -> _Panels:
-    """Panels covering [0, t_end] for h with the given (zero, depth) pairs, zeros sorted.
+    zeros: list[tuple[float, float]], graded: float, width: float, t_end: float,
+    far: tuple[float, float], band: tuple[float, float], log_small: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
+    """GK15 nodes t, their offsets from the panels' anchors and dt/ds, each (P, 15), on [0, t_end].
 
-    Each zero z gets a stretch of up to `graded` on either side, t = z -/+
-    L v^3 on `depth` panels halving toward v = 0, cut at 0, at t_end and
-    halfway to the next zero (the first zero may lie at or before 0). The
-    gaps get panels `graded`, 2 `graded`, ... wide, then panels of at most
-    `width`, anchored at the zero before them (or the one after, or at 0
-    when there is none).
+    Each zero z of h, given with the u of h linearized at z a `graded` away,
+    gets a stretch of up to `graded` on either side, t = z -/+ L v^3 on the
+    panels of _graded_edges, cut at 0, at t_end and halfway to the next zero
+    (the first zero may lie at or before 0). Its first panel ends below the
+    band of u, or where it holds at most e^log_small / L. The gaps get
+    panels `graded`, 2 `graded`, ... wide, then panels of at most `width`,
+    anchored at the zero before them (or the one after, or at 0 when there
+    is none), and _T0_WIDE times wider between far[0] and far[1] after the
+    last zero. Also returns a function that lays the panels out for _refine:
+    rows anchor, scale, cubic, lo, hi, for t = anchor + scale s^(3 if cubic
+    else 1), s in [lo, hi].
     """
-    anchors: list[float] = []
-    scales: list[float] = []
-    cubics: list[bool] = []
-    los: list[float] = []
-    his: list[float] = []
+    lo_b, hi_b = band
+    count = 0
+    rows: tuple[list[float], ...] = ([], [], [], [])  # anchor, scale, lo, hi; graded first
+    gaps = []
 
     def reserve(n: float) -> None:
-        if not 15 * (len(los) + n) <= _T0_MAX_NODES:
-            _too_many_nodes(t_end)
+        nonlocal count
+        count += n
+        if not 15 * count <= _T0_MAX_NODES:
+            _too_many_nodes(15 * count, t_end)
 
-    def add(anchor: float, scale: float, cubic: bool, edges: list[float]) -> None:
-        n = len(edges) - 1
-        reserve(n)
-        anchors.extend([anchor] * n)
-        scales.extend([scale] * n)
-        cubics.extend([cubic] * n)
-        los.extend(edges[:-1])
-        his.extend(edges[1:])
+    def stretch(z: float, scale: float, u_z: float, v0: float = 0.0) -> None:
+        length = abs(scale)
+        u_end = u_z + math.log(length / graded)  # u falls by 3 log(1/v) from here
+        stop = max(lo_b, u_end + log_small - math.log(length))
+        above = max(0, math.ceil((u_end - max(hi_b, stop)) / _T0_COARSE))
+        inside = max(0 if above else 1, math.ceil((u_end - above * _T0_COARSE - stop) / _T0_STEP))
+        lo, hi = _graded_edges(above, inside)
+        if v0 > 0.0:  # the stretch starts at t = 0, past its first panels
+            i = sum(x <= v0 for x in hi)
+            lo, hi = [v0, *lo[i + 1:]], hi[i:]
+        reserve(len(lo))
+        for row, new in zip(rows, ([z] * len(lo), [scale] * len(lo), lo, hi)):
+            row += new
 
-    def gap(a: float, b: float, anchor: float) -> None:
+    def gap(a: float, b: float, anchor: float, top: float = 0.0, end: float = 0.0) -> None:
         if not b > a:
             return
         edges, w = [a], graded
@@ -352,30 +391,44 @@ def _plan(
             edges.append(edges[-1] + w)
             w *= 2.0
         start = edges.pop()
-        reserve(len(edges) + (b - start) / width)
-        n = math.ceil((b - start) / width)
-        edges += [start + (b - start) * i / n for i in range(n)] + [b]
-        if anchor <= a:
-            add(anchor, 1.0, False, [t - anchor for t in edges])
-        else:
-            add(anchor, -1.0, False, [anchor - t for t in reversed(edges)])
+        reserve(len(edges))
+        cuts = [start, *(c for c in (top, end) if start < c < b), b]
+        for p, q in zip(cuts, cuts[1:]):
+            w = width * (_T0_WIDE if top <= p < end else 1.0)
+            reserve((q - p) / w)
+            n = math.ceil((q - p) / w)
+            edges += [p + (q - p) * i / n for i in range(n)]
+        edges.append(b)
+        sign = 1.0 if anchor <= a else -1.0
+        s = [sign * (t - anchor) for t in (edges if sign > 0.0 else reversed(edges))]
+        gaps.append(([anchor] * (len(s) - 1), [sign] * (len(s) - 1), s[:-1], s[1:]))
 
     pos = 0.0
-    for i, (z, depth) in enumerate(zeros):
-        v = [0.0] + _V_EDGES[-depth:]
+    for i, (z, u_z) in enumerate(zeros):
         nxt = 0.5 * (z + zeros[i + 1][0]) if i + 1 < len(zeros) else t_end
         left = min(graded, z - pos)
         gap(pos, z - left, zeros[i - 1][0] if i else z)
         if left > 0.0:
-            add(z, -left, True, v)
+            stretch(z, -left, u_z)
         right = min(graded, nxt - z)
         if z + right > 0.0:
-            v0 = math.cbrt(max(-z, 0.0) / right)
-            add(z, right, True, [v0] + [x for x in v if x > v0])
+            stretch(z, right, u_z, math.cbrt(max(-z, 0.0) / right))
             pos = z + right
-    gap(pos, t_end, zeros[-1][0] if zeros else 0.0)
-    return _Panels(np.array(anchors), np.array(scales), np.array(cubics, dtype=bool),
-                   np.array(los), np.array(his))
+    gap(pos, t_end, zeros[-1][0] if zeros else 0.0, *far)
+    cubic = len(rows[0])
+    for new in gaps:
+        for row, part in zip(rows, new):
+            row += part
+    anchor, scale, lo, hi = np.array(rows) if rows[0] else np.empty((4, 0))
+    half = 0.5 * (hi - lo)
+    off = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_X
+    jac = half[:, None].repeat(15, axis=1)
+    v = off[:cubic]  # v^3 and 3 v^2 |scale| dv/ds on the graded panels
+    jac[:cubic] *= 3.0 * np.abs(scale[:cubic, None]) * v * v
+    v *= v * v
+    off *= scale[:, None]
+    return (anchor[:, None] + off, off, jac,
+            lambda: np.array([anchor, scale, np.arange(anchor.size) < cubic, lo, hi]))
 
 
 def _first_below(lam: float, a: float, b: float, k: float, t: float) -> float:
@@ -402,25 +455,22 @@ def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x != 0.0 else -math.inf
 
 
-def _depth(log_ratio: float) -> int:
-    """Panels for a graded stretch e^log_ratio cusp widths long.
-
-    With that many panels halving toward the zero, the first one ends, in
-    v, at about a quarter of the cusp's own v = e^(-log_ratio / 3).
-    """
-    return min(_T0_GRADED, max(2, 2 + math.ceil(log_ratio / (3.0 * math.log(2.0)))))
-
-
 def _t0_layout(
-    sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env: float, log_peak: float
-) -> tuple[_Panels, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """Panels and a log|h|(t, offset) for h = e1^T e^(A t) (u1, u2), max(|u1|, |u2|) = 1.
+    sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env: float, shift: float,
+    band: tuple[float, float],
+) -> tuple[list[tuple[float, float]], float, float, float, tuple, Callable[..., np.ndarray]]:
+    """Where to grade and how far to go for h = e1^T e^(A t) (u1, u2), max(|u1|, |u2|) = 1.
 
-    The panels end at the first T (found in closed form, or by Newton steps
-    for the repeated case) past which the envelope of |h| is at most
-    e^log_env and the integral of that envelope is below e^log_tail. Psi'
-    changes fastest where e^log_peak |h| is about 1, so a zero of h where
-    |h'| is large is a cusp of width about e^-log_peak / |h'|.
+    Returns the zeros of h before the end, each with the u = shift + log|h|
+    of h linearized there a `graded` away; graded, the reach of the
+    stretches graded toward them; the width of a uniform panel; the end T
+    (found in closed form, or by Newton steps for the repeated case) past
+    which the envelope of |h| is at most e^log_env and the integral of that
+    envelope is below e^log_tail; far, times (top, end) between which u
+    lies above the band (known where |h| falls as a power times an
+    exponential, in the repeated case; else none); and u(t, offset) for
+    arrays, with the offset t - anchor of a panel keeping it free of
+    cancellation at a zero.
     """
     resp = _response_for(sys, u1, u2)
     c1, c2 = resp.c1, resp.c2
@@ -430,23 +480,23 @@ def _t0_layout(
         lr, phase = math.log(math.hypot(c1, c2)), math.atan2(c2, c1)
         t_end = max(0.0, (lr - log_env) / -mu, (lr - math.log(-mu) - log_tail) / -mu)
         width = _T0_WIDTH / -mu
-        # zeros of cos(omega t - phase), from the last one at or before 0
+        # the zeros of cos(omega t - phase), from the last one at or before 0; a
+        # stretch graded up to the next zero's quarter period would bend its nodes
+        # toward it
         n = math.floor(-(phase + 0.5 * math.pi) / math.pi)
-        graded = min(0.5 * math.pi / om, width)
-        zeros = []
-        while True:
-            z = (phase + 0.5 * math.pi + n * math.pi) / om
-            if z >= t_end:
-                break
-            zeros.append((z, _depth(log_peak + lr + mu * z + math.log(om * graded))))
-            n += 1
-            if 15 * len(zeros) > _T0_MAX_NODES:
-                _too_many_nodes(t_end)
+        count = (om * t_end - phase - 0.5 * math.pi) / math.pi - n
+        if not 15 * count <= _T0_MAX_NODES:
+            _too_many_nodes(15 * count, t_end)
+        graded = min(0.25 * math.pi / om, width)
+        base = shift + lr
+        zeros = [(z, base + mu * z + math.log(om * graded))
+                 for z in ((phase + 0.5 * math.pi + k * math.pi) / om for k in range(n, n + math.ceil(count)))
+                 if z < t_end]
 
-        def log_h(t: np.ndarray, off: np.ndarray) -> np.ndarray:
-            return lr + mu * t + np.log(np.abs(np.sin(om * off)))
+        def log_u(t: np.ndarray, off: np.ndarray) -> np.ndarray:
+            return base + mu * t + np.log(np.abs(np.sin(om * off)))
 
-        return _plan(zeros, graded, width, t_end), log_h
+        return zeros, graded, width, t_end, (0.0, 0.0), log_u
 
     if sys.kind == _REAL_DISTINCT:
         l1, l2 = sys.lam1, sys.lam2
@@ -457,12 +507,14 @@ def _t0_layout(
         width = _T0_WIDTH / -l1
         graded = min(1.0 / gap_rate, 1.0 / -l1)
         same = c1 == 0.0 or c2 == 0.0 or (c1 > 0.0) == (c2 > 0.0)
+        far = (0.0, 0.0)
         anchored = resp.tz is not None and -graded < resp.tz < t_end
         if anchored:
             log_slope = lc1 + l1 * resp.tz + math.log(gap_rate)
+        b1, b2 = shift + lc1, shift + lc2
 
-        def log_h(t: np.ndarray, off: np.ndarray) -> np.ndarray:
-            a1, a2 = lc1 + l1 * t, lc2 + l2 * t
+        def log_u(t: np.ndarray, off: np.ndarray) -> np.ndarray:
+            a1, a2 = b1 + l1 * t, b2 + l2 * t
             x = -np.abs(gap_rate * off if anchored else a1 - a2)
             return np.maximum(a1, a2) + (np.log1p(np.exp(x)) if same else np.log(-np.expm1(x)))
     else:
@@ -476,14 +528,21 @@ def _t0_layout(
         anchored = resp.tz is not None and -graded < resp.tz < t_end
         if anchored:
             log_slope = lc2 + lam * resp.tz
+        b2 = shift + lc2
+        # past top, |h| = e^(lam t) |c1 + c2 t| falls and stays above e^(lam t) times
+        # its value at top, unless the zero tz lies past the end
+        tz = -math.inf if resp.tz is None else resp.tz
+        top = max(start, tz + 2.0 / -lam)
+        low = shift + (lc1 if c2 == 0.0 else lc2 + math.log(top - tz))
+        far = (top, top if tz >= t_end else max(top, (low - band[1]) / -lam))
 
-        def log_h(t: np.ndarray, off: np.ndarray) -> np.ndarray:
+        def log_u(t: np.ndarray, off: np.ndarray) -> np.ndarray:
             if anchored:
-                return lc2 + lam * t + np.log(np.abs(off))
-            return lam * t + np.log(np.abs(c1 + c2 * t))
+                return b2 + lam * t + np.log(np.abs(off))
+            return shift + lam * t + np.log(np.abs(c1 + c2 * t))
 
-    zeros = [(resp.tz, _depth(log_peak + log_slope + math.log(graded)))] if anchored else []
-    return _plan(zeros, graded, width, t_end), log_h
+    zeros = [(resp.tz, shift + log_slope + math.log(graded))] if anchored else []
+    return zeros, graded, width, t_end, far, log_u
 
 
 def _log_initial(dgf: GeneratingFunction, k3: float, x1: float) -> float:
@@ -511,39 +570,66 @@ def t0_exact(
     is the sum of the panels' |Kronrod - Gauss| plus the certified tail.
     Raises ValueError for a non-finite x0, and QuadratureError where the
     estimate stays above tol or the panels would need more than
-    _T0_MAX_NODES nodes.
+    _T0_MAX_NODES nodes. Where logging is loaded and the "ftdiff" logger
+    takes DEBUG records, logs one: panels, Psi' values, rounds of
+    bisection, the error estimate against tol and the tail bound.
     """
     x1, x2 = float(x0[0]), float(x0[1])
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError("initial error x0 must be finite")
-    lg, lx = _log_initial(dgf, kappa.k3, x1), _log_abs(x2)
+    k3 = kappa.k3
+    lg, lx = _log_initial(dgf, k3, x1), _log_abs(x2)
     if lg == -math.inf and lx == -math.inf:
         return 0.0
     if not lg < math.inf:
         raise QuadratureError(f"quadrature failure: Phi_k3({x1:g}) is not a finite float")
     log_s = max(lg, lx)
-    sys = system_matrix(kappa.k1, kappa.k2)
+    system = system_matrix(kappa.k1, kappa.k2)
     u1 = math.copysign(math.exp(lg - log_s), x1)
     u2 = math.copysign(math.exp(lx - log_s), x2)
+    lo, hi, top = _bend(dgf)
     # the tail beyond the panels, where |h| <= delta0 and so 1/2 Psi'(h) <= 1.5 |h|,
     # takes a tenth of tol
-    panels, log_h = _t0_layout(sys, u1, u2, math.log(tol / 15.0) - log_s,
-                               math.log(_delta0(dgf, kappa.k3)) - log_s,
-                               log_s + math.log(kappa.k3))
-    psi = _psi_prime_array(dgf, kappa.k3)
+    zeros, graded, width, t_end, far, log_u = _t0_layout(
+        system, u1, u2, math.log(tol / 15.0) - log_s, math.log(_delta0(dgf, k3)) - log_s,
+        log_s + math.log(k3), (lo, hi))
+    t, off, jac, panels = _plan(zeros, graded, width, t_end, far, (lo, hi),
+                                math.log(_T0_SMALL * tol * k3 / top))
+    slope = dgf._inverse_slope or functools.partial(_slope_at_preimage, dgf)
+    weights = (0.5 / k3) * _GK_KG
 
-    def sums(p: _Panels) -> tuple[np.ndarray, np.ndarray]:
-        """Kronrod and Gauss sums of 1/2 Psi'(h) on every panel, each (P,)."""
-        s, wk, wg = _gk_panels(p.lo, p.hi)
-        cubic = p.cubic[:, None]
-        scale = p.scale[:, None]
-        off = scale * np.where(cubic, s * s * s, s)
-        f = psi(np.exp(log_s + log_h(p.anchor[:, None] + off, off)))
-        f *= 0.5 * np.abs(scale) * np.where(cubic, 3.0 * s * s, 1.0)  # dt/ds and the 1/2
-        return (f * wk).sum(axis=-1), (f * wg).sum(axis=-1)
+    def sums(t: np.ndarray, off: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        """Kronrod and Gauss sums of 1/2 Psi'(h) = Psi'_1(k3 |h|) / (2 k3), each (P,)."""
+        w = np.exp(log_u(t, off))
+        f = slope(w)
+        if not w.max(initial=0.0) < math.inf:
+            f[~(w < math.inf)] = 0.0  # Psi' is 0 where |h| overflows
+        f *= jac
+        return (f @ weights).T
+
+    def bisected(p: np.ndarray) -> np.ndarray:
+        anchor, scale, cubic, lo, hi = p
+        half = 0.5 * (hi - lo)[:, None]
+        s = 0.5 * (hi + lo)[:, None] + half * _GK_X
+        cubic = cubic[:, None] > 0.0
+        off = scale[:, None] * np.where(cubic, s * s * s, s)
+        jac = np.abs(scale)[:, None] * half * np.where(cubic, 3.0 * s * s, 1.0)
+        return sums(anchor[:, None] + off, off, jac)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _refine(sums, panels, 0.9 * tol, _T0_MAX_NODES)[0]
+        value, error, panels, rounds = _refine(bisected, panels, *sums(t, off, jac), 0.9 * tol,
+                                               _T0_MAX_NODES)
+    logging = sys.modules.get("logging")  # never imported here: only a loaded logger can want it
+    if logging is not None and logging.getLogger("ftdiff").isEnabledFor(logging.DEBUG):
+        env = _response_for(system, u1, u2).envelope_tail(t_end)
+        info = {"panels": panels, "values": 15 * (2 * panels - t.shape[0]),
+                "rounds": rounds, "error": error, "tol": tol,
+                "tail": 1.5 * math.exp(log_s + math.log(env)) if env > 0.0 else 0.0}
+        logging.getLogger("ftdiff").debug(
+            "t0_exact %s at (%g, %g, %g) from (%g, %g): %d panels, %d Psi' values, %d rounds of "
+            "bisection, error estimate %.2e against tol %.2e, tail bound %.2e", dgf.name,
+            kappa.k1, kappa.k2, k3, x1, x2, *info.values(), extra=info)
+    return value
 
 
 def single_exp_reduction(

@@ -30,7 +30,9 @@ def test_imports_only_stdlib_numpy_and_ftdiff():
         "after = {m.partition('.')[0] for m in sys.modules}\n"
         "formatter = 'ftdiff._gfmt' in sys.modules\n"
         "import ftdiff._gfmt as g\n"
-        "built = [f.cache_info().currsize for f in (g._tables, g._layouts)]\n"
+        "from ftdiff import convtime as c\n"
+        "built = [f.cache_info().currsize for f in (g._tables, g._layouts, c._bend,\n"
+        "                                           c._graded_edges)]\n"
         "print(json.dumps([sorted(after - before), formatter, built]))\n"
     )
     src = str(Path(ftdiff.__file__).resolve().parents[1])
@@ -42,8 +44,9 @@ def test_imports_only_stdlib_numpy_and_ftdiff():
     assert added - set(sys.stdlib_module_names) <= {"ftdiff", "numpy"}, added
     # cli and convtime import logging only where a record is made or -v is given
     assert "logging" not in added
-    # result_to_csv imports its formatter, which builds its tables on first use
-    assert not formatter and built == [0, 0]
+    # result_to_csv imports its formatter, which builds its tables on first use;
+    # t0_exact's band of each function and its graded panel ends are cached on first use
+    assert not formatter and built == [0, 0, 0, 0]
     assert not added & {"fractions", "decimal"}
 
 
@@ -91,6 +94,18 @@ class TestTopLevel:
                 assert err == ""
         log = logging.getLogger("ftdiff")
         assert not log.handlers and log.level == logging.NOTSET
+
+    def test_verbose_pointwise_convtime_logs_the_t0_record(self, capsys):
+        argv = ("convtime", "--dgf", "exp", "--k1", "6", "--k2", "4.5", "--k3", "4.303",
+                "--x1", "2.5", "--x2", "-1")
+        code, quiet, quiet_err = run_cli(capsys, *argv)
+        assert code == 0 and quiet_err == ""
+        code, loud, err = run_cli(capsys, "-v", *argv)
+        assert code == 0 and loud == quiet
+        [line] = err.splitlines()
+        assert line.startswith("ftdiff: t0_exact exp at (6, 4.5, 4.303) from (2.5, -1): ")
+        assert " panels, " in line and "0 rounds of bisection" in line
+        assert "against tol 1.00e-08, tail bound " in line
 
     def test_verbose_writes_files_unchanged(self, capsys, tmp_path):
         argv = ("convtime", "--k1", "5", "--k2", "1", "--k3", "1", "--global",

@@ -345,9 +345,11 @@ class TestT0Exact:
     def test_node_cap_raises_promptly(self, expdgf):
         # at x1 = 1e5 the mass sits about 6e5 time units out
         start = time.perf_counter()
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match=r"t0 needs (\d+) or more nodes to cover "
+                                                  r"\[0, 617216\], past the cap of 524288") as err:
             t0_exact(expdgf, ParamTriple(6.0, 4.5, 4.303), (1e5, 0.0))
         assert time.perf_counter() - start < 1.0
+        assert int(err.value.args[0].split()[4]) > 524288
 
     @pytest.mark.parametrize("x0", [(1e100, 0.0), (0.0, 1e100), (-1e300, 1.0)])
     def test_ured_approaches_large_error_limit(self, ured, x0):
@@ -406,6 +408,80 @@ class TestT0Properties:
         assert abs(got - t0_split_oracle(name, kappa, x0)) <= 1e-8 + 1e-9
         sup = numeric_sup(name, kappa)
         assert got <= sup.value + sup.inner_tol
+
+
+class TestT0Record:
+    def test_debug_record_fields(self, caplog, ured):
+        kappa, x0 = ParamTriple(6.0, 4.5, 4.182), (0.3, -0.2)
+        with caplog.at_level(logging.INFO, logger="ftdiff"):
+            quiet = t0_exact(ured, kappa, x0)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="ftdiff"):
+            assert t0_exact(ured, kappa, x0) == quiet
+        [record] = caplog.records
+        assert record.name == "ftdiff" and record.levelno == logging.DEBUG
+        # one pass: every panel evaluated once, the estimate within 0.9 tol
+        assert record.rounds == 0 and record.values == 15 * record.panels > 0
+        assert 0.0 < record.error <= 0.9 * record.tol and record.tol == 1e-8
+        # the tail past the panels takes a tenth of tol, up to the rounding of
+        # the Newton steps that place the end
+        assert 0.0 < record.tail <= record.tol / 10.0 * (1.0 + 1e-9)
+        message = record.getMessage()
+        assert message.startswith("t0_exact ured at (6, 4.5, 4.182) from (0.3, -0.2): ")
+        assert f"{record.panels} panels, {record.values} Psi' values, 0 rounds" in message
+
+    def test_bisection_shows_in_the_record(self, caplog, ured):
+        # a tolerance below what the plan is sized for makes _refine bisect
+        with caplog.at_level(logging.DEBUG, logger="ftdiff"):
+            t0_exact(ured, ParamTriple(6.0, 4.5, 4.182), (0.3, -0.2), tol=1e-13)
+        [record] = caplog.records
+        assert record.rounds > 0 and record.error <= 0.9e-13
+        assert record.values > 15 * record.panels
+
+    def test_does_not_import_logging(self):
+        code = (
+            "import sys, ftdiff\n"
+            "ftdiff.t0_exact(ftdiff.builtin_dgf('exp'), ftdiff.ParamTriple(6, 4.5, 4.303), (3.0, 1.0))\n"
+            "assert 'logging' not in sys.modules\n"
+        )
+        src = str(Path(ftdiff.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, timeout=60,
+                       check=True)
+
+
+def _one_pass_states(n, seed):
+    """n seeded (name, kappa, x0): ured, exp and custom ured at the T0_CASES gains, |x0| in [1e-3, 30]."""
+    rng = np.random.default_rng(seed)
+    kappas = [kappa for name, kappa in T0_CASES if name == "ured"]
+    states = []
+    for i in range(n):
+        name = ("ured", "exp", "custom")[i % 3]
+        k1, k2, k3 = kappas[(i // 3) % 3]
+        r, angle = 10.0 ** rng.uniform(-3.0, math.log10(30.0)), rng.uniform(0.0, 2.0 * math.pi)
+        states.append((name, (k1, k2, 4.303 if name == "exp" and k1 == 6.0 else k3),
+                       (r * math.cos(angle), r * math.sin(angle))))
+    return states
+
+
+class TestOnePass:
+    def test_most_calls_need_no_bisection(self, caplog):
+        # the plan sizes its panels in u = log|k3 h|, so that nearly every call
+        # meets tol in its first GK15 pass
+        dgfs = {"ured": builtin_dgf("ured"), "exp": builtin_dgf("exp"), "custom": _custom_ured()}
+        states = _one_pass_states(300, 17)
+        with caplog.at_level(logging.DEBUG, logger="ftdiff"):
+            for name, kappa, x0 in states:
+                t0_exact(dgfs[name], ParamTriple(*kappa), x0)
+        rounds = [r.rounds for r in caplog.records if r.getMessage().startswith("t0_exact")]
+        assert len(rounds) == len(states)
+        assert sum(n == 0 for n in rounds) >= 0.95 * len(states)
+
+    @pytest.mark.parametrize("name,kappa,x0", _one_pass_states(300, 17)[::10])
+    def test_matches_split_quad(self, name, kappa, x0):
+        dgf = _custom_ured() if name == "custom" else builtin_dgf(name)
+        got = t0_exact(dgf, ParamTriple(*kappa), x0)
+        assert abs(got - t0_split_oracle("ured" if name == "custom" else name, kappa, x0)) \
+            <= 1e-8 + 1e-9
 
 
 class TestSingleExpReduction:

@@ -519,6 +519,37 @@ def _counted(name, exprs):
     return GeneratingFunction(name, *fns), counts
 
 
+class TestReciprocalPinned:
+    # B and the reciprocal integrals that the worst-case search and the bounds
+    # read, as the log-axis pass computed them before _refine spliced halves in
+    # place; sqrt up to 1e8 takes six rounds of bisection
+    @pytest.mark.parametrize("name,w,tol,value", [
+        ("ured", None, 1e-9, "0x1.921fb54442d17p+1"),
+        ("ured", 2.0, 1e-9, "0x1.921fb54442d19p+0"),
+        ("ured", 1e3, 1e-9, "0x1.78861f6820cb6p+1"),
+        ("exp", None, 1e-9, "0x1.921fb54442d19p+1"),
+        ("exp", 2.0, 1e-9, "0x1.1b6e192ebbe44p+1"),
+        ("exp", 1e3, 1e-9, "0x1.91de2c0e658bcp+1"),
+        ("custom", None, 1e-9, "0x1.921fb54442d19p+1"),
+        ("custom", 2.0, 1e-9, "0x1.5bfe34f05119ep-1"),
+        ("custom", 1e3, 1e-9, "0x1.78861f6820cafp+1"),
+        ("sqrt", 1e8, 1e-9, "0x1.7d7840000000bp+27"),
+    ])
+    def test_reciprocal_to(self, name, w, tol, value):
+        fn = (GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+              if name == "custom" else builtin_dgf(name))
+        assert dgf_module._reciprocal_to(fn, w, tol).value == float.fromhex(value)
+
+    def test_b_full_and_b(self):
+        # global_convtime_numeric's b_full at the default inner_tol, and B
+        for name, value in (("ured", "0x1.921fb54442d17p+1"), ("exp", "0x1.921fb54442d19p+1")):
+            fn = builtin_dgf(name)
+            assert dgf_module._reciprocal_to(fn, None, min(1e-3 * 1e-6, 1e-9)).value \
+                == float.fromhex(value)
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        assert compute_admissibility(custom).B == float.fromhex("0x1.921fb54442d19p+1")
+
+
 class TestAdmissibilityCache:
     def test_second_call_is_shared_and_evaluates_nothing(self):
         custom, counts = _counted("counted", URED_EXPRESSIONS)
