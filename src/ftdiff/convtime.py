@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from ._quad import _GK_WG, _GK_WK, _GK_X, _gk_panels, _refine, adaptive_simpson, zoom_max
+from ._quad import _GK_WG, _GK_WK, _GK_X, _gk_panels, _refine, zoom_max
 from .dgf import (
     AdmissibilityConstants,
     GeneratingFunction,
@@ -283,13 +283,9 @@ def _delta0(dgf: GeneratingFunction, k3: float) -> float:
 # exact unperturbed convergence time
 #
 # t0_exact lays out all of its panels on [0, T] before it evaluates any:
-# cubic-graded stretches on both sides of every zero of h, uniform panels
-# between, and T where the envelope of |h| certifies the rest. The panels
-# are sized in u = log(k3 e^log_s |h|), the log of Psi'_1's argument:
-# 1/2 Psi'_1(e^u) bends only inside a band of u (_bend), and there no panel
-# spans more than _T0_STEP of u. One array pass then evaluates 1/2 Psi'(h)
-# at every node, in log|h|; _refine bisects the panels whose |Kronrod -
-# Gauss| still exceeds their share of tol, which few calls leave.
+# stretches graded in u = log(k3 e^log_s |h|) on both sides of every zero of
+# h, uniform panels between, and T where the envelope of |h| certifies the
+# rest; then one array pass, and _refine for panels over their share of tol.
 
 _T0_STEP = 1.5  # the most u a graded panel spans inside the band
 _T0_COARSE = 3.0 * math.log(4.0)  # u across a graded panel past the band, where v quarters
@@ -305,39 +301,28 @@ _GK_KG = np.stack([_GK_WK, _GK_WG], axis=1)  # (15, 2)
 def _bend(dgf: GeneratingFunction) -> tuple[float, float, float]:
     """(lo, hi, top): the band of u where log Psi'_1(e^u) bends, and the peak of 1/2 Psi'_1.
 
-    Read off the ladder of _small_slope_threshold, a step of log(10)/4 in u:
-    the band runs from the first to the last point where the second
-    difference of log Psi'_1 exceeds _BEND per unit of u squared. Outside it
-    Psi'_1 is so nearly a power of its argument that GK15 panels several
-    units of u wide integrate it; a pure power, such as sqrt's, has none.
+    On the ladder of _small_slope_threshold, from the first to the last point
+    where the second difference of log Psi'_1 exceeds _BEND per unit u^2;
+    outside it, Psi'_1 is so nearly a power that GK15 takes wide panels.
     """
     w = _SLOPE_LADDER
-    step = math.log(w[1] / w[0])
     with np.errstate(all="ignore"):
         g = _psi_prime_array(dgf, 1.0)(w)
-        i = np.flatnonzero(np.abs(np.diff(np.log(g), 2)) > _BEND * step * step)
-    top = 0.5 * float(np.max(g[np.isfinite(g)], initial=1e-300))
-    if not i.size:
-        return 0.0, 0.0, top
-    return math.log(w[i[0]]), math.log(w[i[-1] + 2]), top
+        i = np.flatnonzero(np.abs(np.diff(np.log(g), 2)) > _BEND * math.log(w[1] / w[0]) ** 2)
+    ends = (math.log(w[i[0]]), math.log(w[i[-1] + 2])) if i.size else (0.0, 0.0)  # sqrt: none
+    return *ends, 0.5 * float(np.max(g[np.isfinite(g)], initial=1e-300))
 
 
 @functools.lru_cache(maxsize=256)
 def _graded_edges(above: int, inside: int) -> tuple[list[float], list[float]]:
     """Panel ends (lo, hi) in v of a stretch graded toward v = 0, the first panel from 0.
 
-    From v = 1, `above` panels quarter v and then `inside` panels shrink it
-    by e^(-_T0_STEP/3), so that each spans _T0_STEP of u where |h| ~ v^3.
-    Built on first use and shared: callers copy, never change, them.
+    From v = 1, `above` panels quarter v, then `inside` panels shrink it by
+    e^(-_T0_STEP/3), _T0_STEP of u where |h| ~ v^3. Shared: never changed.
     """
     v = [0.0, *(0.25 ** above * math.exp(-_T0_STEP / 3.0 * k) for k in range(inside, 0, -1)),
          *(0.25 ** k for k in range(above, -1, -1))]
     return v[:-1], v[1:]
-
-
-def _too_many_nodes(nodes: float, t_end: float) -> None:
-    raise QuadratureError(f"quadrature failure: t0 needs {nodes:.0f} or more nodes to cover "
-                          f"[0, {t_end:.6g}], past the cap of {_T0_MAX_NODES}")
 
 
 def _plan(
@@ -346,28 +331,24 @@ def _plan(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
     """GK15 nodes t, their offsets from the panels' anchors and dt/ds, each (P, 15), on [0, t_end].
 
-    Each zero z of h, given with the u of h linearized at z a `graded` away,
-    gets a stretch of up to `graded` on either side, t = z -/+ L v^3 on the
-    panels of _graded_edges, cut at 0, at t_end and halfway to the next zero
-    (the first zero may lie at or before 0). Its first panel ends below the
-    band of u, or where it holds at most e^log_small / L. The gaps get
-    panels `graded`, 2 `graded`, ... wide, then panels of at most `width`,
-    anchored at the zero before them (or the one after, or at 0 when there
-    is none), and _T0_WIDE times wider between far[0] and far[1] after the
-    last zero. Also returns a function that lays the panels out for _refine:
-    rows anchor, scale, cubic, lo, hi, for t = anchor + scale s^(3 if cubic
-    else 1), s in [lo, hi].
+    Each zero z of h, with the u of h linearized at z a `graded` away, gets
+    stretches t = z -/+ L v^3, L <= graded, on panels of _graded_edges whose
+    first ends below the band of u or holds at most e^log_small / L, cut at
+    0, at t_end and halfway to the next zero. The gaps get panels `graded`,
+    2 `graded`, ... wide, then `width` (_T0_WIDE times that between far[0]
+    and far[1] after the last zero), anchored at the zero before them (or
+    after, or at 0). Also returns a function that lays the panels out for
+    _refine, rows anchor, scale, cubic, lo, hi: t = anchor + scale s^p.
     """
     lo_b, hi_b = band
-    count = 0
-    rows: tuple[list[float], ...] = ([], [], [], [])  # anchor, scale, lo, hi; graded first
-    gaps = []
+    graded_rows, gap_rows = ([], [], [], []), ([], [], [], [])  # anchor, scale, lo, hi
+    count = [0.0]
 
     def reserve(n: float) -> None:
-        nonlocal count
-        count += n
-        if not 15 * count <= _T0_MAX_NODES:
-            _too_many_nodes(15 * count, t_end)
+        count[0] += n
+        if not 15 * count[0] <= _T0_MAX_NODES:
+            raise QuadratureError(f"quadrature failure: t0 needs {15 * count[0]:.0f} or more nodes"
+                                  f" to cover [0, {t_end:.6g}], past the cap of {_T0_MAX_NODES}")
 
     def stretch(z: float, scale: float, u_z: float, v0: float = 0.0) -> None:
         length = abs(scale)
@@ -380,7 +361,7 @@ def _plan(
             i = sum(x <= v0 for x in hi)
             lo, hi = [v0, *lo[i + 1:]], hi[i:]
         reserve(len(lo))
-        for row, new in zip(rows, ([z] * len(lo), [scale] * len(lo), lo, hi)):
+        for row, new in zip(graded_rows, ([z] * len(lo), [scale] * len(lo), lo, hi)):
             row += new
 
     def gap(a: float, b: float, anchor: float, top: float = 0.0, end: float = 0.0) -> None:
@@ -401,7 +382,8 @@ def _plan(
         edges.append(b)
         sign = 1.0 if anchor <= a else -1.0
         s = [sign * (t - anchor) for t in (edges if sign > 0.0 else reversed(edges))]
-        gaps.append(([anchor] * (len(s) - 1), [sign] * (len(s) - 1), s[:-1], s[1:]))
+        for row, new in zip(gap_rows, ([anchor] * (len(s) - 1), [sign] * (len(s) - 1), s[:-1], s[1:])):
+            row += new
 
     pos = 0.0
     for i, (z, u_z) in enumerate(zeros):
@@ -415,11 +397,8 @@ def _plan(
             stretch(z, right, u_z, math.cbrt(max(-z, 0.0) / right))
             pos = z + right
     gap(pos, t_end, zeros[-1][0] if zeros else 0.0, *far)
-    cubic = len(rows[0])
-    for new in gaps:
-        for row, part in zip(rows, new):
-            row += part
-    anchor, scale, lo, hi = np.array(rows) if rows[0] else np.empty((4, 0))
+    cubic = len(graded_rows[0])
+    anchor, scale, lo, hi = np.array([g + u for g, u in zip(graded_rows, gap_rows)]).reshape(4, -1)
     half = 0.5 * (hi - lo)
     off = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_X
     jac = half[:, None].repeat(15, axis=1)
@@ -429,6 +408,15 @@ def _plan(
     off *= scale[:, None]
     return (anchor[:, None] + off, off, jac,
             lambda: np.array([anchor, scale, np.arange(anchor.size) < cubic, lo, hi]))
+
+
+def _nodes(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_plan's three arrays for panels laid out as its rows, as _refine bisects them."""
+    anchor, scale, cubic, lo, hi = p[:, :, None]
+    half = 0.5 * (hi - lo)
+    s = 0.5 * (hi + lo) + half * _GK_X
+    off = scale * np.where(cubic > 0.0, s * s * s, s)
+    return anchor + off, off, np.abs(scale) * half * np.where(cubic > 0.0, 3.0 * s * s, 1.0)
 
 
 def _first_below(lam: float, a: float, b: float, k: float, t: float) -> float:
@@ -462,41 +450,36 @@ def _t0_layout(
     """Where to grade and how far to go for h = e1^T e^(A t) (u1, u2), max(|u1|, |u2|) = 1.
 
     Returns the zeros of h before the end, each with the u = shift + log|h|
-    of h linearized there a `graded` away; graded, the reach of the
-    stretches graded toward them; the width of a uniform panel; the end T
-    (found in closed form, or by Newton steps for the repeated case) past
-    which the envelope of |h| is at most e^log_env and the integral of that
-    envelope is below e^log_tail; far, times (top, end) between which u
-    lies above the band (known where |h| falls as a power times an
-    exponential, in the repeated case; else none); and u(t, offset) for
-    arrays, with the offset t - anchor of a panel keeping it free of
-    cancellation at a zero.
+    of h linearized there a `graded` away; graded; the uniform width; the
+    end T (closed form, or Newton steps) past which the envelope of |h| is
+    at most e^log_env and its integral below e^log_tail; (top, end) between
+    which u lies above the band (known in the repeated case only); and
+    u(t, offset) on arrays, offset = t - anchor sparing cancellation.
     """
     resp = _response_for(sys, u1, u2)
     c1, c2 = resp.c1, resp.c2
     lc1, lc2 = _log_abs(c1), _log_abs(c2)
+    far = (0.0, 0.0)
     if sys.kind == _COMPLEX:
         mu, om = sys.mu, sys.omega
         lr, phase = math.log(math.hypot(c1, c2)), math.atan2(c2, c1)
         t_end = max(0.0, (lr - log_env) / -mu, (lr - math.log(-mu) - log_tail) / -mu)
         width = _T0_WIDTH / -mu
-        # the zeros of cos(omega t - phase), from the last one at or before 0; a
-        # stretch graded up to the next zero's quarter period would bend its nodes
-        # toward it
+        # the zeros of cos(omega t - phase), from the last one at or before 0; graded
+        # as far as the quarter period, the nodes would bend toward the next zero
         n = math.floor(-(phase + 0.5 * math.pi) / math.pi)
         count = (om * t_end - phase - 0.5 * math.pi) / math.pi - n
-        if not 15 * count <= _T0_MAX_NODES:
-            _too_many_nodes(15 * count, t_end)
         graded = min(0.25 * math.pi / om, width)
         base = shift + lr
-        zeros = [(z, base + mu * z + math.log(om * graded))
-                 for z in ((phase + 0.5 * math.pi + k * math.pi) / om for k in range(n, n + math.ceil(count)))
+        zeros = [(z, base + mu * z + math.log(om * graded))  # past the cap, _plan raises
+                 for z in ((phase + 0.5 * math.pi + k * math.pi) / om
+                           for k in range(n, n + math.ceil(min(count, _T0_MAX_NODES // 15 + 2))))
                  if z < t_end]
 
         def log_u(t: np.ndarray, off: np.ndarray) -> np.ndarray:
             return base + mu * t + np.log(np.abs(np.sin(om * off)))
 
-        return zeros, graded, width, t_end, (0.0, 0.0), log_u
+        return zeros, graded, width, t_end, far, log_u
 
     if sys.kind == _REAL_DISTINCT:
         l1, l2 = sys.lam1, sys.lam2
@@ -507,7 +490,6 @@ def _t0_layout(
         width = _T0_WIDTH / -l1
         graded = min(1.0 / gap_rate, 1.0 / -l1)
         same = c1 == 0.0 or c2 == 0.0 or (c1 > 0.0) == (c2 > 0.0)
-        far = (0.0, 0.0)
         anchored = resp.tz is not None and -graded < resp.tz < t_end
         if anchored:
             log_slope = lc1 + l1 * resp.tz + math.log(gap_rate)
@@ -599,7 +581,7 @@ def t0_exact(
     weights = (0.5 / k3) * _GK_KG
 
     def sums(t: np.ndarray, off: np.ndarray, jac: np.ndarray) -> np.ndarray:
-        """Kronrod and Gauss sums of 1/2 Psi'(h) = Psi'_1(k3 |h|) / (2 k3), each (P,)."""
+        # Kronrod and Gauss sums of 1/2 Psi'(h) = Psi'_1(k3 |h|) / (2 k3) on each panel
         w = np.exp(log_u(t, off))
         f = slope(w)
         if not w.max(initial=0.0) < math.inf:
@@ -607,24 +589,14 @@ def t0_exact(
         f *= jac
         return (f @ weights).T
 
-    def bisected(p: np.ndarray) -> np.ndarray:
-        anchor, scale, cubic, lo, hi = p
-        half = 0.5 * (hi - lo)[:, None]
-        s = 0.5 * (hi + lo)[:, None] + half * _GK_X
-        cubic = cubic[:, None] > 0.0
-        off = scale[:, None] * np.where(cubic, s * s * s, s)
-        jac = np.abs(scale)[:, None] * half * np.where(cubic, 3.0 * s * s, 1.0)
-        return sums(anchor[:, None] + off, off, jac)
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value, error, panels, rounds = _refine(bisected, panels, *sums(t, off, jac), 0.9 * tol,
-                                               _T0_MAX_NODES)
+        value, error, panels, rounds = _refine(lambda p: sums(*_nodes(p)), panels,
+                                               *sums(t, off, jac), 0.9 * tol, _T0_MAX_NODES)
     logging = sys.modules.get("logging")  # never imported here: only a loaded logger can want it
     if logging is not None and logging.getLogger("ftdiff").isEnabledFor(logging.DEBUG):
         env = _response_for(system, u1, u2).envelope_tail(t_end)
-        info = {"panels": panels, "values": 15 * (2 * panels - t.shape[0]),
-                "rounds": rounds, "error": error, "tol": tol,
-                "tail": 1.5 * math.exp(log_s + math.log(env)) if env > 0.0 else 0.0}
+        info = {"panels": panels, "values": 15 * (2 * panels - t.shape[0]), "rounds": rounds,
+                "error": error, "tol": tol, "tail": 1.5 * math.exp(log_s + math.log(env)) if env else 0.0}
         logging.getLogger("ftdiff").debug(
             "t0_exact %s at (%g, %g, %g) from (%g, %g): %d panels, %d Psi' values, %d rounds of "
             "bisection, error estimate %.2e against tol %.2e, tail bound %.2e", dgf.name,
@@ -670,71 +642,27 @@ def lbar(k1: float, k2: float, D: float) -> float:
     return (k2 / D) * math.tanh(math.pi * k1 / (2.0 * math.sqrt(8.0 * k2 - k1 * k1)))
 
 
-def _bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or (hi - lo) < 1e-15 * max(abs(mid), 1.0):
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def lbar_integral(k1: float, k2: float, D: float, *, tol: float = 1e-10) -> float:
     """Same quantity as lbar via 1 / (D integral_0^inf |e1^T e^(A tau) e2| d tau).
 
-    Fully numerical route kept independent of the closed form: panel
-    integration with an envelope-certified tail for real eigenvalues, and a
-    per-period sum with bracketed sign changes plus geometric tail
-    extrapolation in the oscillatory case.
+    Numerical, kept independent of the closed form: t0_exact's panels, graded
+    at the zeros of the response and ending where its envelope certifies the
+    rest, with |h| = e^u, which bends nowhere, in place of 1/2 Psi'(h).
     """
     if not D >= 1.0:
         raise ValueError("D must be >= 1")
-    sys = system_matrix(k1, k2)
-    resp = _response_for(sys, 0.0, 1.0)
+    flat = (-1e300, 1e300)
+    zeros, graded, width, t_end, far, log_u = _t0_layout(
+        system_matrix(k1, k2), 0.0, 1.0, math.log(tol / 15.0), math.inf, 0.0, flat)
+    t, off, jac, panels = _plan(zeros, graded, width, t_end, far, flat, 0.0)
 
-    if sys.kind != _COMPLEX:
-        # h >= 0 here: no sign changes to track
-        total = 0.0
-        a = 0.0
-        width = 1.0
-        for j in range(200):
-            total += adaptive_simpson(lambda t: abs(resp.h(t)), a, a + width, 0.25 * tol)
-            a += width
-            if width < 64.0:
-                width *= 2.0
-            if a >= resp.decay_start() and resp.envelope_tail(a) < 0.5 * tol * max(total, 1.0):
-                return 1.0 / (D * total)
-        raise QuadratureError("quadrature failure: lbar integral tail did not converge")
+    def sums(t: np.ndarray, off: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        return ((np.exp(log_u(t, off)) * jac) @ _GK_KG).T
 
-    period = math.pi / sys.omega
-    # bracket each sign change of h around its nominal position n*period
-    zeros = [0.0]
-    n = 1
-    total = 0.0
-    prev = None
-    while n < 4000:
-        guess = n * period
-        lo, hi = guess - 0.45 * period, guess + 0.45 * period
-        if resp.h(lo) * resp.h(hi) > 0.0:
-            raise QuadratureError("quadrature failure: sign change bracketing lost a root")
-        z = _bisect_root(resp.h, lo, hi)
-        contrib = adaptive_simpson(lambda t: abs(resp.h(t)), zeros[-1], z, 0.25 * tol)
-        total += contrib
-        zeros.append(z)
-        if prev is not None and contrib < prev:
-            rho = contrib / prev
-            remainder = contrib * rho / (1.0 - rho)
-            if remainder < 0.5 * tol * max(total, 1.0):
-                total += remainder
-                return 1.0 / (D * total)
-        prev = contrib
-        n += 1
-    raise QuadratureError("quadrature failure: oscillatory lbar integral did not converge")
+    with np.errstate(divide="ignore"):
+        total = _refine(lambda p: sums(*_nodes(p)), panels, *sums(t, off, jac), 0.9 * tol,
+                        _T0_MAX_NODES)[0]
+    return 1.0 / (D * total)
 
 
 def t_perturbed_bound(t0: float, L: float, lbar_value: float) -> float:
