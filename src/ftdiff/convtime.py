@@ -27,7 +27,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -314,15 +314,22 @@ def _bend(dgf: GeneratingFunction) -> tuple[float, float, float]:
 
 
 @functools.lru_cache(maxsize=256)
-def _graded_edges(above: int, inside: int) -> tuple[list[float], list[float]]:
-    """Panel ends (lo, hi) in v of a stretch graded toward v = 0, the first panel from 0.
+def _graded_edges(above: int, inside: int) -> tuple[tuple[float, ...], ...]:
+    """Panel ends (lo, hi), midpoints and half widths in v of a stretch graded toward v = 0.
 
     From v = 1, `above` panels quarter v, then `inside` panels shrink it by
-    e^(-_T0_STEP/3), _T0_STEP of u where |h| ~ v^3. Shared: never changed.
+    e^(-_T0_STEP/3), _T0_STEP of u where |h| ~ v^3; the first panel starts
+    at 0. Built on first use.
     """
-    v = [0.0, *(0.25 ** above * math.exp(-_T0_STEP / 3.0 * k) for k in range(inside, 0, -1)),
-         *(0.25 ** k for k in range(above, -1, -1))]
-    return v[:-1], v[1:]
+    v = (0.0, *(0.25 ** above * math.exp(-_T0_STEP / 3.0 * k) for k in range(inside, 0, -1)),
+         *(0.25 ** k for k in range(above, -1, -1)))
+    return v[:-1], v[1:], *_mid_half(v)
+
+
+def _mid_half(s: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Midpoints and half widths of the panels between consecutive edges s."""
+    return (tuple(0.5 * (a + b) for a, b in zip(s, s[1:])),
+            tuple(0.5 * (b - a) for a, b in zip(s, s[1:])))
 
 
 def _plan(
@@ -331,17 +338,20 @@ def _plan(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
     """GK15 nodes t, their offsets from the panels' anchors and dt/ds, each (P, 15), on [0, t_end].
 
-    Each zero z of h, with the u of h linearized at z a `graded` away, gets
-    stretches t = z -/+ L v^3, L <= graded, on panels of _graded_edges whose
-    first ends below the band of u or holds at most e^log_small / L, cut at
-    0, at t_end and halfway to the next zero. The gaps get panels `graded`,
-    2 `graded`, ... wide, then `width` (_T0_WIDE times that between far[0]
-    and far[1] after the last zero), anchored at the zero before them (or
-    after, or at 0). Also returns a function that lays the panels out for
-    _refine, rows anchor, scale, cubic, lo, hi: t = anchor + scale s^p.
+    Each zero z of h, given with the u of h linearized at z a `graded` away,
+    gets a stretch of up to `graded` on either side, t = z -/+ L v^3, cut at
+    0, at t_end and halfway to the next zero (the first zero may lie at or
+    before 0). Its panels are _graded_edges', sized in the linearized u: the
+    first ends below the band of u, or where it holds at most e^log_small /
+    L. The gaps get panels `graded`, 2 `graded`, ... wide, then panels of at
+    most `width`, _T0_WIDE times that between far[0] and far[1] after the
+    last zero, anchored at the zero before them (or the one after, or at 0
+    when there is none). The graded panels come first. Also returns a
+    function that lays the panels out as _refine takes them, rows anchor,
+    scale, cubic, lo, hi: t = anchor + scale s^(3 if cubic else 1).
     """
     lo_b, hi_b = band
-    graded_rows, gap_rows = ([], [], [], []), ([], [], [], [])  # anchor, scale, lo, hi
+    graded_rows, gap_rows = ([], [], [], [], []), ([], [], [], [], [])  # see below
     count = [0.0]
 
     def reserve(n: float) -> None:
@@ -353,15 +363,16 @@ def _plan(
     def stretch(z: float, scale: float, u_z: float, v0: float = 0.0) -> None:
         length = abs(scale)
         u_end = u_z + math.log(length / graded)  # u falls by 3 log(1/v) from here
-        stop = max(lo_b, u_end + log_small - math.log(length))
+        stop = max(lo_b + 2.0 * _T0_STEP, u_end + log_small - math.log(length))
         above = max(0, math.ceil((u_end - max(hi_b, stop)) / _T0_COARSE))
         inside = max(0 if above else 1, math.ceil((u_end - above * _T0_COARSE - stop) / _T0_STEP))
-        lo, hi = _graded_edges(above, inside)
+        lo, hi, mid, half = _graded_edges(above, inside)
         if v0 > 0.0:  # the stretch starts at t = 0, past its first panels
             i = sum(x <= v0 for x in hi)
-            lo, hi = [v0, *lo[i + 1:]], hi[i:]
-        reserve(len(lo))
-        for row, new in zip(graded_rows, ([z] * len(lo), [scale] * len(lo), lo, hi)):
+            mid, half = _mid_half((v0, *hi[i:]))
+        reserve(len(mid))
+        for row, new in zip(graded_rows, ([z] * len(mid), [scale] * len(mid), mid, half,
+                                           [3.0 * length * x for x in half])):
             row += new
 
     def gap(a: float, b: float, anchor: float, top: float = 0.0, end: float = 0.0) -> None:
@@ -381,8 +392,8 @@ def _plan(
             edges += [p + (q - p) * i / n for i in range(n)]
         edges.append(b)
         sign = 1.0 if anchor <= a else -1.0
-        s = [sign * (t - anchor) for t in (edges if sign > 0.0 else reversed(edges))]
-        for row, new in zip(gap_rows, ([anchor] * (len(s) - 1), [sign] * (len(s) - 1), s[:-1], s[1:])):
+        mid, half = _mid_half([sign * (t - anchor) for t in (edges if sign > 0 else edges[::-1])])
+        for row, new in zip(gap_rows, ([anchor] * len(mid), [sign] * len(mid), mid, half, half)):
             row += new
 
     pos = 0.0
@@ -397,17 +408,19 @@ def _plan(
             stretch(z, right, u_z, math.cbrt(max(-z, 0.0) / right))
             pos = z + right
     gap(pos, t_end, zeros[-1][0] if zeros else 0.0, *far)
+    # anchor, scale, midpoint and half width in s, and dt/ds over v^2 on the graded panels
     cubic = len(graded_rows[0])
-    anchor, scale, lo, hi = np.array([g + u for g, u in zip(graded_rows, gap_rows)]).reshape(4, -1)
-    half = 0.5 * (hi - lo)
-    off = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK_X
-    jac = half[:, None].repeat(15, axis=1)
-    v = off[:cubic]  # v^3 and 3 v^2 |scale| dv/ds on the graded panels
-    jac[:cubic] *= 3.0 * np.abs(scale[:cubic, None]) * v * v
-    v *= v * v
-    off *= scale[:, None]
-    return (anchor[:, None] + off, off, jac,
-            lambda: np.array([anchor, scale, np.arange(anchor.size) < cubic, lo, hi]))
+    anchor, scale, mid, half, dt = np.array([g + u for g, u in zip(graded_rows, gap_rows)]
+                                            ).reshape(5, -1)[:, :, None]
+    off = mid + half * _GK_X
+    jac = dt.repeat(15, axis=1)
+    v = off[:cubic]
+    vv = v * v
+    jac[:cubic] *= vv
+    v *= vv
+    off *= scale
+    return (anchor + off, off, jac, lambda: np.array(
+        [anchor, scale, np.arange(anchor.size)[:, None] < cubic, mid - half, mid + half])[:, :, 0])
 
 
 def _nodes(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -596,7 +609,8 @@ def t0_exact(
     if logging is not None and logging.getLogger("ftdiff").isEnabledFor(logging.DEBUG):
         env = _response_for(system, u1, u2).envelope_tail(t_end)
         info = {"panels": panels, "values": 15 * (2 * panels - t.shape[0]), "rounds": rounds,
-                "error": error, "tol": tol, "tail": 1.5 * math.exp(log_s + math.log(env)) if env else 0.0}
+                "error": error, "tol": tol,
+                "tail": 1.5 * math.exp(log_s + math.log(env)) if env > 0.0 else 0.0}
         logging.getLogger("ftdiff").debug(
             "t0_exact %s at (%g, %g, %g) from (%g, %g): %d panels, %d Psi' values, %d rounds of "
             "bisection, error estimate %.2e against tol %.2e, tail bound %.2e", dgf.name,

@@ -441,7 +441,8 @@ class TestT0Record:
     def test_does_not_import_logging(self):
         code = (
             "import sys, ftdiff\n"
-            "ftdiff.t0_exact(ftdiff.builtin_dgf('exp'), ftdiff.ParamTriple(6, 4.5, 4.303), (3.0, 1.0))\n"
+            "kappa = ftdiff.ParamTriple(6, 4.5, 4.303)\n"
+            "ftdiff.t0_exact(ftdiff.builtin_dgf('exp'), kappa, (3.0, 1.0))\n"
             "assert 'logging' not in sys.modules\n"
         )
         src = str(Path(ftdiff.__file__).resolve().parents[1])
@@ -450,7 +451,10 @@ class TestT0Record:
 
 
 def _one_pass_states(n, seed):
-    """n seeded (name, kappa, x0): ured, exp and custom ured at the T0_CASES gains, |x0| in [1e-3, 30]."""
+    """n seeded (name, kappa, x0): ured, exp and custom ured at the T0_CASES gains.
+
+    |x0| is log-uniform in [1e-3, 30], its angle uniform.
+    """
     rng = np.random.default_rng(seed)
     kappas = [kappa for name, kappa in T0_CASES if name == "ured"]
     states = []
