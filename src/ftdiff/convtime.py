@@ -21,6 +21,7 @@ scalar response of that system. This module provides:
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -291,26 +292,37 @@ _T0_STEP = 1.5  # the most u a graded panel spans inside the band
 _T0_COARSE = 3.0 * math.log(4.0)  # u across a graded panel past the band, where v quarters
 _T0_WIDTH = 2.0  # uniform panels are at most this many 1/|rate| wide
 _T0_WIDE = 3.0  # and this many times wider where u is known to lie outside the band
-_T0_SMALL = 1e-3  # of tol: the most a graded stretch's first panel may hold across the band
+_T0_SMALL = 1e-3  # of tol: the most a graded stretch's first panel may hold
 _T0_MAX_NODES = 1 << 19  # nodes per call (4 MB per array) past which it raises
 _BEND = 1e-3  # |d^2/du^2 log Psi'_1(e^u)| past which Psi'_1 bends
 _GK_KG = np.stack([_GK_WK, _GK_WG], axis=1)  # (15, 2)
 
 
 @functools.lru_cache(maxsize=64)
-def _bend(dgf: GeneratingFunction) -> tuple[float, float, float]:
-    """(lo, hi, top): the band of u where log Psi'_1(e^u) bends, and the peak of 1/2 Psi'_1.
+def _bend(dgf: GeneratingFunction) -> tuple[float, float, list[float], list[float]]:
+    """(lo, hi, u, c): the band of u where log Psi'_1(e^u) bends, and a mass profile.
 
-    On the ladder of _small_slope_threshold, from the first to the last point
-    where the second difference of log Psi'_1 exceeds _BEND per unit u^2;
-    outside it, Psi'_1 is so nearly a power that GK15 takes wide panels.
+    On the ladder of _small_slope_threshold: from the first to the last point
+    where the second difference of log Psi'_1 exceeds _BEND per unit u^2, and
+    c >= log integral_-inf^u 1/2 Psi'_1(e^s) e^s ds, Psi'_1(w) <= 3w below.
     """
     w = _SLOPE_LADDER
+    u = np.log(w)
     with np.errstate(all="ignore"):
         g = _psi_prime_array(dgf, 1.0)(w)
-        i = np.flatnonzero(np.abs(np.diff(np.log(g), 2)) > _BEND * math.log(w[1] / w[0]) ** 2)
-    ends = (math.log(w[i[0]]), math.log(w[i[-1] + 2])) if i.size else (0.0, 0.0)  # sqrt: none
-    return *ends, 0.5 * float(np.max(g[np.isfinite(g)], initial=1e-300))
+        i = np.flatnonzero(np.abs(np.diff(np.log(g), 2)) > _BEND * (u[1] - u[0]) ** 2)
+        ge = np.where(np.isfinite(g), 0.5 * g, 0.0) * w
+        c = np.log(np.cumsum(np.maximum(ge, np.append(ge[1:], 0.0))) * (u[1] - u[0])
+                   + 0.75 * w[0] ** 2)
+    ends = (u[i[0]], u[i[-1] + 2]) if i.size else (0.0, 0.0)  # a pure power (sqrt) has none
+    return float(ends[0]), float(ends[1]), u.tolist(), c.tolist()
+
+
+def _mass_below(band: tuple, level: float) -> float:
+    """The u up to which band's mass profile c stays at or below level, extended straight."""
+    u, c = band[2:]
+    i = min(max(bisect.bisect_right(c, level), 1), len(c) - 1)
+    return u[i - 1] + (level - c[i - 1]) * (u[i] - u[i - 1]) / ((c[i] - c[i - 1]) or 1e-300)
 
 
 @functools.lru_cache(maxsize=256)
@@ -334,23 +346,22 @@ def _mid_half(s: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]
 
 def _plan(
     zeros: list[tuple[float, float]], graded: float, width: float, t_end: float,
-    far: tuple[float, float], band: tuple[float, float], log_small: float,
+    far: tuple[float, float], band: tuple, log_small: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
     """GK15 nodes t, their offsets from the panels' anchors and dt/ds, each (P, 15), on [0, t_end].
 
     Each zero z of h, given with the u of h linearized at z a `graded` away,
-    gets a stretch of up to `graded` on either side, t = z -/+ L v^3, cut at
-    0, at t_end and halfway to the next zero (the first zero may lie at or
-    before 0). Its panels are _graded_edges', sized in the linearized u: the
-    first ends below the band of u, or where it holds at most e^log_small /
-    L. The gaps get panels `graded`, 2 `graded`, ... wide, then panels of at
-    most `width`, _T0_WIDE times that between far[0] and far[1] after the
-    last zero, anchored at the zero before them (or the one after, or at 0
-    when there is none). The graded panels come first. Also returns a
-    function that lays the panels out as _refine takes them, rows anchor,
-    scale, cubic, lo, hi: t = anchor + scale s^(3 if cubic else 1).
+    gets stretches t = z -/+ L v^3, L <= graded, cut at 0, at t_end and
+    halfway to the next zero, on the panels of _graded_edges: the first ends
+    two steps into the band of u, or where band's mass profile puts at most
+    e^log_small below it. The gaps get panels `graded`, 2 `graded`, ...
+    wide, then at most `width` (_T0_WIDE times that from far[0] to far[1]
+    after the last zero), anchored at the zero before them (or after, or at
+    0). Graded panels come first. Also returns a function that lays the
+    panels out for _refine, rows anchor, scale, cubic, lo, hi, with
+    t = anchor + scale s^(3 if cubic else 1).
     """
-    lo_b, hi_b = band
+    lo_b, hi_b = band[:2]
     graded_rows, gap_rows = ([], [], [], [], []), ([], [], [], [], [])  # see below
     count = [0.0]
 
@@ -363,7 +374,8 @@ def _plan(
     def stretch(z: float, scale: float, u_z: float, v0: float = 0.0) -> None:
         length = abs(scale)
         u_end = u_z + math.log(length / graded)  # u falls by 3 log(1/v) from here
-        stop = max(lo_b + 2.0 * _T0_STEP, u_end + log_small - math.log(length))
+        stop = min(u_end, max(lo_b + 2.0 * _T0_STEP,
+                              _mass_below(band, u_end + log_small - math.log(length))))
         above = max(0, math.ceil((u_end - max(hi_b, stop)) / _T0_COARSE))
         inside = max(0 if above else 1, math.ceil((u_end - above * _T0_COARSE - stop) / _T0_STEP))
         lo, hi, mid, half = _graded_edges(above, inside)
@@ -456,17 +468,15 @@ def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x != 0.0 else -math.inf
 
 
-def _t0_layout(
-    sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env: float, shift: float,
-    band: tuple[float, float],
-) -> tuple[list[tuple[float, float]], float, float, float, tuple, Callable[..., np.ndarray]]:
+def _t0_layout(sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env: float,
+               shift: float, band: tuple) -> tuple:
     """Where to grade and how far to go for h = e1^T e^(A t) (u1, u2), max(|u1|, |u2|) = 1.
 
     Returns the zeros of h before the end, each with the u = shift + log|h|
     of h linearized there a `graded` away; graded; the uniform width; the
     end T (closed form, or Newton steps) past which the envelope of |h| is
     at most e^log_env and its integral below e^log_tail; (top, end) between
-    which u lies above the band (known in the repeated case only); and
+    which u lies above the band (known for real eigenvalues); and
     u(t, offset) on arrays, offset = t - anchor sparing cancellation.
     """
     resp = _response_for(sys, u1, u2)
@@ -503,6 +513,9 @@ def _t0_layout(
         width = _T0_WIDTH / -l1
         graded = min(1.0 / gap_rate, 1.0 / -l1)
         same = c1 == 0.0 or c2 == 0.0 or (c1 > 0.0) == (c2 > 0.0)
+        # past top the slow mode is at least twice the other: |h| >= |c1| e^(l1 t) / 2
+        top = max(0.0, (lc2 - lc1 + math.log(2.0)) / gap_rate)
+        far = (top, max(top, (shift + lc1 - math.log(2.0) - band[1]) / -l1))
         anchored = resp.tz is not None and -graded < resp.tz < t_end
         if anchored:
             log_slope = lc1 + l1 * resp.tz + math.log(gap_rate)
@@ -582,14 +595,14 @@ def t0_exact(
     system = system_matrix(kappa.k1, kappa.k2)
     u1 = math.copysign(math.exp(lg - log_s), x1)
     u2 = math.copysign(math.exp(lx - log_s), x2)
-    lo, hi, top = _bend(dgf)
+    band = _bend(dgf)
     # the tail beyond the panels, where |h| <= delta0 and so 1/2 Psi'(h) <= 1.5 |h|,
     # takes a tenth of tol
     zeros, graded, width, t_end, far, log_u = _t0_layout(
         system, u1, u2, math.log(tol / 15.0) - log_s, math.log(_delta0(dgf, k3)) - log_s,
-        log_s + math.log(k3), (lo, hi))
-    t, off, jac, panels = _plan(zeros, graded, width, t_end, far, (lo, hi),
-                                math.log(_T0_SMALL * tol * k3 / top))
+        log_s + math.log(k3), band)
+    t, off, jac, panels = _plan(zeros, graded, width, t_end, far, band,
+                                math.log(_T0_SMALL * tol * k3))
     slope = dgf._inverse_slope or functools.partial(_slope_at_preimage, dgf)
     weights = (0.5 / k3) * _GK_KG
 
@@ -609,8 +622,7 @@ def t0_exact(
     if logging is not None and logging.getLogger("ftdiff").isEnabledFor(logging.DEBUG):
         env = _response_for(system, u1, u2).envelope_tail(t_end)
         info = {"panels": panels, "values": 15 * (2 * panels - t.shape[0]), "rounds": rounds,
-                "error": error, "tol": tol,
-                "tail": 1.5 * math.exp(log_s + math.log(env)) if env > 0.0 else 0.0}
+                "error": error, "tol": tol, "tail": 1.5 * math.exp(log_s + math.log(env or 1e-300))}
         logging.getLogger("ftdiff").debug(
             "t0_exact %s at (%g, %g, %g) from (%g, %g): %d panels, %d Psi' values, %d rounds of "
             "bisection, error estimate %.2e against tol %.2e, tail bound %.2e", dgf.name,
@@ -665,7 +677,7 @@ def lbar_integral(k1: float, k2: float, D: float, *, tol: float = 1e-10) -> floa
     """
     if not D >= 1.0:
         raise ValueError("D must be >= 1")
-    flat = (-1e300, 1e300)
+    flat = (-1e300, 1e300, [0.0, 1.0], [-math.log(2.0), 2.0 - math.log(2.0)])  # e^(2u)/2 below u
     zeros, graded, width, t_end, far, log_u = _t0_layout(
         system_matrix(k1, k2), 0.0, 1.0, math.log(tol / 15.0), math.inf, 0.0, flat)
     t, off, jac, panels = _plan(zeros, graded, width, t_end, far, flat, 0.0)
