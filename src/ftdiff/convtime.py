@@ -476,7 +476,7 @@ def _t0_layout(sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env
     of h linearized there a `graded` away; graded; the uniform width; the
     end T (closed form, or Newton steps) past which the envelope of |h| is
     at most e^log_env and its integral below e^log_tail; (top, end) between
-    which u lies above the band (known for real eigenvalues); and
+    which u lies two steps above the band (known for real eigenvalues); and
     u(t, offset) on arrays, offset = t - anchor sparing cancellation.
     """
     resp = _response_for(sys, u1, u2)
@@ -513,9 +513,9 @@ def _t0_layout(sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env
         width = _T0_WIDTH / -l1
         graded = min(1.0 / gap_rate, 1.0 / -l1)
         same = c1 == 0.0 or c2 == 0.0 or (c1 > 0.0) == (c2 > 0.0)
-        # past top the slow mode is at least twice the other: |h| >= |c1| e^(l1 t) / 2
-        top = max(0.0, (lc2 - lc1 + math.log(2.0)) / gap_rate)
-        far = (top, max(top, (shift + lc1 - math.log(2.0) - band[1]) / -l1))
+        # past top the fast mode is below 1e-8 of the slow one, and u = b1 + l1 t
+        top = max(0.0, (lc2 - lc1 + math.log(1e8)) / gap_rate)
+        far = (top, max(top, (shift + lc1 - band[1] - 2.0 * _T0_STEP) / -l1))
         anchored = resp.tz is not None and -graded < resp.tz < t_end
         if anchored:
             log_slope = lc1 + l1 * resp.tz + math.log(gap_rate)
@@ -542,7 +542,7 @@ def _t0_layout(sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env
         tz = -math.inf if resp.tz is None else resp.tz
         top = max(start, tz + 2.0 / -lam)
         low = shift + (lc1 if c2 == 0.0 else lc2 + math.log(top - tz))
-        far = (top, top if tz >= t_end else max(top, (low - band[1]) / -lam))
+        far = (top, top if tz >= t_end else max(top, (low - band[1] - 2.0 * _T0_STEP) / -lam))
 
         def log_u(t: np.ndarray, off: np.ndarray) -> np.ndarray:
             if anchored:
