@@ -362,7 +362,7 @@ def _plan(
     t = anchor + scale s^(3 if cubic else 1).
     """
     lo_b, hi_b = band[:2]
-    graded_rows, gap_rows = ([], [], [], [], []), ([], [], [], [], [])  # see below
+    graded_rows, gap_rows = ([], [], [], [], []), ([], [], [], [], [])  # rows as laid out below
     count = [0.0]
 
     def reserve(n: float) -> None:
