@@ -18,7 +18,6 @@ from .errors import QuadratureError
 __all__ = [
     "adaptive_simpson",
     "golden_max",
-    "reciprocal_integral",
     "zoom_max",
 ]
 
@@ -341,29 +340,3 @@ def _x_over_phi(phi: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray
         return r
 
     return f
-
-
-def reciprocal_integral(
-    phi: Callable[[float], float],
-    upper: float | None = None,
-    *,
-    tol: float = 1e-9,
-) -> float:
-    """integral_0^upper dx/phi(x) for an odd increasing phi; upper=None means infinity.
-
-    One array pass of GK15 panels in log x (_log_axis_integral), with phi
-    applied to arrays if it takes them and elementwise otherwise. Raises
-    QuadratureError when the improper tail diverges (detected from the
-    growth exponent of phi before any panel work is spent).
-    """
-    if upper is not None:
-        if not upper >= 0.0:
-            raise ValueError("upper must be nonnegative")
-        if upper == 0.0:
-            return 0.0
-        if upper == math.inf:
-            upper = None
-    if upper is None:
-        _probe_tail_divergence(phi)
-    top = None if upper is None else math.log(upper)
-    return _log_axis_integral(_x_over_phi(_array_form(phi)), top, tol).value

@@ -39,8 +39,8 @@ from .dgf import (
     ParamTriple,
     _arrays,
     _preimage,
+    _psi_prime_array,
     _reciprocal_to,
-    _slope_at_preimage,
     nu1,
 )
 from .errors import (
@@ -146,15 +146,12 @@ def _e(a: float) -> float:
 
 
 class _Response:
-    """Scalar response h(tau) with cancellation-safe evaluation.
+    """Scalar response h(tau): its zero tz and the tail of its envelope.
 
-    real-distinct: h = c1 e^(l1 t) + c2 e^(l2 t). Opposite-sign
-    coefficients put a zero crossing at tz; near it the plain sum loses all
-    of its leading digits once an amplitude like 1e12 meets t ~ 1e-13, so
-    the value is routed through expm1 relative to tz there.
-    real-repeated: h = e^(l1 t) (c1 + c2 t), linear factor anchored at its
-    zero. complex: h = e^(mu t) (c1 cos(om t) + c2 sin(om t)).
-    Exponentials saturate to inf instead of raising; Psi' maps those to 0.
+    real-distinct: h = c1 e^(l1 t) + c2 e^(l2 t); opposite-sign
+    coefficients put a zero crossing at tz. real-repeated: h = e^(l1 t)
+    (c1 + c2 t), zero at tz = -c1/c2. complex: h = e^(mu t) (c1 cos(om t)
+    + c2 sin(om t)). Exponentials saturate to inf instead of raising.
     """
 
     __slots__ = ("kind", "c1", "c2", "lam1", "lam2", "mu", "omega", "tz")
@@ -182,28 +179,6 @@ class _Response:
         elif kind == _REAL_REPEATED and c2 != 0.0:
             tz = -c1 / c2
         self.tz = tz
-
-    def h(self, t: float) -> float:
-        if self.kind == _REAL_DISTINCT:
-            if self.tz is not None:
-                arg = (self.lam1 - self.lam2) * (t - self.tz)
-                if abs(arg) <= 1.0:
-                    return -self.c2 * _e(self.lam2 * t) * math.expm1(arg)
-                t1 = self.c1 * _e(self.lam1 * t)
-                t2 = self.c2 * _e(self.lam2 * t)
-                if math.isinf(t1) and math.isinf(t2):
-                    return t1 if arg > 0.0 else t2  # dominant mode decides
-                return t1 + t2
-            return self.c1 * _e(self.lam1 * t) + self.c2 * _e(self.lam2 * t)
-        if self.kind == _REAL_REPEATED:
-            m = self.c2 * (t - self.tz) if self.tz is not None else self.c1
-            if m == 0.0:
-                return 0.0
-            return _e(self.lam1 * t) * m
-        m = self.c1 * math.cos(self.omega * t) + self.c2 * math.sin(self.omega * t)
-        if m == 0.0:
-            return 0.0
-        return _e(self.mu * t) * m
 
     def envelope_tail(self, t: float) -> float:
         """integral_t^inf envelope, in closed form (t past decay_start)."""
@@ -603,15 +578,12 @@ def t0_exact(
         log_s + math.log(k3), band)
     t, off, jac, panels = _plan(zeros, graded, width, t_end, far, band,
                                 math.log(_T0_SMALL * tol * k3))
-    slope = dgf._inverse_slope or functools.partial(_slope_at_preimage, dgf)
+    psi = _psi_prime_array(dgf, 1.0)
     weights = (0.5 / k3) * _GK_KG
 
     def sums(t: np.ndarray, off: np.ndarray, jac: np.ndarray) -> np.ndarray:
         # Kronrod and Gauss sums of 1/2 Psi'(h) = Psi'_1(k3 |h|) / (2 k3) on each panel
-        w = np.exp(log_u(t, off))
-        f = slope(w)
-        if not w.max(initial=0.0) < math.inf:
-            f[~(w < math.inf)] = 0.0  # Psi' is 0 where |h| overflows
+        f = psi(np.exp(log_u(t, off)))
         f *= jac
         return (f @ weights).T
 
@@ -1219,29 +1191,6 @@ def _full_line(
         _raise_if_not_finite(err, level)
         over &= err > tol
     return values
-
-
-def _psi_prime_array(dgf: GeneratingFunction, k3: float) -> Callable[..., np.ndarray]:
-    """Psi' of the scaled map on an array of |z| >= 0; 0 at z = 0 and z = inf.
-
-    Psi'_k3(z) = Psi'_1(k3 z) / k3. The built-ins give Psi'_1 in closed
-    form; other functions take 1/Phi' at the array preimage, from their
-    inverse or from the array root solve. psi(z, out) writes the result
-    into out and overwrites z; the built-ins then allocate nothing.
-    """
-    slope = dgf._inverse_slope or functools.partial(_slope_at_preimage, dgf)
-
-    def psi(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        w = np.multiply(z, k3, out=None if out is None else z)
-        # the slopes give 0 at w = 0; inf and nan are zeroed here
-        bad = None if np.max(w, initial=0.0) < math.inf else ~(w < math.inf)
-        g = slope(w, out)
-        g /= k3
-        if bad is not None:
-            g[bad] = 0.0
-        return g
-
-    return psi
 
 
 def _circle_values(

@@ -264,10 +264,10 @@ def _ured_inverse_slope(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.n
         s /= 3.0
         np.sinh(s, out=s)
         s *= _URED_SINH_SCALE
-        if np.max(w, initial=0.0) > _URED_CBRT_FROM:
+        if w.max(initial=0.0) > _URED_CBRT_FROM:
             big = w > _URED_CBRT_FROM
             s[big] = np.cbrt(w[big])
-        if np.min(w, initial=math.inf) < _URED_LINEAR_BELOW:
+        if w.min(initial=math.inf) < _URED_LINEAR_BELOW:
             small = w < _URED_LINEAR_BELOW
             s[small] = w[small]
         d = np.multiply(s, s, out=None if out is None else w)
@@ -438,72 +438,27 @@ def nu2(dgf: GeneratingFunction, k3: float, x: float) -> float:
     return 2.0 * dgf.phi(u) * dgf.phi_prime(u)
 
 
-_REL_TOL = 1e-13  # of invert_phi by default, and of the array root solve
+_REL_TOL = 1e-13  # of the array root solve
 
 
-def invert_phi(dgf: GeneratingFunction, z: float, *, rel_tol: float = _REL_TOL) -> float:
+def invert_phi(dgf: GeneratingFunction, z: float) -> float:
     """Solve phi(x) = z for x.
 
     Uses the closed-form inverse when the generating function provides one,
-    otherwise brackets the root by geometric expansion and solves with a
-    safeguarded false-position iteration. Monotonicity of phi makes both
-    routes unconditionally convergent.
+    otherwise one element of the array root solve. Raises InversionRangeError
+    where no float x reaches |z|: phi stays below it up to 2^999 or
+    overflows first, and for inf and nan.
     """
     if dgf.inverse is not None:
         return dgf.inverse(z)
-    if z == 0.0:
-        return 0.0
     az = abs(z)
-    phi = dgf.phi
-
-    hi = 1.0
-    guard = 0
-    while phi(hi) < az:
-        hi *= 8.0
-        guard += 1
-        if hi > 1e301 or guard > 360:
-            raise InversionRangeError(
-                f"inversion out of range: phi never reaches {az:.3e} below the overflow guard"
-            )
-    lo = 0.0
-    if hi == 1.0:
-        # shrink toward zero to get a tight bracket for small targets
-        while hi > 1e-290 and phi(hi / 8.0) >= az:
-            hi /= 8.0
-        lo = hi / 8.0 if hi > 1e-290 else 0.0
-    else:
-        lo = hi / 8.0
-
-    flo = phi(lo) - az
-    fhi = phi(hi) - az
-    if flo == 0.0:
-        return math.copysign(lo, z)
-    # Illinois variant of false position: guaranteed bracket, superlinear in practice
-    side = 0
-    root = lo
-    for _ in range(300):
-        root = (lo * fhi - hi * flo) / (fhi - flo)
-        if not (lo < root < hi):
-            root = 0.5 * (lo + hi)
-        fr = phi(root) - az
-        # relative down to the subnormals, where the floats run out first
-        if fr == 0.0 or (hi - lo) <= max(rel_tol * abs(root), 5e-324):
-            break
-        if (fr > 0.0) == (fhi > 0.0):
-            hi, fhi = root, fr
-            if side == 1:
-                flo *= 0.5
-            side = 1
-        else:
-            lo, flo = root, fr
-            if side == -1:
-                fhi *= 0.5
-            side = -1
-    if not math.isfinite(fhi):
-        # the bracket closed on the point where phi overflows, below az
-        raise InversionRangeError(
-            f"inversion out of range: phi overflows before it reaches {az:.3e}")
-    return math.copysign(root, z)
+    if az == 0.0:
+        return 0.0
+    x = float(_invert_phi_array(dgf, np.array([az]))[0]) if az < math.inf else math.inf
+    if x == math.inf:
+        raise InversionRangeError(f"inversion out of range: phi never reaches {az:.3e} "
+                                  "among the floats")
+    return math.copysign(x, z)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +494,9 @@ def _newton(
     stays inside its bracket with the error that it and the Newton step
     before it predict for the next one (quadratic convergence) at most
     _REL_TOL. Each row stops at its own step, so a root does not depend on
-    the other rows of the batch.
+    the other rows of the batch. A row still going after 100 steps has
+    closed its bracket on a point where phi jumps over its target, such as
+    where phi overflows before it reaches the target; it gets inf.
     """
     out = rows = None  # set once some rows stop before others
     prev = np.inf
@@ -568,14 +525,14 @@ def _newton(
         root = step if inside.all() else np.where(inside, step, 0.5 * (lo + hi))
         prev, newton = r, inside
     if rows is None:
-        return root
-    out[rows] = root
+        return np.full(target.size, np.inf)
+    out[rows] = np.inf
     return out
 
 
 # The x ladder 2^(k/_X_STEPS), from the smallest subnormal float up to
-# invert_phi's overflow guard 2^999, brackets every root; the w ladder
-# 2^(k/_W_STEPS) over all positive floats indexes it
+# 2^999, brackets every root; the w ladder 2^(k/_W_STEPS) over all
+# positive floats indexes it
 _X_STEPS = 8
 _W_STEPS = 16
 
@@ -605,10 +562,9 @@ def _invert_phi_array(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:
     """Solve phi(x) = w elementwise on an array of finite w > 0.
 
     Neighbours on the x ladder bracket each root, and _newton polishes it
-    from the interpolation between them, to invert_phi's tolerance. Gives
-    0 where the preimage underflows, and inf where phi stays below w up to
-    2^999 or reaches it only past the last ladder point where phi is
-    finite.
+    from the interpolation between them, to _REL_TOL. Gives 0 where the
+    preimage underflows, and inf where phi stays below w up to 2^999 or
+    overflows before it reaches w.
     """
     x, p, index = _ladder(dgf)
     phi, phi_prime = _arrays(dgf)[:2]
@@ -623,13 +579,18 @@ def _invert_phi_array(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:
         if missed.any():
             j[missed] = np.searchsorted(p, w[missed])
             p_lo, p_hi = p[j - 1], p[j]
-        ok = (j > 0) & (p_hi < np.inf)
+        ok = (j > 0) & (j < x.size)
         every = ok.all()
         if not every:
             root = np.where(j == 0, 0.0, np.inf)
+            if not ok.any():
+                return root.reshape(shape)
             w, j, p_lo, p_hi = w[ok], j[ok], p_lo[ok], p_hi[ok]
         lo, hi = x[j - 1], x[j]
-        solved = _newton(phi, phi_prime, w, lo, hi, lo + (w - p_lo) / (p_hi - p_lo) * (hi - lo))
+        # where phi overflows at hi, the root may lie below the overflow
+        # point or not exist: start from the middle, with no interpolation
+        at = np.where(p_hi < np.inf, (w - p_lo) / (p_hi - p_lo), 0.5)
+        solved = _newton(phi, phi_prime, w, lo, hi, lo + at * (hi - lo))
     if every:
         return solved.reshape(shape)
     root[ok] = solved
@@ -664,31 +625,51 @@ def _slope_at_preimage(dgf: GeneratingFunction, w: np.ndarray,
     return out
 
 
+def _psi_prime_array(dgf: GeneratingFunction, k3: float) -> Callable[..., np.ndarray]:
+    """Psi' of the scaled map on an array of |z| >= 0; 0 at z = 0 and z = inf.
+
+    Psi'_k3(z) = Psi'_1(k3 z) / k3. The built-ins give Psi'_1 in closed
+    form; other functions take 1/Phi' at the array preimage, from their
+    inverse or from the array root solve. psi(z, out) writes the result
+    into out and overwrites z; the built-ins then allocate nothing.
+    """
+    slope = dgf._inverse_slope or functools.partial(_slope_at_preimage, dgf)
+
+    def psi(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        w = np.multiply(z, k3, out=None if out is None else z)
+        # the slopes give 0 at w = 0; inf and nan are zeroed here
+        bad = None if w.max(initial=0.0) < math.inf else ~(w < math.inf)
+        g = slope(w, out)
+        g /= k3
+        if bad is not None:
+            g[bad] = 0.0
+        return g
+
+    return psi
+
+
 def psi_prime(dgf: GeneratingFunction, k3: float, z: float) -> float:
     """Derivative of the inverse of the scaled map, Psi = (Phi_k3)^(-1).
 
     Psi'(z) = 1 / (k3 Phi'(Phi^(-1)(k3 z))), an even function of z,
     continuously extended by Psi'(0) = 0 (the slope of Phi blows up at the
-    origin, so the inverse flattens out) and by 0 where k3 |z| is infinite.
-    The built-ins use their closed-form inverse slope, whose preimage can
-    neither underflow nor overflow; for other functions a zero slope at the
-    preimage raises InversionRangeError.
+    origin, so the inverse flattens out), by 0 where k3 |z| is infinite and
+    where the preimage underflows. One element of _psi_prime_array. The
+    built-ins use their closed-form inverse slope, whose preimage can
+    neither underflow nor overflow; for other functions a preimage past the
+    float range, or a zero slope there, raises InversionRangeError.
     """
     _check_k3(k3)
+    with np.errstate(over="ignore"):
+        g = float(_psi_prime_array(dgf, k3)(np.array([abs(z)]))[0])
     w = k3 * abs(z)
-    if w == 0.0 or w == math.inf:
-        return 0.0
-    if dgf._inverse_slope is not None:
-        with np.errstate(over="ignore"):
-            return float(dgf._inverse_slope(np.array([w]))[0]) / k3
-    x = invert_phi(dgf, w)
-    if x == 0.0:
-        # the inverse underflowed (subnormal z); same continuous extension
-        return 0.0
-    d = dgf.phi_prime(x)
-    if d == 0.0:
-        raise InversionRangeError(f"phi' is 0 at the preimage {x:.3e} of {w:.3e}")
-    return 1.0 / (k3 * d)
+    if dgf._inverse_slope is None and 0.0 < w < math.inf and not 0.0 < g < math.inf:
+        # an underflowed preimage gives 0 too; invert_phi raises past the float range
+        x = abs(invert_phi(dgf, w))
+        if x == math.inf or x > 0.0 and dgf.phi_prime(x) == 0.0:
+            raise InversionRangeError(f"Psi' has no value at {w:.3e}: its preimage {x:.3e} "
+                                      "is past the float range or phi' is 0 there")
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from ftdiff.dgf import (
     ParamTriple,
     builtin_dgf,
     compute_admissibility,
-    invert_phi,
     nu1,
     psi_prime,
 )
@@ -530,6 +529,12 @@ class TestSingleExpReduction:
         want = 0.5 * single_exp_reduction(dgf, k3, lam, c)
         assert got == pytest.approx(want, rel=1e-7)
 
+    def test_custom_ured_at_a_bracket_point(self):
+        # Phi(1) = 2 lies on the root solve's x ladder: the inner integral
+        # runs up to 1, where it is pi/2, as for built-in ured
+        got = single_exp_reduction(_custom_ured(), 1.0, -1.0, 2.0)
+        assert abs(got - math.pi / 2.0) <= 1e-12
+
     def test_invalid_arguments(self, ured):
         with pytest.raises(ValueError):
             single_exp_reduction(ured, 1.0, 0.5, 1.0)  # lam must be negative
@@ -933,20 +938,15 @@ class TestStridedWalk:
 
 
 class TestPsiPrimeArray:
-    @pytest.mark.parametrize("name", ["sqrt", "ured", "exp"])
+    @pytest.mark.parametrize("name", ["sqrt", "ured", "exp", "custom"])
     def test_matches_scalar_on_log_grid(self, name):
-        dgf = builtin_dgf(name)
+        # the scalar psi_prime is one element of the array form, bit for bit
+        dgf = _custom_ured() if name == "custom" else builtin_dgf(name)
         k3 = 1.7
         z = np.logspace(-300.0, 300.0, 601)
         got = _psi_prime_array(dgf, k3)(z)
-        for zi, gi in zip(z.tolist(), got):
-            x = abs(invert_phi(dgf, k3 * zi))
-            if sys.float_info.min <= x < math.inf:
-                assert gi == pytest.approx(psi_prime(dgf, k3, zi), rel=1e-13, abs=0.0)
-            else:
-                # the scalar route's preimage leaves the float range; the
-                # square-root behavior at zero (sqrt: everywhere) gives 2|z|
-                assert gi == pytest.approx(2.0 * zi, rel=1e-13, abs=0.0)
+        want = [g.hex() for g in got.tolist()]
+        assert [psi_prime(dgf, k3, zi).hex() for zi in z.tolist()] == want
 
     def test_exp_subnormal(self):
         # 1/w overflows below w ~ 5.6e-309, which made the slope 0 there

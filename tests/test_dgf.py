@@ -257,6 +257,18 @@ class TestInversion:
             assert invert_phi(custom, w) == pytest.approx(
                 invert_phi(builtin_dgf("exp"), w), rel=2e-13)
 
+    @pytest.mark.parametrize("name", ["ured", "exp"])
+    def test_roots_on_bracket_points(self, name):
+        # 8^k lies on the root solve's x ladder, so the target is phi at a
+        # bracket end; the root is that end, not the one below it
+        exprs = URED_EXPRESSIONS if name == "ured" else EXP_EXPRESSIONS
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in exprs))
+        for k in range(-3, 4):
+            x = 8.0 ** k
+            for sign in (1.0, -1.0):
+                got = invert_phi(custom, sign * custom.phi(x))
+                assert abs(got - sign * x) <= 2e-13 * x, (k, sign, got)
+
     def test_tiny_roots_are_relative(self):
         # the root 1e-307 lies below the old absolute floor of 1e-313 per step
         custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
@@ -349,6 +361,11 @@ class TestPsiPrime:
             want = 2.0 / (k3 * k3 * z)  # 1/Phi'(log(1 + w^2)) ~ 2/w
         for sz in (z, -z):
             assert psi_prime(dgf, k3, sz) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_custom_ured_at_a_bracket_point(self):
+        # Phi(1) = 2 lies on the root solve's x ladder; 1/Phi'(1) = 1/2
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        assert psi_prime(custom, 1.0, 2.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_zero_slope_at_preimage_raises(self):
         # sqrt written as expressions: the inverse overflows to inf, where
@@ -531,8 +548,8 @@ class TestReciprocalPinned:
         ("exp", 2.0, 1e-9, "0x1.1b6e192ebbe44p+1"),
         ("exp", 1e3, 1e-9, "0x1.91de2c0e658bcp+1"),
         ("custom", None, 1e-9, "0x1.921fb54442d19p+1"),
-        ("custom", 2.0, 1e-9, "0x1.5bfe34f05119ep-1"),
-        ("custom", 1e3, 1e-9, "0x1.78861f6820cafp+1"),
+        ("custom", 2.0, 1e-9, "0x1.921fb54442d18p+0"),
+        ("custom", 1e3, 1e-9, "0x1.78861f6820cb5p+1"),
         ("sqrt", 1e8, 1e-9, "0x1.7d7840000000bp+27"),
     ])
     def test_reciprocal_to(self, name, w, tol, value):
@@ -620,28 +637,27 @@ class TestArrayForms:
         assert list(arr(x)) == [fn(v) for v in x.tolist()]
 
     def test_root_solve_matches_invert_phi(self, ured):
-        # the custom-ured expressions have no inverse: both routes solve
+        # the custom-ured expressions have no inverse; built-in ured's is
+        # Cardano's, within 1e-14 of 60-digit roots
         custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
         z = np.logspace(-300.0, 300.0, 1201)
         got = _invert_phi_array(custom, z)
-        for zi, gi in zip(z.tolist(), got.tolist()):
-            # the array solve's tolerance: relative, absolute below 1e-300
-            assert abs(gi - invert_phi(custom, zi)) <= 2e-13 * max(gi, 1e-300), zi
-        # and against the closed form, where the scalar route agrees too
-        assert np.allclose(got[z < 1e200], [invert_phi(ured, v) for v in z[z < 1e200]],
-                           rtol=2e-13, atol=1e-300)
+        want = np.array([invert_phi(ured, v) for v in z.tolist()])
+        # the array solve's tolerance: relative, absolute below 1e-300
+        assert np.all(np.abs(got - want) <= 2e-13 * np.maximum(want, 1e-300))
 
     def test_root_solve_matches_invert_phi_for_exp(self):
-        # exp written as expressions: roots up to x = 645; phi overflows past
-        # x = 709.8 (w = 1.3e154), so larger w have no root among the floats
+        # exp written as expressions: phi^-1(w) = log(1 + w^2) up to x = 709.78,
+        # where phi overflows (w = 1.34e154); larger w have no root among the
+        # floats. Past 663.98 the next ladder point already overflows
         custom = GeneratingFunction("custom", *(compile_expression(t) for t in EXP_EXPRESSIONS))
-        z = np.append(np.logspace(0.0, 140.0, 701), math.exp(250.0))
+        z = np.concatenate([np.logspace(0.0, 154.0, 771), [math.exp(250.0), 1.2e154, 1.3e154]])
         got = _invert_phi_array(custom, z)
-        for zi, gi in zip(z.tolist(), got.tolist()):
-            assert abs(gi - invert_phi(custom, zi)) <= 2e-13 * gi, zi
-        assert abs(got[-1] - 500.0) <= 1e-13 * 500.0
+        assert np.all(np.abs(got - np.log1p(z * z)) <= 2e-13 * got)
+        assert got[-1] > got[-2] > 709.0
         assert np.all(np.diff(np.sort(got)) > 0.0)
-        assert np.all(_invert_phi_array(custom, np.logspace(155.0, 200.0, 10)) == math.inf)
+        beyond = np.concatenate([[1.35e154, 1.5e154], np.logspace(155.0, 200.0, 10)])
+        assert np.all(_invert_phi_array(custom, beyond) == math.inf)
 
     def test_bounded_map_out_of_range_is_inf(self):
         capped = GeneratingFunction(

@@ -3,8 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from ftdiff._quad import adaptive_simpson, golden_max, reciprocal_integral
+from ftdiff._quad import (_array_form, _log_axis_integral, _x_over_phi, adaptive_simpson,
+                          golden_max)
+from ftdiff.dgf import GeneratingFunction, _reciprocal_to
 from ftdiff.errors import QuadratureError
+
+
+def b_route(phi, upper=None, *, tol=1e-9):
+    """integral_0^upper dx/phi(x) on B's route for a function without a closed-form slope.
+
+    The whole line (upper None or inf) is _reciprocal_to of a function
+    with phi alone, divergence probe included; finite uppers are the same
+    log-axis pass of x/phi(x), cut at log(upper).
+    """
+    if upper is None or upper == math.inf:
+        bare = GeneratingFunction("bare", phi, phi, phi)  # only phi is read
+        return _reciprocal_to(bare, upper, tol).value
+    return _log_axis_integral(_x_over_phi(_array_form(phi)), math.log(upper), tol).value
 
 
 class TestAdaptiveSimpson:
@@ -49,34 +64,36 @@ class TestGoldenMax:
 
 
 class TestReciprocalIntegral:
+    """integral_0^upper dx/phi on b_route, against closed forms and mpmath."""
+
     def test_ured_full_line_is_pi(self, ured):
         # integral_0^inf dx / (sqrt(x)(1+x)) = pi
-        val = reciprocal_integral(ured.phi, None, tol=1e-10)
+        val = b_route(ured.phi, None, tol=1e-10)
         assert val == pytest.approx(math.pi, rel=1e-9)
 
     def test_ured_partial(self, ured):
         # integral_0^1 dx / (sqrt(x)(1+x)) = 2 atan(1) = pi/2
-        val = reciprocal_integral(ured.phi, 1.0, tol=1e-10)
+        val = b_route(ured.phi, 1.0, tol=1e-10)
         assert val == pytest.approx(math.pi / 2.0, rel=1e-9)
 
     def test_exp_full_line_is_pi(self, expdgf):
         # integral_0^inf dx / sqrt(e^x - 1) = pi
-        val = reciprocal_integral(expdgf.phi, None, tol=1e-10)
+        val = b_route(expdgf.phi, None, tol=1e-10)
         assert val == pytest.approx(math.pi, rel=1e-9)
 
     def test_sqrt_partial(self, sqrtdgf):
         # integral_0^4 dx / sqrt(x) = 4
-        val = reciprocal_integral(sqrtdgf.phi, 4.0, tol=1e-10)
+        val = b_route(sqrtdgf.phi, 4.0, tol=1e-10)
         assert val == pytest.approx(4.0, rel=1e-9)
 
     def test_sqrt_full_line_diverges(self, sqrtdgf):
         with pytest.raises(QuadratureError):
-            reciprocal_integral(sqrtdgf.phi, None, tol=1e-8)
+            b_route(sqrtdgf.phi, None, tol=1e-8)
 
     def test_linear_tail_diverges(self):
         # phi(x) = x: the tail of 1/x is logarithmic
         with pytest.raises(QuadratureError):
-            reciprocal_integral(lambda x: x, None, tol=1e-8)
+            b_route(lambda x: x, None, tol=1e-8)
 
     # Phi(x) = sign(x)(sqrt|x| + |x|^a): with x = t^2 the integral up to U is
     # that of 2/(1 + t^(2a-1)) up to sqrt U, 2T 2F1(1, 1/p; 1 + 1/p; -T^p) with
@@ -98,7 +115,7 @@ class TestReciprocalIntegral:
         phi = lambda x: np.sign(x) * (np.sqrt(np.abs(x)) + np.abs(x) ** a)  # takes arrays
         for upper in self.UPPERS:
             want = self._power_reference(a, upper)
-            got = reciprocal_integral(phi, upper, tol=1e-10)
+            got = b_route(phi, upper, tol=1e-10)
             assert abs(got - want) <= 1e-10 * want, (upper, got, want)
 
     def test_exp_against_mpmath(self, expdgf):
@@ -108,7 +125,7 @@ class TestReciprocalIntegral:
             with mpmath.workdps(40):
                 want = float(mpmath.pi if upper is None else
                              2 * mpmath.atan(mpmath.sqrt(mpmath.expm1(mpmath.mpf(upper)))))
-            got = reciprocal_integral(expdgf.phi, upper, tol=1e-10)
+            got = b_route(expdgf.phi, upper, tol=1e-10)
             assert abs(got - want) <= 1e-10 * want, (upper, got, want)
 
     def test_nan_past_overflow_counts_as_overflow(self):
@@ -118,14 +135,9 @@ class TestReciprocalIntegral:
                          * np.exp(np.abs(x) / 1e300) / np.exp(np.abs(x) / 1e300))
         with np.errstate(over="ignore", invalid="ignore"):
             assert math.isnan(phi(np.array([1e308]))[0])
-        assert reciprocal_integral(phi, None, tol=1e-10) == pytest.approx(math.pi, rel=1e-12)
+        assert b_route(phi, None, tol=1e-10) == pytest.approx(math.pi, rel=1e-12)
 
     def test_infinite_upper_is_the_whole_line(self, ured, sqrtdgf):
-        assert reciprocal_integral(ured.phi, math.inf) == reciprocal_integral(ured.phi)
+        assert b_route(ured.phi, math.inf) == b_route(ured.phi)
         with pytest.raises(QuadratureError):
-            reciprocal_integral(sqrtdgf.phi, math.inf)
-
-    @pytest.mark.parametrize("upper", [-1.0, math.nan])
-    def test_bad_upper(self, ured, upper):
-        with pytest.raises(ValueError):
-            reciprocal_integral(ured.phi, upper)
+            b_route(sqrtdgf.phi, math.inf)
