@@ -495,8 +495,9 @@ def _newton(
     before it predict for the next one (quadratic convergence) at most
     _REL_TOL. Each row stops at its own step, so a root does not depend on
     the other rows of the batch. A row still going after 100 steps has
-    closed its bracket on a point where phi jumps over its target, such as
-    where phi overflows before it reaches the target; it gets inf.
+    closed its bracket on a point where phi jumps over its target. It gets
+    inf where phi overflows there before it reaches the target, and keeps
+    its last iterate where phi's own rounding makes the jump.
     """
     out = rows = None  # set once some rows stop before others
     prev = np.inf
@@ -524,9 +525,10 @@ def _newton(
                 a[~done] for a in (rows, root, step, lo, hi, target, r, inside))
         root = step if inside.all() else np.where(inside, step, 0.5 * (lo + hi))
         prev, newton = r, inside
+    last = np.where(phi(hi) < np.inf, root, np.inf)
     if rows is None:
-        return np.full(target.size, np.inf)
-    out[rows] = np.inf
+        return last
+    out[rows] = last
     return out
 
 
@@ -580,11 +582,11 @@ def _invert_phi_array(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:
             j[missed] = np.searchsorted(p, w[missed])
             p_lo, p_hi = p[j - 1], p[j]
         ok = (j > 0) & (j < x.size)
+        if not ok.any():
+            return np.where(j == 0, 0.0, np.inf).reshape(shape)
         every = ok.all()
         if not every:
             root = np.where(j == 0, 0.0, np.inf)
-            if not ok.any():
-                return root.reshape(shape)
             w, j, p_lo, p_hi = w[ok], j[ok], p_lo[ok], p_hi[ok]
         lo, hi = x[j - 1], x[j]
         # where phi overflows at hi, the root may lie below the overflow

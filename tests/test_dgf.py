@@ -659,6 +659,17 @@ class TestArrayForms:
         beyond = np.concatenate([[1.35e154, 1.5e154], np.logspace(155.0, 200.0, 10)])
         assert np.all(_invert_phi_array(custom, beyond) == math.inf)
 
+    def test_small_roots_for_exp(self):
+        # exp(x) - 1 moves in steps of 2^-52 near x = 0, so Newton's steps stay
+        # far above the tolerance and the bracket closes on a rounding step of
+        # phi: the root is the last iterate, known to one such step
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in EXP_EXPRESSIONS))
+        assert invert_phi(custom, 1e-5) == pytest.approx(1e-10, rel=1e-5)
+        assert invert_phi(custom, -1e-7) == pytest.approx(-1e-14, rel=0.05)
+        z = np.logspace(-7.5, -3.0, 200)
+        got = _invert_phi_array(custom, z)
+        assert np.all(np.abs(got - np.log1p(z * z)) <= 2.0**-52)
+
     def test_bounded_map_out_of_range_is_inf(self):
         capped = GeneratingFunction(
             name="capped", phi=np.tanh, phi_prime=lambda x: 1.0 / np.cosh(x) ** 2,
