@@ -301,12 +301,18 @@ def _log_axis_integral(
     return _Integral(value, error + tail, n, p.size + 15 * (2 * n - edges.size + 1))
 
 
+_SLOW_TAIL = 0.9  # local exponent of the tail past which B is not bounded
+
+
 def _probe_tail_divergence(phi: Callable[[float], float]) -> None:
     # The tail integral converges iff phi grows superlinearly. Estimate the
     # local growth exponent of G(w) = w^3 phi(w^-2) near w = 0, where
     # integral_1^inf dx/phi = integral_0^1 2/G(w) dw, so exponent >= 1 means
-    # divergence. A phi that overflows at these arguments grows far faster
-    # than any power, so the tail certainly converges.
+    # divergence. From _SLOW_TAIL up, too much of a converging tail lies past
+    # phi's overflow for the log-axis pass to bound it (at phi ~ x^1.03 it
+    # misses 3.5e-8 of B while reporting an error of 5e-11). A phi that
+    # overflows at these arguments grows far faster than any power, so the
+    # tail certainly converges.
     w1, w2 = 1e-6, 1e-9
     p1, p2 = phi(w1 ** -2), phi(w2 ** -2)
     if math.isinf(p1) or math.isinf(p2):
@@ -316,9 +322,14 @@ def _probe_tail_divergence(phi: Callable[[float], float]) -> None:
     if not (math.isfinite(g1) and math.isfinite(g2)) or g1 <= 0.0 or g2 <= 0.0:
         raise QuadratureError("quadrature failure: tail integrand is not positive finite")
     p = math.log(g1 / g2) / math.log(w1 / w2)
-    if p >= 0.9:
+    if p >= 1.0:
         raise QuadratureError(
             f"tail integral of 1/phi diverges (local exponent {p:.3f} >= 1 near infinity)"
+        )
+    if p >= _SLOW_TAIL:
+        raise QuadratureError(
+            f"tail integral of 1/phi converges too slowly to be bounded within the float range"
+            f" (local exponent {p:.3f} >= {_SLOW_TAIL} near infinity)"
         )
 
 

@@ -629,18 +629,11 @@ def _tuned_kappa(args: argparse.Namespace, dgf: GeneratingFunction) -> ParamTrip
     return tune(request, constants=constants).kappa
 
 
-def _sim_config(args: argparse.Namespace, *, Ts: float, horizon: float,
-                noise_amplitude: float | None = None) -> SimConfig:
-    if args.Ts is not None:
-        Ts = args.Ts
-    if args.horizon is not None:
-        horizon = args.horizon
-    amp = noise_amplitude
-    if args.noise_amplitude is not None:
-        amp = args.noise_amplitude
+def _sim_config(args: argparse.Namespace) -> SimConfig:
+    amp = args.noise_amplitude
     kwargs: dict = {
-        "Ts": Ts,
-        "horizon": horizon,
+        "Ts": 1e-4 if args.Ts is None else args.Ts,
+        "horizon": 4.0 if args.horizon is None else args.horizon,
         "noise": None if not amp else NoiseSpec(amp),
         "seed": args.seed,
     }
@@ -688,7 +681,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         kappa = _tuned_kappa(args, dgf_fixed)
         # Classic STA comparison uses the same k1, k2; k3 is inert for sqrt.
         kappa_sta = ParamTriple(kappa.k1, kappa.k2, 1.0)
-        config = _sim_config(args, Ts=1e-4, horizon=4.0)
+        config = _sim_config(args)
         if args.amplitudes is not None:
             amplitudes = list(args.amplitudes)
         else:
@@ -718,7 +711,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if preset == "fig3":
         dgf = resolve_dgf(args)
         kappa = _tuned_kappa(args, dgf)
-        config = _sim_config(args, Ts=1e-4, horizon=4.0)
+        config = _sim_config(args)
         slopes = (list(args.slopes) if args.slopes is not None
                   else list(np.linspace(-5.0, 5.0, 21)))
         rows = sweep_slopes(dgf, kappa, args.omega, slopes, config)
@@ -744,14 +737,14 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if preset == "fig1":
         signal = Fig1Signal()
         stem, plot = "fig1", _FIG1_PLOT
-        config = _sim_config(args, Ts=1e-4, horizon=4.0)
+        config = _sim_config(args)
     else:
         if args.signal is None:
             raise _UsageError("custom sim needs --signal (or use --preset)")
         signal = (Fig1Signal() if args.signal == "fig1"
                   else SlopeSignal(args.omega, args.c))
         stem, plot = "sim", None
-        config = _sim_config(args, Ts=1e-4, horizon=4.0)
+        config = _sim_config(args)
     y10 = args.y10 if args.y10 is not None else 0.0
     y20 = args.y20 if args.y20 is not None else 0.0
     init = DifferentiatorState(y10, y20)

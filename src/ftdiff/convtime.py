@@ -138,82 +138,23 @@ def expm2(sys: SystemMatrix, tau: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar responses h(tau) = e1^T e^(A tau) v and their envelopes
+# scalar responses h(tau) = e1^T e^(A tau) v
 
 
-def _e(a: float) -> float:
-    return math.exp(a) if a < 709.0 else math.inf
+def _coefficients(sys: SystemMatrix, v1, v2) -> tuple:
+    """(c1, c2) of the response from v = (v1, v2), floats or arrays alike.
 
-
-class _Response:
-    """Scalar response h(tau): its zero tz and the tail of its envelope.
-
-    real-distinct: h = c1 e^(l1 t) + c2 e^(l2 t); opposite-sign
-    coefficients put a zero crossing at tz. real-repeated: h = e^(l1 t)
-    (c1 + c2 t), zero at tz = -c1/c2. complex: h = e^(mu t) (c1 cos(om t)
-    + c2 sin(om t)). Exponentials saturate to inf instead of raising.
+    real-distinct: h = c1 e^(l1 t) + c2 e^(l2 t). real-repeated: h = e^(l1 t)
+    (c1 + c2 t). complex: h = e^(mu t) (c1 cos(om t) + c2 sin(om t)).
     """
-
-    __slots__ = ("kind", "c1", "c2", "lam1", "lam2", "mu", "omega", "tz")
-
-    def __init__(
-        self,
-        kind: str,
-        c1: float,
-        c2: float,
-        lam1: float = 0.0,
-        lam2: float = 0.0,
-        mu: float = 0.0,
-        omega: float = 0.0,
-    ) -> None:
-        self.kind = kind
-        self.c1 = c1
-        self.c2 = c2
-        self.lam1 = lam1
-        self.lam2 = lam2
-        self.mu = mu
-        self.omega = omega
-        tz: Optional[float] = None
-        if kind == _REAL_DISTINCT and c1 != 0.0 and c2 != 0.0 and (c1 > 0.0) != (c2 > 0.0):
-            tz = math.log(-c2 / c1) / (lam1 - lam2)
-        elif kind == _REAL_REPEATED and c2 != 0.0:
-            tz = -c1 / c2
-        self.tz = tz
-
-    def envelope_tail(self, t: float) -> float:
-        """integral_t^inf envelope, in closed form (t past decay_start)."""
-        if self.kind == _REAL_DISTINCT:
-            return (
-                abs(self.c1) * _e(self.lam1 * t) / -self.lam1
-                + abs(self.c2) * _e(self.lam2 * t) / -self.lam2
-            )
-        if self.kind == _REAL_REPEATED:
-            lam = self.lam1
-            return _e(lam * t) * (
-                (abs(self.c1) + abs(self.c2) * t) / -lam + abs(self.c2) / (lam * lam)
-            )
-        return math.hypot(self.c1, self.c2) * _e(self.mu * t) / -self.mu
-
-    def decay_start(self) -> float:
-        """Time past which the envelope is nonincreasing."""
-        if self.kind == _REAL_REPEATED and self.c2 != 0.0:
-            return max(0.0, -1.0 / self.lam1 - abs(self.c1) / abs(self.c2))
-        return 0.0
-
-
-def _response_for(sys: SystemMatrix, v1: float, v2: float) -> _Response:
     if sys.kind == _REAL_DISTINCT:
         l1, l2 = sys.lam1, sys.lam2
         # e1^T (A - l I) v = (-k1/2 - l) v1 + v2/2 and -k1/2 - l2 = l1 (trace)
-        c1 = (l1 * v1 + 0.5 * v2) / (l1 - l2)
-        c2 = -(l2 * v1 + 0.5 * v2) / (l1 - l2)
-        return _Response(sys.kind, c1, c2, l1, l2, 0.0, 0.0)
+        return (l1 * v1 + 0.5 * v2) / (l1 - l2), -(l2 * v1 + 0.5 * v2) / (l1 - l2)
     if sys.kind == _REAL_REPEATED:
-        lam = sys.lam1
-        return _Response(sys.kind, v1, lam * v1 + 0.5 * v2, lam, lam, 0.0, 0.0)
-    mu, om = sys.mu, sys.omega
+        return v1, sys.lam1 * v1 + 0.5 * v2
     # e1^T (A - mu I) v = (-k1/2 - mu) v1 + v2/2 and -k1/2 - mu = mu here
-    return _Response(sys.kind, v1, (mu * v1 + 0.5 * v2) / om, 0.0, 0.0, mu, om)
+    return v1, (sys.mu * v1 + 0.5 * v2) / sys.omega
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +392,11 @@ def _t0_layout(sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env
     of h linearized there a `graded` away; graded; the uniform width; the
     end T (closed form, or Newton steps) past which the envelope of |h| is
     at most e^log_env and its integral below e^log_tail; (top, end) between
-    which u lies two steps above the band (known for real eigenvalues); and
-    u(t, offset) on arrays, offset = t - anchor sparing cancellation.
+    which u lies two steps above the band (known for real eigenvalues);
+    u(t, offset) on arrays, offset = t - anchor sparing cancellation; and the
+    log of the envelope's integral past T.
     """
-    resp = _response_for(sys, u1, u2)
-    c1, c2 = resp.c1, resp.c2
+    c1, c2 = _coefficients(sys, u1, u2)
     lc1, lc2 = _log_abs(c1), _log_abs(c2)
     far = (0.0, 0.0)
     if sys.kind == _COMPLEX:
@@ -477,7 +418,7 @@ def _t0_layout(sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env
         def log_u(t: np.ndarray, off: np.ndarray) -> np.ndarray:
             return base + mu * t + np.log(np.abs(np.sin(om * off)))
 
-        return zeros, graded, width, t_end, far, log_u
+        return zeros, graded, width, t_end, far, log_u, lr + mu * t_end - math.log(-mu)
 
     if sys.kind == _REAL_DISTINCT:
         l1, l2 = sys.lam1, sys.lam2
@@ -488,13 +429,16 @@ def _t0_layout(sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env
         width = _T0_WIDTH / -l1
         graded = min(1.0 / gap_rate, 1.0 / -l1)
         same = c1 == 0.0 or c2 == 0.0 or (c1 > 0.0) == (c2 > 0.0)
+        tz = -math.inf if same else math.log(-c2 / c1) / gap_rate
         # past top the fast mode is below 1e-8 of the slow one, and u = b1 + l1 t
         top = max(0.0, (lc2 - lc1 + math.log(1e8)) / gap_rate)
         far = (top, max(top, (shift + lc1 - band[1] - 2.0 * _T0_STEP) / -l1))
-        anchored = resp.tz is not None and -graded < resp.tz < t_end
+        anchored = -graded < tz < t_end
         if anchored:
-            log_slope = lc1 + l1 * resp.tz + math.log(gap_rate)
+            log_slope = lc1 + l1 * tz + math.log(gap_rate)
         b1, b2 = shift + lc1, shift + lc2
+        rest = sorted(lc + lam * t_end - math.log(-lam) for lc, lam in ((lc1, l1), (lc2, l2)))
+        log_rest = rest[1] + math.log1p(math.exp(rest[0] - rest[1]))
 
         def log_u(t: np.ndarray, off: np.ndarray) -> np.ndarray:
             a1, a2 = b1 + l1 * t, b2 + l2 * t
@@ -503,29 +447,32 @@ def _t0_layout(sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env
     else:
         lam = sys.lam1
         a, b = abs(c1), abs(c2)
-        start = resp.decay_start()
+        # the zero tz, and the start of the envelope's decay
+        tz, start = (-c1 / c2, max(0.0, -1.0 / lam - a / b)) if b else (-math.inf, 0.0)
+        # the envelope's integral past s is e^(lam s) (tail[0] + tail[1] s)
+        tail = (a / -lam + b / (lam * lam), b / -lam)
         t_end = max(_first_below(lam, a, b, log_env, start),
-                    _first_below(lam, a / -lam + b / (lam * lam), b / -lam, log_tail, start))
+                    _first_below(lam, *tail, log_tail, start))
         width = _T0_WIDTH / -lam
         graded = 1.0 / -lam
-        anchored = resp.tz is not None and -graded < resp.tz < t_end
+        anchored = -graded < tz < t_end
         if anchored:
-            log_slope = lc2 + lam * resp.tz
+            log_slope = lc2 + lam * tz
         b2 = shift + lc2
         # past top, |h| = e^(lam t) |c1 + c2 t| falls and stays above e^(lam t) times
         # its value at top, unless the zero tz lies past the end
-        tz = -math.inf if resp.tz is None else resp.tz
         top = max(start, tz + 2.0 / -lam)
         low = shift + (lc1 if c2 == 0.0 else lc2 + math.log(top - tz))
         far = (top, top if tz >= t_end else max(top, (low - band[1] - 2.0 * _T0_STEP) / -lam))
+        log_rest = lam * t_end + math.log(tail[0] + tail[1] * t_end)
 
         def log_u(t: np.ndarray, off: np.ndarray) -> np.ndarray:
             if anchored:
                 return b2 + lam * t + np.log(np.abs(off))
             return shift + lam * t + np.log(np.abs(c1 + c2 * t))
 
-    zeros = [(resp.tz, shift + log_slope + math.log(graded))] if anchored else []
-    return zeros, graded, width, t_end, far, log_u
+    zeros = [(tz, shift + log_slope + math.log(graded))] if anchored else []
+    return zeros, graded, width, t_end, far, log_u, log_rest
 
 
 def _log_initial(dgf: GeneratingFunction, k3: float, x1: float) -> float:
@@ -573,7 +520,7 @@ def t0_exact(
     band = _bend(dgf)
     # the tail beyond the panels, where |h| <= delta0 and so 1/2 Psi'(h) <= 1.5 |h|,
     # takes a tenth of tol
-    zeros, graded, width, t_end, far, log_u = _t0_layout(
+    zeros, graded, width, t_end, far, log_u, log_rest = _t0_layout(
         system, u1, u2, math.log(tol / 15.0) - log_s, math.log(_delta0(dgf, k3)) - log_s,
         log_s + math.log(k3), band)
     t, off, jac, panels = _plan(zeros, graded, width, t_end, far, band,
@@ -592,9 +539,8 @@ def t0_exact(
                                                *sums(t, off, jac), 0.9 * tol, _T0_MAX_NODES)
     logging = sys.modules.get("logging")  # never imported here: only a loaded logger can want it
     if logging is not None and logging.getLogger("ftdiff").isEnabledFor(logging.DEBUG):
-        env = _response_for(system, u1, u2).envelope_tail(t_end)
         info = {"panels": panels, "values": 15 * (2 * panels - t.shape[0]), "rounds": rounds,
-                "error": error, "tol": tol, "tail": 1.5 * math.exp(log_s + math.log(env or 1e-300))}
+                "error": error, "tol": tol, "tail": 1.5 * math.exp(log_s + log_rest)}
         logging.getLogger("ftdiff").debug(
             "t0_exact %s at (%g, %g, %g) from (%g, %g): %d panels, %d Psi' values, %d rounds of "
             "bisection, error estimate %.2e against tol %.2e, tail bound %.2e", dgf.name,
@@ -650,7 +596,7 @@ def lbar_integral(k1: float, k2: float, D: float, *, tol: float = 1e-10) -> floa
     if not D >= 1.0:
         raise ValueError("D must be >= 1")
     flat = (-1e300, 1e300, [0.0, 1.0], [-math.log(2.0), 2.0 - math.log(2.0)])  # e^(2u)/2 below u
-    zeros, graded, width, t_end, far, log_u = _t0_layout(
+    zeros, graded, width, t_end, far, log_u, _ = _t0_layout(
         system_matrix(k1, k2), 0.0, 1.0, math.log(tol / 15.0), math.inf, 0.0, flat)
     t, off, jac, panels = _plan(zeros, graded, width, t_end, far, flat, 0.0)
 
@@ -1202,30 +1148,28 @@ def _circle_values(
     tally: _Tally,
 ) -> np.ndarray:
     """Full-line integrals from the unit states at angles theta, complex or repeated case."""
-    v1, v2 = np.cos(theta), np.sin(theta)
+    c1, c2 = _coefficients(sys, np.cos(theta), np.sin(theta))
     if sys.kind == _COMPLEX:
-        # h = R e^(mu t) cos(omega t - phase), R = |(v1, c2)|
-        c2 = (sys.mu * v1 + 0.5 * v2) / sys.omega
-        loga = np.log(np.hypot(v1, c2)) + sys.mu / sys.omega * np.arctan2(c2, v1)
+        # h = R e^(mu t) cos(omega t - phase), R = |(c1, c2)|
+        loga = np.log(np.hypot(c1, c2)) + sys.mu / sys.omega * np.arctan2(c2, c1)
         blocks = functools.partial(_complex_blocks, sys.mu, sys.omega)
         return _full_line(psi, blocks, loga, tol, log_delta0, tally)
 
-    # h = e^(lam t) (v1 + c2 t) = c2 e^(lam tz) (t - tz) e^(lam (t - tz)),
-    # tz = -v1/c2. From the zero, |h| settles only about |lam tz| blocks out,
+    # h = e^(lam t) (c1 + c2 t) = c2 e^(lam tz) (t - tz) e^(lam (t - tz)),
+    # tz = -c1/c2. From the zero, |h| settles only about |lam tz| blocks out,
     # and e^(lam tz) underflows once lam tz < -745; rows whose zero lies past
     # |lam tz| = _FAR_ZERO are walked from t = 0 instead, one at a time.
     lam = sys.lam1
-    c2 = lam * v1 + 0.5 * v2
-    far = np.abs(lam * v1) > _FAR_ZERO * np.abs(c2)
+    far = np.abs(lam * c1) > _FAR_ZERO * np.abs(c2)
     out = np.empty(theta.size)
     near = ~far
     if near.any():
-        loga = np.log(np.abs(c2[near])) - lam * v1[near] / c2[near]
+        loga = np.log(np.abs(c2[near])) - lam * c1[near] / c2[near]
         blocks = functools.partial(_repeated_blocks, lam)
         out[near] = _full_line(psi, blocks, loga, tol, log_delta0, tally)
     for i in np.flatnonzero(far):
-        blocks = functools.partial(_far_zero_blocks, lam, c2[i] / v1[i])
-        out[i] = _full_line(psi, blocks, np.log(np.abs(v1[i:i + 1])), tol, log_delta0,
+        blocks = functools.partial(_far_zero_blocks, lam, c2[i] / c1[i])
+        out[i] = _full_line(psi, blocks, np.log(np.abs(c1[i:i + 1])), tol, log_delta0,
                             tally)[0]
     return out
 

@@ -875,7 +875,7 @@ def compute_admissibility(
     error estimate, where C and D peak, zoom rounds that moved, grid edges.
 
     Raises NotAdmissibleError, which is not cached, when the reciprocal
-    integral diverges or a supremum is unbounded.
+    integral diverges or cannot be bounded, or a supremum is unbounded.
     """
     report = check_dgf(dgf)
     if not report.passed:
@@ -888,8 +888,7 @@ def compute_admissibility(
         b = _reciprocal_to(dgf, None, quad_tol)
     except QuadratureError as exc:
         raise NotAdmissibleError(
-            f"not admissible: item (i) fails, reciprocal integral of {dgf.name!r} "
-            f"diverges ({exc})"
+            f"not admissible: item (i) fails, reciprocal integral of {dgf.name!r}: {exc}"
         ) from exc
 
     _, phi_prime, phi_second, _ = _arrays(dgf)

@@ -10,15 +10,14 @@ Runtime domain violations are softened so admissibility scans can probe
 freely: overflow and division by zero evaluate to a signed inf, invalid
 domains (log of a negative number) to nan. The softening happens per
 operation, not per expression: exp(1000)*sign(x) must come out as -inf for
-negative x, which an expression-wide except cannot deliver because the
-surrounding sign flip never runs once the inner call raises.
+negative x.
 
 The compiled function also takes a numpy array and then evaluates the same
-expression elementwise with numpy, whose IEEE arithmetic gives the same
-softening. Values agree with the scalar form to within a few ulp. One case
-differs: the square root of a negative number turns the scalar result into
-nan as a whole, while in the array form only that element's sqrt is nan, so
-pow(sqrt(x), 0) is nan for scalar x < 0 and 1 in the array form.
+expression elementwise with numpy, whose IEEE arithmetic defines the
+softening. A float argument runs the expression on math's functions; where
+one of them raises (overflow, division by zero, a domain error), the call
+returns the array form's value at that point instead. The two forms agree
+to within a few ulp everywhere.
 """
 from __future__ import annotations
 
@@ -41,50 +40,15 @@ def _sign(x: float) -> float:
     return 0.0
 
 
-def _g_exp(a: float) -> float:
-    try:
-        return math.exp(a)
-    except OverflowError:
-        return math.inf
-
-
-def _g_log(a: float) -> float:
-    if a == 0.0:
-        return -math.inf
-    try:
-        return math.log(a)
-    except ValueError:
-        return math.nan
-
-
-def _g_pow(a: float, b: float) -> float:
-    # math.pow keeps floats real; float ** float would hand back a complex
-    # number for a negative base and fractional exponent.
-    try:
-        return math.pow(a, b)
-    except OverflowError:
-        odd = b == int(b) and int(b) % 2 == 1
-        return -math.inf if (a < 0.0 and odd) else math.inf
-    except ValueError:
-        return math.nan
-
-
-def _g_div(a: float, b: float) -> float:
-    try:
-        return a / b
-    except ZeroDivisionError:
-        if a == 0.0:
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
 _FUNCTIONS = {
-    "exp": _g_exp,
-    "log": _g_log,
+    "exp": math.exp,
+    "log": math.log,
     "sqrt": math.sqrt,
     "sign": _sign,
     "abs": abs,
-    "pow": _g_pow,
+    # math.pow keeps floats real; float ** float would hand back a complex
+    # number for a negative base and fractional exponent
+    "pow": math.pow,
 }
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -104,7 +68,7 @@ def _a_pow(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     r = np.power(a, b)
     if scalar and not -np.inf < b < 0.0:
         return r
-    # math.pow raises for 0 to a finite negative power, which _g_pow softens to nan
+    # 0 to a finite negative power is a domain error for math.pow: nan, not inf
     return np.where((a == 0.0) & (b < 0.0) & (b > -np.inf), np.nan, r)
 
 
@@ -115,7 +79,6 @@ _ARRAY_NAMES = {
     "sign": _a_sign,
     "abs": np.abs,
     "pow": _a_pow,
-    "_div": np.divide,
     **{k: np.float64(v) for k, v in _CONSTANTS.items()},
 }
 
@@ -171,21 +134,13 @@ def _validate(node: ast.AST) -> None:
 
 
 class _Lower(ast.NodeTransformer):
-    """Rewrite ** and / into calls to the guarded helpers.
-
-    Runs after validation, so the helper names cannot appear in user input;
-    they only exist in the evaluation environment.
-    """
+    """Rewrite a ** b into pow(a, b), which stays real in the float form."""
 
     def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
         self.generic_visit(node)
-        if isinstance(node.op, ast.Pow):
-            name = "pow"
-        elif isinstance(node.op, ast.Div):
-            name = "_div"
-        else:
+        if not isinstance(node.op, ast.Pow):
             return node
-        call = ast.Call(func=ast.Name(id=name, ctx=ast.Load()),
+        call = ast.Call(func=ast.Name(id="pow", ctx=ast.Load()),
                         args=[node.left, node.right], keywords=[])
         return ast.copy_location(call, node)
 
@@ -234,7 +189,7 @@ def compile_expression(text: str) -> Callable[[float], float]:
     _validate(tree)
     # one function of (x, z) built once: each call then skips eval's frame set-up
     lowered = _Lower().visit(tree.body)
-    body = _function(lowered, {**_FUNCTIONS, **_CONSTANTS, "_div": _g_div})
+    body = _function(lowered, {**_FUNCTIONS, **_CONSTANTS})
     literals: dict = {}
     array_body = _function(_Floats(literals).visit(lowered), {**_ARRAY_NAMES, **literals})
 
@@ -245,12 +200,8 @@ def compile_expression(text: str) -> Callable[[float], float]:
             v = float(value)
             try:
                 return float(body(v, v))
-            except OverflowError:
-                return math.inf
-            except ZeroDivisionError:
-                return math.inf
-            except ValueError:
-                return math.nan
+            except (ArithmeticError, ValueError):  # numpy softens what math raises for
+                return float(fn(np.array([v]))[0])
         a = np.asarray(value, dtype=float)
         with np.errstate(all="ignore"):
             out = array_body(a, a)

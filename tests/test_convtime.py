@@ -410,13 +410,15 @@ class TestT0Properties:
 
 
 class TestT0Record:
-    def test_debug_record_fields(self, caplog, ured):
-        kappa, x0 = ParamTriple(6.0, 4.5, 4.182), (0.3, -0.2)
+    @pytest.mark.parametrize("name,kappa", T0_CASES)
+    def test_debug_record_fields(self, caplog, name, kappa):
+        # each eigenstructure has its own formula for the tail bound
+        dgf, kappa, x0 = builtin_dgf(name), ParamTriple(*kappa), (0.3, -0.2)
         with caplog.at_level(logging.INFO, logger="ftdiff"):
-            quiet = t0_exact(ured, kappa, x0)
+            quiet = t0_exact(dgf, kappa, x0)
         assert not caplog.records
         with caplog.at_level(logging.DEBUG, logger="ftdiff"):
-            assert t0_exact(ured, kappa, x0) == quiet
+            assert t0_exact(dgf, kappa, x0) == quiet
         [record] = caplog.records
         assert record.name == "ftdiff" and record.levelno == logging.DEBUG
         # one pass: every panel evaluated once, the estimate within 0.9 tol
@@ -426,7 +428,8 @@ class TestT0Record:
         # the Newton steps that place the end
         assert 0.0 < record.tail <= record.tol / 10.0 * (1.0 + 1e-9)
         message = record.getMessage()
-        assert message.startswith("t0_exact ured at (6, 4.5, 4.182) from (0.3, -0.2): ")
+        assert message.startswith(
+            f"t0_exact {name} at ({kappa.k1:g}, {kappa.k2:g}, {kappa.k3:g}) from (0.3, -0.2): ")
         assert f"{record.panels} panels, {record.values} Psi' values, 0 rounds" in message
 
     def test_bisection_shows_in_the_record(self, caplog, ured):

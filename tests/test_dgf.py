@@ -461,8 +461,22 @@ class TestComputeAdmissibility:
         assert c.D == 1.0
 
     def test_sqrt_rejected(self, sqrtdgf):
-        with pytest.raises(NotAdmissibleError):
+        with pytest.raises(NotAdmissibleError, match="diverges"):
             compute_admissibility(sqrtdgf)
+
+    def test_slow_tail_is_not_called_divergent(self):
+        # Phi = sqrt|x| + |x|^1.05: B converges (20.2745 by mpmath), but the
+        # tail's local exponent 0.9 is at the cutoff past which B is not bounded
+        slow = GeneratingFunction(
+            "slow", *(compile_expression(t) for t in (
+                "sign(x)*(sqrt(abs(x)) + abs(x)**1.05)",
+                "0.5/sqrt(abs(x)) + 1.05*abs(x)**0.05",
+                "sign(x)*(-0.25*abs(x)**-1.5 + 0.0525*abs(x)**-0.95)")))
+        with pytest.raises(NotAdmissibleError) as info:
+            compute_admissibility(slow)
+        message = str(info.value)
+        assert "diverges" not in message
+        assert "converges too slowly" in message and ">= 0.9 near infinity" in message
 
     @pytest.mark.parametrize("name, C, d_raw", [
         ("ured", 0.5773502691896178, 0.9999999880000001),

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -117,16 +118,66 @@ class TestRejection:
             compile_expression("exec('x')")
 
 
-def _per_call_eval(text):
-    """The former formulation: the lowered body re-enters eval on every call."""
-    import ast
+# The float form's former per-operation softening, kept as the reference:
+# the compiled function now takes the array form's value wherever math raises.
 
-    from ftdiff.expr import _CONSTANTS, _FUNCTIONS, _Lower, _g_div, _validate
+
+def _g_exp(a):
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
+def _g_log(a):
+    if a == 0.0:
+        return -math.inf
+    try:
+        return math.log(a)
+    except ValueError:
+        return math.nan
+
+
+def _g_pow(a, b):
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        odd = b == int(b) and int(b) % 2 == 1
+        return -math.inf if (a < 0.0 and odd) else math.inf
+    except ValueError:
+        return math.nan
+
+
+def _g_div(a, b):
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0.0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+class _LowerDiv(ast.NodeTransformer):
+    """Rewrite a / b into _div(a, b), after the module's lowering of **."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Div):
+            return node
+        return ast.copy_location(ast.Call(func=ast.Name(id="_div", ctx=ast.Load()),
+                                          args=[node.left, node.right], keywords=[]), node)
+
+
+def _per_call_eval(text):
+    """The former formulation: guarded helpers, and eval re-entered on every call."""
+    from ftdiff.expr import _CONSTANTS, _Lower, _sign, _validate
 
     tree = ast.parse(text, mode="eval")
     _validate(tree)
-    code = compile(ast.fix_missing_locations(_Lower().visit(tree)), "<expression>", "eval")
-    env = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS, "_div": _g_div}
+    code = compile(ast.fix_missing_locations(_LowerDiv().visit(_Lower().visit(tree))),
+                   "<expression>", "eval")
+    env = {"__builtins__": {}, "exp": _g_exp, "log": _g_log, "sqrt": math.sqrt, "sign": _sign,
+           "abs": abs, "pow": _g_pow, "_div": _g_div, **_CONSTANTS}
 
     def fn(value):
         v = float(value)
@@ -216,16 +267,15 @@ class TestArrayForm:
         assert list(f(np.array([math.nan, -0.0, -2.0]))) == [0.0, 0.0, -1.0]
 
     def test_sqrt_of_negative_spoils_only_its_element(self):
-        # the scalar form turns math.sqrt's ValueError into nan for the whole
-        # expression, so even pow(., 0) is nan; numpy's sqrt gives nan in
-        # that one place, and pow(nan, 0) is 1
+        # math.sqrt raises at -1, and the float form then takes the array
+        # form's value: numpy's sqrt is nan in that one place, and pow(nan, 0) is 1
         f = compile_expression("pow(sqrt(x), 0)")
-        assert math.isnan(f(-1.0))
+        assert f(-1.0) == 1.0
         assert list(f(np.array([-1.0, 4.0]))) == [1.0, 1.0]
 
     def test_int_literal_beyond_float_range(self):
-        # the literal is inf in the array form; the scalar form turns the
-        # OverflowError of its int arithmetic into inf for the whole expression
+        # the literal is inf in the array form, and the float form takes that
+        # value where its int arithmetic overflows
         f = compile_expression(BIG_INT + "*x")
-        assert f(-2.0) == math.inf
+        assert f(-2.0) == -math.inf
         assert list(f(np.array([-2.0, 3.0]))) == [-math.inf, math.inf]
