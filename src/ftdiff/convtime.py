@@ -32,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._quad import _GK_WG, _GK_WK, _GK_X, _gk_panels, _refine, zoom_max
+from ._quad import _GK_WG, _GK_WK, _GK_X, _LOG_STRIDE, _S_MAX, _gk_panels, _refine, zoom_max
 from .dgf import (
     AdmissibilityConstants,
     GeneratingFunction,
@@ -114,7 +114,9 @@ def system_matrix(k1: float, k2: float) -> SystemMatrix:
         return SystemMatrix(k1, k2, _REAL_REPEATED, lam, lam, 0.0, 0.0)
     if disc > 0.0:
         s = math.sqrt(disc)
-        return SystemMatrix(k1, k2, _REAL_DISTINCT, 0.25 * (-k1 + s), 0.25 * (-k1 - s), 0.0, 0.0)
+        # lam1 lam2 = k2/2: Vieta's form spares lam1 the cancellation of -k1 + s
+        return SystemMatrix(k1, k2, _REAL_DISTINCT, -2.0 * k2 / (k1 + s), 0.25 * (-k1 - s),
+                            0.0, 0.0)
     omega = 0.25 * math.sqrt(-disc)
     return SystemMatrix(k1, k2, _COMPLEX, 0.0, 0.0, -0.25 * k1, omega)
 
@@ -696,31 +698,200 @@ class GlobalConvtime:
 # (a row whose zero lies far out gets its own shape, see _circle_values). The
 # kernel evaluates 1/2 Psi'(A E) for all rows at once on Gauss-Kronrod
 # panels whose nodes every row shares, in log|h| so that neither A nor E
-# overflows, and walks outward a stride of blocks of panels at a time. Rows
-# over tolerance then have only their worst blocks redone with more panels.
+# overflows, and walks outward a stride of blocks of panels at a time. A
+# row's walk ends where a closed-form bracket holds the rest of its tail
+# (every right side, and the left side of distinct real eigenvalues), or
+# where its block sums decay geometrically. Rows over tolerance then have
+# only their worst blocks redone with more panels.
 
 _GRADED_PANELS = 8  # GK15 panels, halving toward a zero of h, per graded stretch
 _MAX_LEVEL = 3  # blocks over their share are redone with 2x, 4x, 8x the panels
 _MAX_BLOCKS = 2000  # blocks per side before a row counts as unconverged
 _CHUNK = 1 << 14  # Psi' values per slice of rows: 128 kB per scratch array
 _FAR_ZERO = 100.0  # |lam tz| past which a repeated-case row is walked from t = 0
+_LOOKAHEAD = 16  # blocks drawn at a time while a stride looks for its first row's end
+
+# 1e-12 up to 1e12 in steps of 10^(1/16)
+_RATIO_LADDER = 10.0 ** (np.arange(-192.0, 193.0) / 16.0)
+_FAR_STEP = 0.5  # u across a panel of the far-field table
+_FAR_BOTTOM = math.log(1e-12)  # the table reaches at least this far down in u
+
+
+@functools.lru_cache(maxsize=64)
+def _slope_ratio(dgf: GeneratingFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log w, centre, half): Psi'_1(s)/(2s) lies in centre +/- half for 0 < s <= w.
+
+    On a ladder from 1e-12 to 1e12, the least and greatest ratio at the
+    points up to the first one at or above w, and its limit 1 at s -> 0
+    (Phi ~ sqrt near 0), verified on the grid as the small-slope threshold
+    is. A last entry, with half = inf, stands for w past the ladder; so does
+    every entry from the first ratio that is not a finite number. Built on
+    first use.
+    """
+    w = _RATIO_LADDER
+    with np.errstate(all="ignore"):
+        r = _psi_prime_array(dgf, 1.0)(w) / (2.0 * w)
+        lo = np.minimum.accumulate(np.minimum(r, 1.0))  # nan stays nan
+        hi = np.maximum.accumulate(np.maximum(r, 1.0))
+        half = np.append(0.5 * (hi - lo), math.inf)
+    half[~(half < math.inf)] = math.inf
+    return np.log(w), np.append(0.5 * (hi + lo), 0.0), half
+
+
+class _FarField(NamedTuple):
+    """T(u) = integral_u^inf Psi'_1(e^s) ds on a table of u, ascending to _S_MAX."""
+
+    edges: np.ndarray
+    rest: np.ndarray  # T at the edges, by GK15 panels down from the top
+    err: np.ndarray  # their summed |Kronrod - Gauss|, plus the tail past the top as B bounds it
+    psi: np.ndarray  # Psi'_1(e^u) at the edges
+    first: int  # the lowest edge from which Psi'_1 falls at every node and edge above
+
+
+@functools.lru_cache(maxsize=64)
+def _far_field(dgf: GeneratingFunction) -> _FarField:
+    """The far-field table of dgf: panels _FAR_STEP wide from _S_MAX down past _FAR_BOTTOM.
+
+    Built on first use, by the first two-exponential search.
+    """
+    n = math.ceil((_S_MAX - _FAR_BOTTOM) / _FAR_STEP)
+    edges = _S_MAX - _FAR_STEP * np.arange(n, -1.0, -1.0)
+    u, wk, wg = _gk_panels(edges[:-1], edges[1:])
+    psi = _psi_prime_array(dgf, 1.0)
+    with np.errstate(all="ignore"):
+        f, at = psi(np.exp(u)), psi(np.exp(edges))
+        k = (f * wk).sum(axis=1)
+        d = np.abs(k - (f * wg).sum(axis=1))
+        rest = np.append(np.cumsum(k[::-1])[::-1], 0.0)
+        err = np.append(np.cumsum(d[::-1])[::-1], 0.0) + _LOG_STRIDE * at[-1]
+        # each edge, then its panel's nodes, ascending; rising or not a number breaks the fall
+        seq = np.append(np.concatenate([at[:-1, None], f], axis=1), at[-1])
+        rises = np.flatnonzero(~(np.diff(seq) <= 0.0))
+    first = -(-(int(rises[-1]) + 1) // (f.shape[1] + 1)) if rises.size else 0
+    return _FarField(edges, rest, err, at, first)
+
+
+class _Tails(NamedTuple):
+    """One search's Psi' of the scaled map, and what its tail brackets read."""
+
+    psi: Callable[..., np.ndarray]
+    dgf: GeneratingFunction
+    k3: float
+
+
+def _tails(dgf: GeneratingFunction, k3: float) -> _Tails:
+    return _Tails(_psi_prime_array(dgf, k3), dgf, k3)
+
+
+class _Bracket(NamedTuple):
+    """A closed-form bracket for the rest of a row's tail past a block.
+
+    half(la, d) is its half-width for rows of log amplitude la, shape
+    (rows, 1), past blocks of descriptors d, shape (n, k): (rows, n), inf
+    where no bracket holds. It grows with la on the right and shrinks with
+    it on the left. close(la, d, tally) gives the midpoint and half-width
+    for rows la, shape (m,), each past its own block d, shape (m, k).
+    """
+
+    half: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    close: Callable[[np.ndarray, np.ndarray, "_Tally"], tuple[np.ndarray, np.ndarray]]
+
+
+def _envelope_bracket(tails: _Tails) -> _Bracket:
+    """Right tails. A block's d is (log_env, log_int): the log of a bound on |E| past it, and
+    the log of the integral of |E| past it.
+
+    1/2 Psi'(h) = Psi'_1(w)/(2w) |h| with w = k3 |h| <= v = k3 e^(la + log_env),
+    so the rest lies in (centre +/- half)(v) of _slope_ratio times the
+    integral e^(la + log_int) of |h|. lo = 0, hi = 1.5 would be the 3w
+    bound of the small-slope threshold.
+    """
+    log_w, centre, spread = _slope_ratio(tails.dgf)
+    log_k3 = math.log(tails.k3)
+
+    def at(la: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.searchsorted(log_w, la + log_k3 + d[:, 0]), np.exp(la + d[:, 1])
+
+    def half(la: np.ndarray, d: np.ndarray) -> np.ndarray:
+        j, mass = at(la, d)
+        return spread[j] * mass
+
+    def close(la: np.ndarray, d: np.ndarray, tally: "_Tally") -> tuple[np.ndarray, np.ndarray]:
+        j, mass = at(la, d)
+        return centre[j] * mass, spread[j] * mass
+
+    return _Bracket(half, close)
+
+
+def _far_field_bracket(tails: _Tails, lam2: float) -> _Bracket:
+    """Left tails of two-exponential rows. A block's d is (|lam2| t, e^(-(lam1 - lam2) t)).
+
+    Past a block whose outer end lies t left of the zero, k3 |h| at a time
+    s further out is w e^(|lam2| s) (1 +/- eps), w = k3 e^(la + |lam2| t),
+    0 <= eps <= e^(-(lam1 - lam2) t). Where Psi'_1 falls from w (1 - eps) on,
+    the rest lies between T(w (1 + eps)) and T(w (1 - eps)) over 2 k3 |lam2|,
+    T(w) = integral_log w^inf Psi'_1(e^u) du, which is exact for a single
+    mode. T(w) is _far_field's value at the edge above log w plus one GK15
+    panel; Psi'_1 at the edge below w (1 - eps) bounds both ends' distance
+    from it, atanh(eps) on average.
+    """
+    far = _far_field(tails.dgf)
+    psi = _psi_prime_array(tails.dgf, 1.0)
+    log_k3 = math.log(tails.k3)
+    scale = 1.0 / (2.0 * tails.k3 * -lam2)
+    top = far.edges.size - 1
+
+    def below(u: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the edge at or below log w (1 - eps), and whether Psi'_1 falls from it on
+        i = np.searchsorted(far.edges, u + np.log1p(-eps), side="right") - 1
+        return np.maximum(i, 0), i >= far.first
+
+    def half(la: np.ndarray, d: np.ndarray) -> np.ndarray:
+        u = la + log_k3 + d[:, 0]
+        i, falls = below(u, d[:, 1])
+        j = np.minimum(np.searchsorted(far.edges, u), top)
+        return np.where(falls, (np.arctanh(d[:, 1]) * far.psi[i] + far.err[j]) * scale, np.inf)
+
+    def close(la: np.ndarray, d: np.ndarray, tally: "_Tally") -> tuple[np.ndarray, np.ndarray]:
+        eps = d[:, 1]
+        u = la + log_k3 + d[:, 0]
+        m = far.psi[below(u, eps)[0]]
+        u = np.minimum(u, far.edges[-1])
+        j = np.searchsorted(far.edges, u)
+        h = 0.5 * (far.edges[j] - u)
+        x = (u + h)[:, None] + h[:, None] * _GK_X
+        f = np.empty(x.shape)
+        step = max(1, _CHUNK // _GK_X.size)
+        for a in range(0, u.size, step):
+            f[a:a + step] = psi(np.exp(x[a:a + step]))
+        tally.values += f.size
+        k = h * np.sum(f * _GK_WK, axis=1)
+        g = h * np.sum(f * _GK_WG, axis=1)
+        mid = (far.rest[j] + k - 0.5 * np.log1p(-eps * eps) * m) * scale
+        return mid, (np.arctanh(eps) * m + far.err[j] + np.abs(k - g)) * scale
+
+    return _Bracket(half, close)
 
 
 class _Side(NamedTuple):
     """The blocks of panels of one side of a walk, outward.
 
-    blocks yields one cheap descriptor (key, log_env, log_tail) per block,
-    at most _MAX_BLOCKS of them. On the right side log_env and log_tail
-    bound |E| beyond the block and the time integral of that bound; on the
-    left both are None. nodes(keys) gives log|E| at the nodes of a run of n
-    consecutive blocks of P panels each, and the Kronrod and Gauss weights,
-    which carry the panel Jacobians and the factor 1/2 of 1/2 Psi', shapes
-    (n, P, 15) and (n or 1, P, 15). The first block comes in a run of its
-    own, and no later block has more panels than an earlier one.
+    blocks yields one cheap descriptor (key, d) per block, at most
+    _MAX_BLOCKS of them: d is the block's row of bracket descriptors, or
+    None on a side without a bracket. nodes(keys) gives log|E| at the
+    nodes of a run of n consecutive blocks of P panels each, and the
+    Kronrod and Gauss weights, which carry the panel Jacobians and the
+    factor 1/2 of 1/2 Psi', shapes (n, P, 15) and (n or 1, P, 15). A
+    first block graded toward a zero (key None) comes in a run of its own.
+    values is the Psi' values a row of the first block; no later block
+    takes more.
     """
 
-    blocks: Iterator[tuple[object, Optional[float], Optional[float]]]
+    blocks: Iterator[tuple[object, Optional[tuple[float, ...]]]]
     nodes: Callable[[list], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    right: bool
+    bracket: Optional[_Bracket]
+    values: int
 
 
 class _Tally:
@@ -732,13 +903,20 @@ class _Tally:
     same memory instead of growing and trimming the heap for each one.
     """
 
-    COUNTS = ("calls", "blocks", "passes", "values", "level", "refined", "refined_values")
+    COUNTS = ("calls", "blocks", "passes", "values", "level", "refined", "refined_values",
+              "right_closed", "right_width", "left_closed", "left_width")
     __slots__ = COUNTS + ("_scratch",)
 
     def __init__(self) -> None:
         for name in self.COUNTS:
-            setattr(self, name, 0)
+            setattr(self, name, 0.0 if name.endswith("width") else 0)
         self._scratch = np.empty((3, 0))
+
+    def closed(self, right: bool, half: np.ndarray) -> None:
+        """Count tails that brackets closed on one side, and add up their half-widths."""
+        side = "right" if right else "left"
+        setattr(self, side + "_closed", getattr(self, side + "_closed") + half.size)
+        setattr(self, side + "_width", getattr(self, side + "_width") + float(half.sum()))
 
     def scratch(self, n: int) -> np.ndarray:
         """Three arrays of n values each, as (3, n)."""
@@ -747,22 +925,26 @@ class _Tally:
         return self._scratch[:, :n]
 
 
+@functools.lru_cache(maxsize=256)
 def _graded(length: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Offsets length*v^3 from a zero of h, v on panels halving toward 0.
 
     Where |h| is large, Psi' decays only like |h|^(-1/3), so each zero
     crossing is a cusp of width about 1/|h'|; the cubic map turns its power
     law into a ramp in v, and the halving panels resolve the ramp's corner
-    at whatever scale it sits.
+    at whatever scale it sits. Built once per length and level, read-only.
     """
     v = np.concatenate([[0.0], 0.5 ** np.arange(_GRADED_PANELS - 1, -1, -1)])
     v = np.interp(np.arange((v.size - 1 << level) + 1) / (1 << level), np.arange(v.size), v)
     v, wk, wg = _gk_panels(v[:-1], v[1:])
     jac = 1.5 * length * v * v  # 3 length v^2, times the 1/2 of 1/2 Psi'
-    return length * v ** 3, wk * jac, wg * jac
+    out = length * v ** 3, wk * jac, wg * jac
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _complex_blocks(mu: float, omega: float, level: int, right: bool) -> _Side:
+def _complex_blocks(tails: _Tails, mu: float, omega: float, level: int, right: bool) -> _Side:
     """Half periods between the zeros s = -pi/2 + n pi of cos s, outward from s = -pi/2.
 
     Every half period has the same nodes, graded toward both of its zeros;
@@ -775,20 +957,21 @@ def _complex_blocks(mu: float, omega: float, level: int, right: bool) -> _Side:
     wk = np.concatenate([wk, wk])[None] / omega
     wg = np.concatenate([wg, wg])[None] / omega
     rate = mu / omega
+    # integral_0^pi sin(x) e^(rate x) dx = (1 + e^(rate pi)) / (1 + rate^2), and each
+    # half period after it e^(rate pi) times the one before; dt = ds / omega
+    shrink = math.exp(rate * math.pi)
+    log_rest = math.log((1.0 + shrink) / ((1.0 + rate * rate) * (1.0 - shrink) * omega))
 
-    def blocks() -> Iterator[tuple[float, Optional[float], Optional[float]]]:
+    def blocks() -> Iterator[tuple[float, Optional[tuple[float, float]]]]:
         for n in range(_MAX_BLOCKS):
             z = -0.5 * math.pi + (n if right else -1 - n) * math.pi
-            if right:
-                end = rate * (z + math.pi)
-                yield z, end, end - math.log(-mu)
-            else:
-                yield z, None, None
+            end = rate * (z + math.pi)
+            yield z, (end, end + log_rest) if right else None
 
     def nodes(zs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return rate * (np.array(zs)[:, None, None] + d) + log_sin, wk, wg
 
-    return _Side(blocks(), nodes)
+    return _Side(blocks(), nodes, right, _envelope_bracket(tails) if right else None, d.size)
 
 
 def _walk(
@@ -797,24 +980,30 @@ def _walk(
     widths: Iterator[float],
     level: int,
     right: bool,
-    bound: Callable[[float], tuple[float, float]],
+    bound: Optional[Callable[[float], tuple[float, float]]],
+    bracket: Optional[_Bracket],
+    zero: bool = True,
 ) -> _Side:
-    """A stretch graded toward the zero at t = 0, then panels of the given widths.
+    """A first block `graded` long, then panels of the given widths.
 
-    The graded block's key is None, every later block's its start and width.
+    Where E has a zero at t = 0, the first block is graded toward it and
+    its key is None; otherwise it is a plain block. Every other block's
+    key is its start and width. bound maps the distance of a block's outer
+    end from 0 to its bracket descriptor.
     """
     sign = 1.0 if right else -1.0
-    off, wk0, wg0 = _graded(graded, level)
-    frac = np.linspace(0.0, 1.0, (1 << level) + 1)
+    if zero:
+        off, wk0, wg0 = _graded(graded, level)
+    frac = np.arange((1 << level) + 1.0) / (1 << level)
 
-    def blocks() -> Iterator[tuple[object, Optional[float], Optional[float]]]:
-        yield None, *(bound(graded) if right else (None, None))
+    def blocks() -> Iterator[tuple[object, Optional[tuple[float, float]]]]:
+        yield None if zero else (0.0, graded), bound and bound(graded)
         pos = graded
         for _ in range(_MAX_BLOCKS - 1):
             width = next(widths)
             key = pos, width
             pos += width
-            yield key, *(bound(pos) if right else (None, None))
+            yield key, bound and bound(pos)
 
     def nodes(keys: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if keys[0] is None:
@@ -826,10 +1015,12 @@ def _walk(
         return (log_e(sign * t).reshape(shape), (0.5 * wk).reshape(shape),
                 (0.5 * wg).reshape(shape))
 
-    return _Side(blocks(), nodes)
+    return _Side(blocks(), nodes, right, bracket,
+                 off.size if zero else (frac.size - 1) * _GK_X.size)
 
 
-def _distinct_blocks(lam1: float, lam2: float, sign: float, level: int, right: bool) -> _Side:
+def _distinct_blocks(tails: _Tails, lam1: float, lam2: float, sign: float, level: int,
+                     right: bool) -> _Side:
     """E(t) = e^(lam1 t) + sign e^(lam2 t); its only possible zero is t = 0."""
     gap = lam1 - lam2
 
@@ -840,19 +1031,25 @@ def _distinct_blocks(lam1: float, lam2: float, sign: float, level: int, right: b
         return (lam1 if right else lam2) * t + rest
 
     def bound(t: float) -> tuple[float, float]:
+        if not right:
+            return -lam2 * t, math.exp(-gap * t)
+        # integral_t^inf |E| = e^(lam1 t) (-lam2 + sign (-lam1) e^x) / (lam1 lam2), x = -gap t,
+        # and for sign < 0 that numerator is gap - lam1 (1 - e^x), free of cancellation
         x = -gap * t
-        return (lam1 * t + math.log1p(math.exp(x)),
-                lam1 * t + math.log(1.0 / -lam1 + math.exp(x) / -lam2))
+        mass = gap + lam1 * math.expm1(x) if sign < 0.0 else -lam2 - lam1 * math.exp(x)
+        return lam1 * t + math.log1p(math.exp(x)), lam1 * t + math.log(mass / (lam1 * lam2))
 
     graded = min(1.0 / gap, 1.0 / -lam1)
     if right:
         widths = (min(graded * 2.0 ** k, 1.0 / -lam1) for k in itertools.count())
+        bracket = _envelope_bracket(tails)
     else:
         widths = itertools.repeat(1.0 / -lam2)
-    return _walk(log_e, graded, widths, level, right, bound)
+        bracket = _far_field_bracket(tails, lam2)
+    return _walk(log_e, graded, widths, level, right, bound, bracket, sign < 0.0)
 
 
-def _repeated_blocks(lam: float, level: int, right: bool) -> _Side:
+def _repeated_blocks(tails: _Tails, lam: float, level: int, right: bool) -> _Side:
     """E(t) = t e^(lam t): the zero is at t = 0 and |E| peaks at t = 1/|lam|."""
     scale = 1.0 / -lam
 
@@ -861,13 +1058,14 @@ def _repeated_blocks(lam: float, level: int, right: bool) -> _Side:
 
     def bound(t: float) -> tuple[float, float]:
         if t < scale:
-            return math.inf, math.inf  # envelope still rising: no certificate yet
+            return math.inf, math.inf  # envelope still rising: no bracket yet
         return math.log(t) + lam * t, lam * t + math.log(t * scale + scale * scale)
 
-    return _walk(log_e, scale, itertools.repeat(scale), level, right, bound)
+    return _walk(log_e, scale, itertools.repeat(scale), level, right,
+                 *((bound, _envelope_bracket(tails)) if right else (None, None)))
 
 
-def _far_zero_blocks(lam: float, eps: float, level: int, right: bool) -> _Side:
+def _far_zero_blocks(tails: _Tails, lam: float, eps: float, level: int, right: bool) -> _Side:
     """E(t) = e^(lam t) (1 + eps t) with |eps| < |lam| / _FAR_ZERO.
 
     The zero -1/eps lies where |h| is negligible (right) or far past the
@@ -876,15 +1074,21 @@ def _far_zero_blocks(lam: float, eps: float, level: int, right: bool) -> _Side:
     t >= 0 because |eps| < |lam|.
     """
     scale = 1.0 / -lam
+    tz = -1.0 / eps if eps < 0.0 else -math.inf
 
     def log_e(t: np.ndarray) -> np.ndarray:
         return lam * t + np.log(np.abs(1.0 + eps * t))
 
     def bound(t: float) -> tuple[float, float]:
-        m = 1.0 + abs(eps) * t
-        return lam * t + math.log(m), lam * t + math.log((m + abs(eps) * scale) * scale)
+        # integral_t^inf E = e^(lam t) g(t), g(t) = (1 + eps t) scale + eps scale^2; from
+        # before the zero tz, |E| adds twice the part past it, 2 |eps| scale^2 e^(lam tz)
+        g = (1.0 + eps * t) * scale + eps * scale * scale
+        if t < tz:
+            g += 2.0 * -eps * scale * scale * math.exp(lam * (tz - t))
+        return lam * t + math.log(1.0 + abs(eps) * t), lam * t + math.log(g)
 
-    return _walk(log_e, scale, itertools.repeat(scale), level, right, bound)
+    return _walk(log_e, scale, itertools.repeat(scale), level, right,
+                 *((bound, _envelope_bracket(tails)) if right else (None, None)), False)
 
 
 def _panel_sums(
@@ -928,14 +1132,16 @@ def _panel_sums(
     return sums
 
 
+
 class _SideWalk(NamedTuple):
     """One side's walk for every row of a batch.
 
-    value and err include the tail term, the right tail bound or the left
-    remainder; count is the number of blocks the row took. passes holds one
-    (keys, rows, sums, last) entry per Psi' pass: the pass's block keys, the
-    rows it evaluated, their per-block Kronrod sums and |Kronrod - Gauss|
-    (2, rows, n) as _panel_sums gave them, and each row's last block in it.
+    value and err include the tail term, the bracket's midpoint and
+    half-width or the left remainder; tail is the term's share of err;
+    count is the number of blocks the row took. passes holds one (keys,
+    rows, sums, last) entry per Psi' pass: the pass's block keys, the rows
+    it evaluated, their per-block Kronrod sums and |Kronrod - Gauss| (2,
+    rows, n) as _panel_sums gave them, and each row's last block in it.
     """
 
     value: np.ndarray
@@ -950,61 +1156,77 @@ def _integrate_side(
     loga: np.ndarray,
     side: _Side,
     tol: float,
-    log_delta0: float,
     tally: _Tally,
 ) -> _SideWalk:
     """integral of 1/2 Psi'(e^loga E) over one side for every row, with error estimates.
 
-    Walks the blocks outward and drops each row once its side is done. The
-    right side ends, as t0_exact's panels do, when |h| <= delta0 beyond the
-    block and 1.5 times the envelope tail is below tol/10; that bound joins
-    the error. The left side ends after two blocks below tol/4 whose
+    Walks the blocks outward and drops each row once its side is done.
+    With a bracket, a row ends at the first block past which the
+    bracket's half-width is below the side's share of tol, a tenth on the
+    right and a quarter on the left; the midpoint joins the value and the
+    half-width the error. Without one (the left side of complex and
+    repeated rows), a row ends after two blocks below tol/4 whose
     geometric remainder is below tol/4 (or both exactly zero); the
-    remainder is added to the value and to the error. Each panel adds
-    |Kronrod - Gauss| to its row's error. The walk stops early once an
-    error estimate is not finite, and returns it so.
+    remainder joins the value and the error. Each panel adds |Kronrod -
+    Gauss| to its row's error. The walk stops early once an error
+    estimate is not finite, and returns it so.
 
     Each pass evaluates a stride of blocks at once and applies those rules
     block by block, in order, so the result does not depend on the stride.
-    On the right side a row's last block depends on its amplitude alone:
-    a stride runs to the block that ends the largest amplitude, and each
-    row is evaluated up to its own last block (rows go by falling
-    amplitude, so a slice of them needs about as many blocks as its first).
-    On the left side the rule needs the sums, which shrink geometrically
-    once past the peak of Psi': a stride runs to where that decay would
-    end the walk, or twice as far as the last while some row's sums do not
-    shrink yet. No stride takes more than _CHUNK values a row on the right
-    or _CHUNK values in all on the left, so left walks whose every block
-    takes more go one block at a time.
+    With a bracket a row's last block depends on its amplitude alone: rows
+    go in the order of the blocks they need, a stride runs to the block
+    that ends the first row (looked for _LOOKAHEAD blocks at a time; those
+    past it wait for the next stride), and each row is evaluated up to its
+    own last block, a graded first block in a Psi' call of its own. So one
+    stride usually covers the side. Without a bracket the rule needs the
+    sums, which shrink geometrically once past the peak of Psi': the first
+    block goes alone, then a stride runs to where that decay would end the
+    walk, or twice as far as the last while some row's sums do not shrink
+    yet. No stride takes more than _CHUNK values a row with a bracket or
+    _CHUNK values in all without, so left walks whose every block takes
+    more go one block at a time.
     """
     value = np.zeros(loga.size)
     err = np.zeros(loga.size)
     tail_term = np.zeros(loga.size)
     count = np.zeros(loga.size, dtype=np.int64)
     passes = []
-    prev = np.full(loga.size, math.inf)  # left side: the last block's sum
+    prev = np.full(loga.size, math.inf)  # without a bracket: the last block's sum
     ratio = np.zeros(loga.size)  # and its ratio to the one before
-    q = 0.25 * tol
-    rows = np.argsort(-loga, kind="stable")
-    log_cut = math.log(tol / 15.0)  # 1.5 e^log_tail < tol/10
+    bracket = side.bracket
+    q = (0.1 if side.right else 0.25) * tol
+    # a bracket ends larger rows later on the right and sooner on the left
+    rows = np.argsort(-loga if side.right else loga, kind="stable")
+    ahead = []  # blocks drawn but not walked yet
+
+    def draw(k: int) -> list:
+        got = ahead[:k]
+        del ahead[:k]
+        return got + list(itertools.islice(side.blocks, k - len(got)))
+
     n = per_block = 0
-    right = False
     # overflow makes |h| inf (Psi' = 0 there); a diverging integral makes the
     # sums inf or nan, which ends the walk
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while rows.size:
             la = loga[rows]
-            if not n:
-                stride = list(itertools.islice(side.blocks, 1))
-            elif right:
-                top = float(la[0])
-                cap = max(1, _CHUNK // per_block)
-                stride = []
-                for blk in side.blocks:
-                    stride.append(blk)
-                    if (top + blk[1] <= log_delta0 and top + blk[2] < log_cut
-                            or len(stride) == cap):
+            if bracket is not None:
+                # blocks up to the one that ends the first row
+                cap = max(1, _CHUNK // (per_block or side.values))
+                stride, halves = [], []
+                while len(stride) < cap:
+                    more = draw(min(_LOOKAHEAD, cap - len(stride)))
+                    if not more:
                         break
+                    halves.append(bracket.half(la[:, None], np.array([d for _, d in more])))
+                    ends = np.flatnonzero(halves[-1][0] < q)
+                    if ends.size:
+                        ahead[:0] = more[ends[0] + 1:]
+                        stride += more[:ends[0] + 1]
+                        break
+                    stride += more
+            elif not n:
+                stride = draw(1)
             else:
                 cap = _CHUNK // (rows.size * per_block)
                 want = 2 * n
@@ -1018,27 +1240,33 @@ def _integrate_side(
                         want = 1 + math.floor(max(math.log(q / c0) / lr + 1.0,
                                                   math.log(q * (1.0 - rho) / c0) / lr - 1.0,
                                                   0.0))
-                stride = list(itertools.islice(side.blocks, max(1, min(want, cap))))
+                stride = draw(max(1, min(want, cap)))
             if not stride:
                 break
-            keys, envs, tails = zip(*stride)
-            right = envs[0] is not None
+            keys, descs = zip(*stride)
             n = len(stride)
-            log_e, wk, wg = side.nodes(list(keys))
-            per_block = log_e[0].size
-            if right:
-                tail = 1.5 * np.exp(la[:, None] + np.array(tails))
-                done = (la[:, None] + np.array(envs) <= log_delta0) & (tail < 0.1 * tol)
+            if bracket is not None:
+                done = np.concatenate(halves, axis=1)[:, :n] < q
                 stop = done.any(axis=1)
                 last = np.where(stop, done.argmax(axis=1), n - 1)
                 upto = np.maximum.accumulate(last[::-1])[::-1] + 1
-                sums = _panel_sums(psi, la, upto, log_e, wk, wg, tally)
+                sums = np.zeros((2, rows.size, n))
+                # a graded first block takes a Psi' pass of its own, over every row
+                first = int(keys[0] is None)
+                if first:
+                    sums[:, :, :1] = _panel_sums(psi, la, np.ones(rows.size, dtype=np.int64),
+                                                 *side.nodes([None]), tally)
+                go = int(np.count_nonzero(upto > first))
+                if go:
+                    log_e, wk, wg = side.nodes(list(keys[first:]))
+                    per_block = log_e[0].size
+                    sums[:, :go, first:] = _panel_sums(psi, la[:go], upto[:go] - first, log_e,
+                                                       wk, wg, tally)
             else:
+                log_e, wk, wg = side.nodes(list(keys))
+                per_block = log_e[0].size
                 sums = _panel_sums(psi, la, np.full(la.size, n), log_e, wk, wg, tally)
-            tally.blocks += n
-            tally.passes += 1
-            c = sums[0]
-            if not right:
+                c = sums[0]
                 p = np.concatenate([prev[rows, None], c[:, :-1]], axis=1)
                 shrinking = (0.0 < c) & (c < p)
                 tail = np.where(shrinking, c * c / (p - c), 0.0)  # c rho / (1 - rho)
@@ -1048,6 +1276,8 @@ def _integrate_side(
                 last = np.where(stop, done.argmax(axis=1), n - 1)
                 prev[rows] = c[:, -1]
                 ratio[rows] = c[:, -1] / p[:, -1]
+            tally.blocks += n
+            tally.passes += 1
             passes.append((keys, rows, sums, last))
             count[rows] += last + 1
             # the value and error up to each row's last block, added in block order
@@ -1057,9 +1287,12 @@ def _integrate_side(
             np.add.accumulate(acc, axis=-1, out=acc)
             value[rows], err[rows] = acc[:, np.arange(rows.size), last]
             fin = rows[stop]
-            rest = tail[stop, last[stop]]  # the right tail bound, or the left remainder
-            if not right:
-                value[fin] += rest
+            if bracket is not None:
+                mid, rest = bracket.close(la[stop], np.array(descs)[last[stop]], tally)
+                tally.closed(side.right, rest)
+            else:
+                mid = rest = tail[stop, last[stop]]
+            value[fin] += mid
             err[fin] += rest
             tail_term[fin] = rest
             if not np.isfinite(err[rows]).all():
@@ -1067,8 +1300,8 @@ def _integrate_side(
             rows = rows[~stop]
     if rows.size and np.isfinite(err).all():
         raise QuadratureError(
-            f"quadrature failure: {'right' if right else 'left'} tail of {rows.size} responses "
-            f"did not converge within {_MAX_BLOCKS} blocks"
+            f"quadrature failure: {'right' if side.right else 'left'} tail of {rows.size} "
+            f"responses did not converge within {_MAX_BLOCKS} blocks"
         )
     return _SideWalk(value, err, tail_term, count, passes)
 
@@ -1086,7 +1319,6 @@ def _full_line(
     blocks: Callable[[int, bool], _Side],
     loga: np.ndarray,
     tol: float,
-    log_delta0: float,
     tally: _Tally,
 ) -> np.ndarray:
     """Full-line integrals of 1/2 Psi'(h) for rows h = e^loga E, each within tol.
@@ -1103,7 +1335,7 @@ def _full_line(
     tally.calls += 1
     walks = []
     for right in (True, False):
-        walks.append(_integrate_side(psi, loga, blocks(0, right), tol, log_delta0, tally))
+        walks.append(_integrate_side(psi, loga, blocks(0, right), tol, tally))
         _raise_if_not_finite(walks[-1].err, 0)
     values = walks[0].value + walks[1].value
     err = walks[0].err + walks[1].err
@@ -1141,10 +1373,9 @@ def _full_line(
 
 def _circle_values(
     sys: SystemMatrix,
-    psi: Callable[[np.ndarray], np.ndarray],
+    tails: _Tails,
     theta: np.ndarray,
     tol: float,
-    log_delta0: float,
     tally: _Tally,
 ) -> np.ndarray:
     """Full-line integrals from the unit states at angles theta, complex or repeated case."""
@@ -1152,8 +1383,8 @@ def _circle_values(
     if sys.kind == _COMPLEX:
         # h = R e^(mu t) cos(omega t - phase), R = |(c1, c2)|
         loga = np.log(np.hypot(c1, c2)) + sys.mu / sys.omega * np.arctan2(c2, c1)
-        blocks = functools.partial(_complex_blocks, sys.mu, sys.omega)
-        return _full_line(psi, blocks, loga, tol, log_delta0, tally)
+        blocks = functools.partial(_complex_blocks, tails, sys.mu, sys.omega)
+        return _full_line(tails.psi, blocks, loga, tol, tally)
 
     # h = e^(lam t) (c1 + c2 t) = c2 e^(lam tz) (t - tz) e^(lam (t - tz)),
     # tz = -c1/c2. From the zero, |h| settles only about |lam tz| blocks out,
@@ -1165,12 +1396,11 @@ def _circle_values(
     near = ~far
     if near.any():
         loga = np.log(np.abs(c2[near])) - lam * c1[near] / c2[near]
-        blocks = functools.partial(_repeated_blocks, lam)
-        out[near] = _full_line(psi, blocks, loga, tol, log_delta0, tally)
+        blocks = functools.partial(_repeated_blocks, tails, lam)
+        out[near] = _full_line(tails.psi, blocks, loga, tol, tally)
     for i in np.flatnonzero(far):
-        blocks = functools.partial(_far_zero_blocks, lam, c2[i] / c1[i])
-        out[i] = _full_line(psi, blocks, np.log(np.abs(c1[i:i + 1])), tol, log_delta0,
-                            tally)[0]
+        blocks = functools.partial(_far_zero_blocks, tails, lam, c2[i] / c1[i])
+        out[i] = _full_line(tails.psi, blocks, np.log(np.abs(c1[i:i + 1])), tol, tally)[0]
     return out
 
 
@@ -1191,19 +1421,18 @@ def global_convtime_numeric(
     batched Gauss-Kronrod kernel and is accurate to inner_tol by its own
     error estimate. The logger "ftdiff" gets one DEBUG record of the work
     done: full-line calls, blocks walked, Psi' passes and values, the
-    highest panel level, and the blocks refined and the Psi' values they
-    took.
+    highest panel level, the blocks refined and the Psi' values they
+    took, and per side the tails closed by a bracket with the sum of their
+    half-widths.
     """
     sys = system_matrix(kappa.k1, kappa.k2)
-    psi = _psi_prime_array(dgf, kappa.k3)
-    log_delta0 = math.log(_delta0(dgf, kappa.k3))
+    tails = _tails(dgf, kappa.k3)
     tally = _Tally()
 
     if sys.kind == _REAL_DISTINCT:
         def values(log_b: np.ndarray, sign: float) -> np.ndarray:
-            blocks = functools.partial(_distinct_blocks, sys.lam1, sys.lam2, sign)
-            return _full_line(psi, blocks, math.log(10.0) * log_b, inner_tol, log_delta0,
-                              tally)
+            blocks = functools.partial(_distinct_blocks, tails, sys.lam1, sys.lam2, sign)
+            return _full_line(tails.psi, blocks, math.log(10.0) * log_b, inner_tol, tally)
 
         # Degenerate single-mode profiles are the b -> inf / b -> 0 limits of
         # the family; their full-line values have the closed reduction
@@ -1235,7 +1464,7 @@ def global_convtime_numeric(
     else:
         def values(theta: np.ndarray) -> np.ndarray:
             # Psi' is even, so v and -v coincide and [0, pi) covers the circle
-            return _circle_values(sys, psi, theta, inner_tol, log_delta0, tally)
+            return _circle_values(sys, tails, theta, inner_tol, tally)
 
         thetas = math.pi * np.arange(grid_points) / grid_points
         vals = values(thetas)
@@ -1250,8 +1479,9 @@ def global_convtime_numeric(
         counts = {name: getattr(tally, name) for name in _Tally.COUNTS}
         log.debug("global_convtime_numeric %s at (%g, %g, %g): %d full-line calls, %d blocks "
                   "in %d Psi' passes, %d Psi' values, panel level up to %d, %d blocks refined "
-                  "with %d Psi' values", dgf.name, kappa.k1, kappa.k2, kappa.k3,
-                  *counts.values(), extra={"counts": counts})
+                  "with %d Psi' values; tails closed by brackets: %d right, half-widths "
+                  "summing to %.2e, and %d left, summing to %.2e", dgf.name, kappa.k1,
+                  kappa.k2, kappa.k3, *counts.values(), extra={"counts": counts})
     return GlobalConvtime(
         value=val, dgf_name=dgf.name, kappa=kappa, search=search,
         argmax=argmax, grid_points=grid_points, inner_tol=inner_tol,

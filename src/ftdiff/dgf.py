@@ -573,8 +573,10 @@ def _invert_phi_array(dgf: GeneratingFunction, w: np.ndarray) -> np.ndarray:
     shape, w = w.shape, w.ravel()
     with np.errstate(all="ignore"):
         # p[j - 1] < w <= p[j]: the index at the w ladder point below w, or
-        # one more; a search where phi is so flat that it is neither
-        j = index[(np.log2(w) * _W_STEPS + 1074 * _W_STEPS).astype(np.intp)]
+        # one more; a search where phi is so flat that it is neither. Near the
+        # largest float the product rounds up to one past the ladder's end
+        j = index[np.minimum(np.log2(w) * _W_STEPS + 1074 * _W_STEPS,
+                             index.size - 1).astype(np.intp)]
         j += p[j] < w
         p_lo, p_hi = p[j - 1], p[j]
         missed = (p_hi < w) | (p_lo >= w) & (j > 0)
@@ -622,7 +624,8 @@ def _slope_at_preimage(dgf: GeneratingFunction, w: np.ndarray,
         if out is None:
             out = np.empty(w.shape)
         out.fill(0.0)
-        ok[ok] = good
+        flat = ok.ravel()  # a view of ok, whatever the shape of w
+        flat[flat] = good.ravel()
         out[ok] = 1.0 / _arrays(dgf).phi_prime(x[good])
     return out
 

@@ -90,6 +90,7 @@ class TestTopLevel:
             if argv[0] == "convtime":
                 assert err.startswith("ftdiff: global_convtime_numeric ured at (2, 1, 1): ")
                 assert "blocks refined" in err
+                assert "tails closed by brackets: " in err and " right, half-widths " in err
             else:
                 assert err == ""
         log = logging.getLogger("ftdiff")

@@ -1,5 +1,7 @@
 import cmath
+import decimal
 import functools
+import itertools
 import logging
 import math
 import subprocess
@@ -21,9 +23,9 @@ from ftdiff.convtime import (
     GlobalConvtime,
     _Tally,
     _circle_values,
-    _delta0,
     _integrate_side,
     _psi_prime_array,
+    _tails,
     expm2,
     global_convtime_numeric,
     lbar,
@@ -121,6 +123,53 @@ def full_line_oracle(dgf, kappa, theta, lo=-200.0, hi=80.0):
                 lambda w: 1.5 * half * w * w * psi_prime(dgf, k3, h(end + sign * half * w ** 3)),
                 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
     return total
+
+
+def far_tail_oracle(name, w):
+    """integral_log w^inf Psi'_1(e^u) du = integral_{Phi^-1(w)}^inf dx / Phi(x), in closed form.
+
+    ured: 2 atan(1/s), s^3 + s = w; exp: 2 atan(1/w).
+    """
+    if name == "exp":
+        return 2.0 * math.atan(1.0 / w)
+    s = scipy.optimize.brentq(lambda v: v * (v * v + 1.0) - w, 0.0,
+                              2.0 * w ** (1.0 / 3.0) + 1.0, xtol=1e-300,
+                              rtol=4.0 * np.finfo(float).eps)
+    return 2.0 * math.atan(1.0 / s)
+
+
+def two_exp_oracle(name, kappa, b, sign):
+    """integral over the line of 1/2 Psi'(b (e^(lam1 t) + sign e^(lam2 t))), b > 0.
+
+    Eigenvalues from numpy, Psi' from brentq (psi_prime_oracle), scipy quad on
+    unit pieces of [lo, hi] split at t = 0, in w with t = -/+ w^3 on the two
+    next to the zero of sign < 0, whose kink is about 1/b wide. Left of lo
+    the fast mode holds all but 1e-15 of h, and the rest is the single-mode
+    closed form T(k3 |h(lo)|) / (2 k3 |lam2|) of far_tail_oracle; right of
+    hi, k3 |h| < 1e-13 and 1/2 Psi'(h) = |h| to within 4 k3^2 h^2 relative.
+    """
+    k1, k2, k3 = kappa
+    lam2, lam1 = sorted(np.linalg.eigvals(np.array([[-0.5 * k1, 0.5], [-k2, 0.0]])).real)
+    lo = -35.0 / (lam1 - lam2)
+    hi = (math.log(b * k3) + 30.0) / -lam1
+
+    def h(t):
+        return b * (math.exp(lam1 * t) + sign * math.exp(lam2 * t))
+
+    def f(t):
+        return 0.5 * psi_prime_oracle(name, k3, h(t))
+
+    edges = np.unique(np.concatenate([np.arange(lo, hi, 1.0), [0.0, hi]]))
+    total = 0.0
+    for a, c in zip(edges, edges[1:]):
+        if sign < 0.0 and 0.0 in (a, c):
+            end = a if c == 0.0 else c  # t = end w^3
+            piece = (lambda w: 3.0 * abs(end) * w * w * f(end * w ** 3)), 0.0, 1.0
+        else:
+            piece = f, a, c
+        total += scipy.integrate.quad(*piece, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+    total += far_tail_oracle(name, k3 * abs(h(lo))) / (2.0 * k3 * -lam2)
+    return total + b * (math.exp(lam1 * hi) / -lam1 + sign * math.exp(lam2 * hi) / -lam2)
 
 
 def _log_phi_oracle(name, x):
@@ -246,6 +295,23 @@ class TestSystemMatrix:
         sys = system_matrix(3.0, 2.0)
         np.testing.assert_allclose(
             sys.matrix(), [[-1.5, 0.5], [-2.0, 0.0]], atol=0.0)
+
+    @pytest.mark.parametrize("k1, k2", [(1000.0, 1e-3), (1e4, 1e-4), (1e8, 1.0), (5.0, 1.0),
+                                        (1e150, 1e150)])
+    def test_slow_eigenvalue_is_accurate(self, k1, k2):
+        # -k1 + sqrt(k1^2 - 8 k2) cancels: relative errors up to 0.118 at (1e8, 1)
+        ctx = decimal.Context(prec=400)
+        d1, d2 = decimal.Decimal(k1), decimal.Decimal(k2)
+        disc = ctx.subtract(ctx.multiply(d1, d1), ctx.multiply(8, d2))
+        want = float(ctx.divide(ctx.subtract(ctx.sqrt(disc), d1), 4))
+        assert system_matrix(k1, k2).lam1 == pytest.approx(want, rel=4e-16)
+
+    @pytest.mark.parametrize("k1, k2", [(1e8, 1.0), (1e150, 1e150)])
+    def test_search_at_widely_split_eigenvalues(self, ured, k1, k2):
+        # the slow limit B / (2 k3 |lam1|), |lam1| = k2 / k1 to within a relative 2 k2 / k1^2
+        out = global_convtime_numeric(ured, ParamTriple(k1, k2, 1.0), grid_points=16)
+        assert out.value == pytest.approx(0.5 * math.pi * k1 / k2, rel=1e-12)
+        assert math.isinf(out.argmax)
 
     def test_eigenvalues_satisfy_characteristic(self):
         for k1, k2 in [(5.0, 1.0), (10.0, 3.0), (4.0, 2.0)]:
@@ -703,8 +769,8 @@ class TestGlobalConvtime:
         k1 = 2.0 * math.tan(78.0 * math.pi / 256.0)
         kappa = ParamTriple(k1, k1 * k1 / 8.0, 1.0)
         theta = 78.0 * math.pi / 256.0 + offset
-        got = _circle_values(system_matrix(kappa.k1, kappa.k2), _psi_prime_array(ured, 1.0),
-                             np.array([theta]), 1e-6, math.log(_delta0(ured, 1.0)), _Tally())
+        got = _circle_values(system_matrix(kappa.k1, kappa.k2), _tails(ured, 1.0),
+                             np.array([theta]), 1e-6, _Tally())
         want = full_line_oracle(ured, kappa, theta, lo=-300.0, hi=120.0)
         assert abs(got[0] - want) <= 1e-6
 
@@ -726,6 +792,35 @@ class TestGlobalConvtime:
         want = numeric_sup("ured", kappa)
         assert abs(got.value - want.value) <= got.inner_tol
         assert got.argmax == pytest.approx(want.argmax, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["ured", "exp"])
+    def test_two_exponential_rows_match_quad_reference(self, monkeypatch, name):
+        # the grid's edges b = 1e-8 and 1e8 of both signs: on a 4-point grid
+        # they are the search's first two batches, one per sign
+        pytest.importorskip("scipy.integrate")
+        kappa = (5.0, 1.0, 1.0)
+        batches = []
+        full_line = convtime._full_line
+
+        def record(psi, blocks, loga, *rest):
+            batches.append((loga.copy(), full_line(psi, blocks, loga, *rest)))
+            return batches[-1][1]
+
+        monkeypatch.setattr(convtime, "_full_line", record)
+        out = global_convtime_numeric(builtin_dgf(name), ParamTriple(*kappa), grid_points=4)
+        for sign, (loga, got) in zip((1.0, -1.0), batches):
+            np.testing.assert_allclose(loga, [-8.0 * math.log(10.0), 8.0 * math.log(10.0)])
+            for la, value in zip(loga, got):
+                want = two_exp_oracle(name, kappa, math.exp(la), sign)
+                assert abs(value - want) <= out.inner_tol
+
+    def test_interior_two_exponential_supremum_matches_quad_reference(self):
+        # exp at (5, 1, 1) peaks inside the family, at b ~ -295.43
+        pytest.importorskip("scipy.integrate")
+        out = numeric_sup("exp", (5.0, 1.0, 1.0))
+        assert out.argmax == pytest.approx(-295.43, abs=0.05)
+        want = two_exp_oracle("exp", (5.0, 1.0, 1.0), -out.argmax, -1.0)
+        assert abs(out.value - want) <= out.inner_tol
 
     def test_divergent_left_tail_raises(self, sqrtdgf):
         # sqrt has no uniform bound: the left tail grows without end
@@ -758,9 +853,8 @@ class TestStridedWalk:
             kappa = ParamTriple(FAR_K1, FAR_K1 * FAR_K1 / 8.0, 1.0)
 
             def search():
-                return _circle_values(system_matrix(kappa.k1, kappa.k2),
-                                      _psi_prime_array(dgf, 1.0), FAR_THETAS, 1e-6,
-                                      math.log(_delta0(dgf, 1.0)), _Tally())
+                return _circle_values(system_matrix(kappa.k1, kappa.k2), _tails(dgf, 1.0),
+                                      FAR_THETAS, 1e-6, _Tally())
         else:
             kappa = ParamTriple(*EIGEN_KAPPAS[kind])
 
@@ -771,9 +865,9 @@ class TestStridedWalk:
         calls = []
         full_line = convtime._full_line
 
-        def record(psi, blocks, loga, tol, log_delta0, tally):
-            calls.append((psi, blocks, loga, tol, log_delta0))
-            return full_line(psi, blocks, loga, tol, log_delta0, tally)
+        def record(psi, blocks, loga, tol, tally):
+            calls.append((psi, blocks, loga, tol))
+            return full_line(psi, blocks, loga, tol, tally)
 
         with monkeypatch.context() as m:
             m.setattr(convtime, "_full_line", record)
@@ -788,16 +882,14 @@ class TestStridedWalk:
         if kind != "far":
             calls = [calls[0], calls[-1]]
         strided = _Tally()
-        for psi, blocks, loga, tol, log_delta0 in calls:
+        for psi, blocks, loga, tol in calls:
             for level in (0, 1):
                 for right in (True, False):
-                    want = _integrate_side(psi, loga, blocks(level, right), tol, log_delta0,
-                                           strided)
+                    want = _integrate_side(psi, loga, blocks(level, right), tol, strided)
                     with monkeypatch.context() as m:
                         m.setattr(convtime, "_CHUNK", 1)
                         single = _Tally()
-                        got = _integrate_side(psi, loga, blocks(level, right), tol, log_delta0,
-                                              single)
+                        got = _integrate_side(psi, loga, blocks(level, right), tol, single)
                     assert single.passes == single.blocks
                     # value, error, tail term and block count; the pass records
                     # differ by construction
@@ -854,7 +946,7 @@ class TestStridedWalk:
         assert exp["refined"] >= 1 and 0 < exp["refined_values"] < exp["values"]
         # nothing to refine: the walk alone, as before
         ured = counts("ured", (5.0, 1.0, 1.0))
-        assert ured["values"] == 412_410
+        assert ured["values"] == 192_300  # 412,410 before the tails closed in closed form
         assert ured["refined"] == ured["refined_values"] == 0
 
     @pytest.mark.parametrize("kind", list(EIGEN_KAPPAS))
@@ -938,6 +1030,160 @@ class TestStridedWalk:
         message = record.getMessage()
         assert f"{counts['blocks']} blocks in {counts['passes']} Psi' passes" in message
         assert "0 blocks refined with 0 Psi' values" in message
+
+    @pytest.mark.parametrize("kappa, rows, left", [((5.0, 1.0, 1.0), 72, True),
+                                                   ((2.0, 1.0, 1.0), 72, False),
+                                                   ((SQRT8, 1.0, 1.0), 72, False)])
+    def test_record_counts_the_tails_closed_by_brackets(self, caplog, ured, kappa, rows, left):
+        # 16 grid rows and seven zoom rounds of 8; every right tail closes by a
+        # bracket, and every left tail of the two-exponential family
+        with caplog.at_level(logging.DEBUG, logger="ftdiff"):
+            out = global_convtime_numeric(ured, ParamTriple(*kappa), grid_points=16)
+        [record] = caplog.records
+        counts = record.counts
+        assert counts["right_closed"] == rows and 0.0 < counts["right_width"]
+        assert counts["right_width"] < 0.1 * out.inner_tol * rows
+        if left:
+            assert counts["left_closed"] == rows and 0.0 < counts["left_width"]
+            assert counts["left_width"] < 0.25 * out.inner_tol * rows
+        else:
+            assert counts["left_closed"] == 0 and counts["left_width"] == 0.0
+        assert (f"tails closed by brackets: {rows} right, half-widths summing to "
+                f"{counts['right_width']:.2e}, and {counts['left_closed']} left, summing to "
+                f"{counts['left_width']:.2e}") in record.getMessage()
+
+
+# Psi' values per search of the benchmark's nine gain sets, 2 % above what
+# they take; before the tails closed in closed form they took, in this
+# order, 412,410, 416,910, 416,370, 282,180, 296,100, 384,240, 255,660,
+# 1,778,160 and 1,254,960
+WORK_BOUNDS = [
+    ("ured", (5.0, 1.0, 1.0), 196_500), ("ured", (10.0, 1.0, 1.0), 199_500),
+    ("ured", (20.0, 1.0, 1.0), 210_500), ("exp", (5.0, 1.0, 1.0), 174_500),
+    ("exp", (10.0, 1.0, 1.0), 185_500), ("ured", (SQRT8, 1.0, 1.0), 337_500),
+    ("exp", (SQRT8, 1.0, 1.0), 215_000), ("ured", (2.0, 1.0, 1.0), 1_530_000),
+    ("exp", (2.0, 1.0, 1.0), 939_000),
+]
+
+
+class TestWorkCounts:
+    """Deterministic counts from the search's DEBUG record, where timings drift by 2x."""
+
+    @pytest.mark.parametrize("name, kappa, bound", WORK_BOUNDS)
+    def test_benchmark_gain_sets(self, caplog, name, kappa, bound):
+        with caplog.at_level(logging.DEBUG, logger="ftdiff"):
+            global_convtime_numeric(builtin_dgf(name), ParamTriple(*kappa))
+        [record] = caplog.records
+        assert record.counts["values"] <= bound
+
+
+def _tail_reference(name, kappa, h, start, right, step=4.0):
+    """integral of 1/2 Psi'(h(t)) from start outward, by scipy quad on pieces `step` wide.
+
+    Right: 60 / |slow rate| out, where |h| has fallen by e^-60, then the
+    integral of its envelope; left: 40 out, then the fast mode's closed form
+    of far_tail_oracle. Psi' is the built-in's.
+    """
+    dgf = builtin_dgf(name)
+    k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
+    rates = np.linalg.eigvals(np.array([[-0.5 * k1, 0.5], [-k2, 0.0]])).real
+    end = start + 60.0 / -rates.max() if right else start - 40.0
+    edges = np.linspace(start, end, math.ceil(abs(end - start) / step) + 1)
+    total = sum(scipy.integrate.quad(lambda t: 0.5 * psi_prime(dgf, k3, h(t)), *sorted((a, c)),
+                                     epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                for a, c in zip(edges, edges[1:]))
+    if right:
+        return total + abs(h(end)) / -rates.max()
+    return total + far_tail_oracle(name, k3 * abs(h(end))) / (2.0 * k3 * -rates.min())
+
+
+class TestTailBrackets:
+    """Each bracket that closes a tail holds the rest of it."""
+
+    @pytest.mark.parametrize("name", ["ured", "exp"])
+    def test_far_field_falls_from_past_the_peak(self, name):
+        # Psi'_1 peaks at w = 4/(3 sqrt 3) for ured and at w = 1 for exp
+        far = convtime._far_field(builtin_dgf(name))
+        peak = math.log(4.0 / (3.0 * math.sqrt(3.0)) if name == "ured" else 1.0)
+        assert far.edges[far.first] - convtime._FAR_STEP < peak <= far.edges[far.first]
+        assert far.rest[0] == pytest.approx(math.pi, abs=1e-11)
+
+    @pytest.mark.parametrize("name", ["ured", "exp", "custom"])
+    @pytest.mark.parametrize("b, sign", [(1e-3, 1.0), (1.0, -1.0), (1e3, 1.0), (1e3, -1.0)])
+    @pytest.mark.parametrize("right", [True, False])
+    def test_two_exponential_tails(self, name, b, sign, right):
+        pytest.importorskip("scipy.integrate")
+        dgf = _custom_ured() if name == "custom" else builtin_dgf(name)
+        kappa = ParamTriple(5.0, 1.0, 1.5)
+        lam1, lam2 = (lam.real for lam in system_matrix(kappa.k1, kappa.k2).eigenvalues)
+
+        def h(t):
+            return b * (math.exp(lam1 * t) + sign * math.exp(lam2 * t))
+
+        side = convtime._distinct_blocks(_tails(dgf, kappa.k3), lam1, lam2, sign, 0, right)
+        # ured written as expressions has ured's tails, from its own tables
+        self._check("exp" if name == "exp" else "ured", kappa, side, math.log(b), h,
+                    lambda key: key[0] + key[1])
+
+    @pytest.mark.parametrize("name", ["ured", "exp"])
+    @pytest.mark.parametrize("k1", [2.0, SQRT8])
+    @pytest.mark.parametrize("theta", [0.3, 2.0])
+    def test_complex_and_repeated_right_tails(self, name, k1, theta):
+        pytest.importorskip("scipy.integrate")
+        dgf = builtin_dgf(name)
+        kappa = ParamTriple(k1, 1.0, 1.5)
+        sys_ = system_matrix(kappa.k1, kappa.k2)
+        c1, c2 = convtime._coefficients(sys_, math.cos(theta), math.sin(theta))
+        tails = _tails(dgf, kappa.k3)
+        if sys_.kind == "complex":
+            # E(s) = e^(mu s/omega) cos s, with s = omega t - phase measured from 0
+            om = sys_.omega
+            shift = math.atan2(c2, c1) / om
+            la = math.log(math.hypot(c1, c2)) + sys_.mu * shift
+            side = convtime._complex_blocks(tails, sys_.mu, om, 0, True)
+            end, step = (lambda key: (key + math.pi) / om), 0.5 * math.pi / om
+        else:
+            # E(t) = t e^(lam t), t measured from the zero -c1/c2
+            shift = -c1 / c2
+            la = math.log(abs(c2)) + sys_.lam1 * shift
+            side = convtime._repeated_blocks(tails, sys_.lam1, 0, True)
+            end, step = (lambda key: key[0] + key[1]), 4.0
+        # h from numpy's eigenvectors, or the Jordan form at a repeated eigenvalue
+        a = np.array([[-0.5 * k1, 0.5], [-1.0, 0.0]])
+        v = np.array([math.cos(theta), math.sin(theta)])
+        if sys_.kind == "complex":
+            lam, vecs = np.linalg.eig(a)
+            coef = vecs[0] * np.linalg.solve(vecs, v.astype(complex))
+
+            def h(t):
+                return (coef * np.exp(lam * (t + shift))).sum().real
+        else:
+            rate = 0.5 * float(np.trace(a))
+            slope = float(((a - rate * np.eye(2)) @ v)[0])
+
+            def h(t):
+                return math.exp(rate * (t + shift)) * (v[0] + slope * (t + shift))
+
+        self._check(name, kappa, side, la, h, end, step)
+
+    @staticmethod
+    def _check(name, kappa, side, la, h, end, step=4.0):
+        # each block past which the bracket is narrower than 1e-4, up to the one
+        # that closes the tail; a graded first block (key None) has no simple end
+        share = (0.1 if side.right else 0.25) * 1e-6
+        checked = 0
+        for key, d in itertools.islice(side.blocks, 300):
+            half = side.bracket.half(np.array([[la]]), np.array([d]))[0, 0]
+            if key is None or not half < 1e-4:
+                continue
+            mid, width = side.bracket.close(np.array([la]), np.array([d]), _Tally())
+            start = end(key) if side.right else -end(key)
+            want = _tail_reference(name, kappa, h, start, side.right, step)
+            assert abs(mid[0] - want) <= width[0] + 1e-13
+            checked += 1
+            if half < share:
+                break
+        assert checked
 
 
 class TestPsiPrimeArray:

@@ -17,6 +17,7 @@ from ftdiff.dgf import (
     ScaledFamily,
     _array_form,
     _invert_phi_array,
+    _psi_prime_array,
     builtin_dgf,
     builtin_names,
     check_dgf,
@@ -366,6 +367,27 @@ class TestPsiPrime:
         # Phi(1) = 2 lies on the root solve's x ladder; 1/Phi'(1) = 1/2
         custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
         assert psi_prime(custom, 1.0, 2.0) == pytest.approx(0.5, rel=1e-15)
+
+    def test_custom_ured_at_the_largest_float(self):
+        # log2 of the largest float, in steps of the w ladder, rounds up to
+        # one past the ladder's end
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        z = 1.7976931348623157e308
+        assert psi_prime(custom, 1.0, z) == pytest.approx(
+            psi_prime(builtin_dgf("ured"), 1.0, z), rel=1e-12)
+
+    def test_slopes_on_2d_input_with_preimages_past_the_float_range(self):
+        # every w finite, but the preimages of the smallest underflow to 0:
+        # t0_exact hands the slopes (panels, 15) arrays of nodes
+        custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+        w = np.array([[5e-324, 1e-300], [1.0, 1e300]])
+        got = _psi_prime_array(custom, 1.0)(w)
+        want = _psi_prime_array(builtin_dgf("ured"), 1.0)(w)
+        assert got.shape == w.shape and got[0, 0] == 0.0
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0.0)
+        kappa = ParamTriple(6.0, 4.5, 4.3)
+        assert t0_exact(custom, kappa, (-5e-324, 1e20)) == pytest.approx(
+            t0_exact(builtin_dgf("ured"), kappa, (-5e-324, 1e20)), abs=1e-8)
 
     def test_zero_slope_at_preimage_raises(self):
         # sqrt written as expressions: the inverse overflows to inf, where
