@@ -25,20 +25,18 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._quad import _GK_WG, _GK_WK, _GK_X, _LOG_STRIDE, _S_MAX, _gk_panels, _refine, zoom_max
+from ._quad import (_GK_WG, _GK_WK, _GK_X, _LOG_STRIDE, _S_MAX, _gk_panels,
+                    _probe_tail_divergence, _refine, zoom_max)
 from .dgf import (
     AdmissibilityConstants,
     GeneratingFunction,
     ParamTriple,
-    _arrays,
-    _preimage,
     _psi_prime_array,
     _reciprocal_to,
     nu1,
@@ -46,7 +44,7 @@ from .dgf import (
 from .errors import (
     BoundNotApplicableError,
     InfeasibleError,
-    InversionRangeError,
+    NotAdmissibleError,
     QuadratureError,
 )
 
@@ -99,17 +97,18 @@ class SystemMatrix:
         return np.array([[-0.5 * self.k1, 0.5], [-self.k2, 0.0]])
 
 
-def _repeated(k1: float, disc: float) -> bool:
-    """Whether disc = k1^2 - 8 k2 lies in the repeated-eigenvalue band."""
-    return abs(disc) <= _REPEATED_REL_TOL * k1 * k1
-
-
 def system_matrix(k1: float, k2: float) -> SystemMatrix:
-    """Classify the eigenstructure of the error-dynamics matrix."""
+    """Classify the eigenstructure of the error-dynamics matrix.
+
+    Raises ValueError unless k1 and k2 are positive finite floats whose
+    discriminant k1^2 - 8 k2 is a finite float too.
+    """
     if not (math.isfinite(k1) and k1 > 0.0 and math.isfinite(k2) and k2 > 0.0):
         raise ValueError("k1 and k2 must be positive finite scalars")
     disc = k1 * k1 - 8.0 * k2
-    if _repeated(k1, disc):
+    if not math.isfinite(disc):
+        raise ValueError(f"k1^2 - 8 k2 is not a finite float at k1 = {k1:g}, k2 = {k2:g}")
+    if abs(disc) <= _REPEATED_REL_TOL * k1 * k1:
         lam = -0.25 * k1
         return SystemMatrix(k1, k2, _REAL_REPEATED, lam, lam, 0.0, 0.0)
     if disc > 0.0:
@@ -160,42 +159,62 @@ def _coefficients(sys: SystemMatrix, v1, v2) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the small-slope threshold
+# the profile of Psi'_1(w) = 1/Phi'(Phi^-1(w))
 
-# 1e-12 up to 1e12 in steps of 10^(1/4), each step one rounded product
-_SLOPE_LADDER = np.array(list(itertools.accumulate(
-    itertools.repeat(10.0 ** 0.25, 96), operator.mul, initial=1e-12)))
+# 1e-12 up to 1e12 in steps of 10^(1/16)
+_PROFILE_LADDER = 10.0 ** (np.arange(-192.0, 193.0) / 16.0)
+_BAND_STRIDE = 4  # the band reads every fourth point: steps of 10^(1/4)
+_BEND = 1e-3  # |d^2/du^2 log Psi'_1(e^u)| past which Psi'_1 bends
+
+
+class _Profile(NamedTuple):
+    """What t0_exact and the right-tail bracket read off Psi'_1, see _profile."""
+
+    delta0: float
+    band: tuple
+    ratio: tuple
 
 
 @functools.lru_cache(maxsize=64)
-def _small_slope_threshold(dgf: GeneratingFunction) -> float:
-    """Largest verified w such that 1/Phi'(Phi^-1(w)) <= 3w on (0, w].
+def _profile(dgf: GeneratingFunction) -> _Profile:
+    """Psi'_1 of dgf, sampled once on a ladder of w from 1e-12 to 1e12. Built on first use.
 
-    Near zero the bound holds for every generating function (the slope of
-    the inverse vanishes); many hold globally. Verified on a log grid with
-    a factor-two safety margin; scaling by k3 maps the threshold to the
-    scaled family. Raises InversionRangeError where the check reaches a w
-    that phi never attains.
+    delta0: half the largest ladder w with Psi'_1(s) <= 3s at every ladder
+    point s <= w, or 0 if there is none. Near zero the bound holds for every
+    generating function (Phi ~ sqrt there); many hold it globally. Scaling
+    by k3 maps it to delta0/k3 for the scaled family.
+
+    band: (lo, hi, u, c) on every _BAND_STRIDE-th point: from the first to
+    the last point where the second difference of log Psi'_1 exceeds _BEND
+    per unit u^2, and c >= log integral_-inf^u 1/2 Psi'_1(e^s) e^s ds, with
+    Psi'_1(w) <= 3w below the ladder.
+
+    ratio: (log w, centre, half), Psi'_1(s)/(2s) in centre +/- half for
+    0 < s <= w: the least and greatest ratio at the points up to the first
+    one at or above w, and its limit 1 at s -> 0. A last entry, with half =
+    inf, stands for w past the ladder; so does every entry from the first
+    ratio that is not a finite number.
     """
-    w = _SLOPE_LADDER
+    w = _PROFILE_LADDER
+    u = np.log(w)
     with np.errstate(all="ignore"):
-        x = _preimage(dgf, w)
-        reached = _leading(x < math.inf)
-        d = _arrays(dgf).phi_prime(x[:reached])
-        n = _leading(np.isinf(d) | (1.0 / d <= 3.0 * w[:reached]))
-    if n == reached < w.size:
-        raise InversionRangeError(
-            f"inversion out of range: phi never reaches {w[n]:.3e} below the overflow guard")
-    return 0.5 * w[n - 1] if n else 0.0
-
-
-def _leading(ok: np.ndarray) -> int:
-    """Length of the leading run of True in ok."""
-    return int(np.argmin(ok)) if not ok.all() else ok.size
-
-
-def _delta0(dgf: GeneratingFunction, k3: float) -> float:
-    return _small_slope_threshold(dgf) / k3
+        g = _psi_prime_array(dgf, 1.0)(w)
+        r = g / (2.0 * w)
+        lo = np.minimum.accumulate(np.minimum(r, 1.0))  # nan stays nan
+        hi = np.maximum.accumulate(np.maximum(r, 1.0))
+        half = np.append(0.5 * (hi - lo), math.inf)
+        n = int(np.count_nonzero(hi <= 1.5))  # hi never falls, and nan stays nan
+        wb, ub, gb = w[::_BAND_STRIDE], u[::_BAND_STRIDE], g[::_BAND_STRIDE]
+        step = ub[1] - ub[0]
+        i = np.flatnonzero(np.abs(np.diff(np.log(gb), 2)) > _BEND * step ** 2)
+        ge = np.where(np.isfinite(gb), 0.5 * gb, 0.0) * wb
+        c = np.log(np.cumsum(np.maximum(ge, np.append(ge[1:], 0.0))) * step
+                   + 0.75 * wb[0] ** 2)
+    half[~(half < math.inf)] = math.inf
+    ends = (ub[i[0]], ub[i[-1] + 2]) if i.size else (0.0, 0.0)  # a pure power (sqrt) has none
+    return _Profile(0.5 * float(w[n - 1]) if n else 0.0,
+                    (float(ends[0]), float(ends[1]), ub.tolist(), c.tolist()),
+                    (u, np.append(0.5 * (hi + lo), 0.0), half))
 
 
 # ---------------------------------------------------------------------------
@@ -212,28 +231,7 @@ _T0_WIDTH = 2.0  # uniform panels are at most this many 1/|rate| wide
 _T0_WIDE = 3.0  # and this many times wider where u is known to lie outside the band
 _T0_SMALL = 1e-3  # of tol: the most a graded stretch's first panel may hold
 _T0_MAX_NODES = 1 << 19  # nodes per call (4 MB per array) past which it raises
-_BEND = 1e-3  # |d^2/du^2 log Psi'_1(e^u)| past which Psi'_1 bends
 _GK_KG = np.stack([_GK_WK, _GK_WG], axis=1)  # (15, 2)
-
-
-@functools.lru_cache(maxsize=64)
-def _bend(dgf: GeneratingFunction) -> tuple[float, float, list[float], list[float]]:
-    """(lo, hi, u, c): the band of u where log Psi'_1(e^u) bends, and a mass profile.
-
-    On the ladder of _small_slope_threshold: from the first to the last point
-    where the second difference of log Psi'_1 exceeds _BEND per unit u^2, and
-    c >= log integral_-inf^u 1/2 Psi'_1(e^s) e^s ds, Psi'_1(w) <= 3w below.
-    """
-    w = _SLOPE_LADDER
-    u = np.log(w)
-    with np.errstate(all="ignore"):
-        g = _psi_prime_array(dgf, 1.0)(w)
-        i = np.flatnonzero(np.abs(np.diff(np.log(g), 2)) > _BEND * (u[1] - u[0]) ** 2)
-        ge = np.where(np.isfinite(g), 0.5 * g, 0.0) * w
-        c = np.log(np.cumsum(np.maximum(ge, np.append(ge[1:], 0.0))) * (u[1] - u[0])
-                   + 0.75 * w[0] ** 2)
-    ends = (u[i[0]], u[i[-1] + 2]) if i.size else (0.0, 0.0)  # a pure power (sqrt) has none
-    return float(ends[0]), float(ends[1]), u.tolist(), c.tolist()
 
 
 def _mass_below(band: tuple, level: float) -> float:
@@ -478,13 +476,17 @@ def _t0_layout(sys: SystemMatrix, u1: float, u2: float, log_tail: float, log_env
 
 
 def _log_initial(dgf: GeneratingFunction, k3: float, x1: float) -> float:
-    """log |Phi_k3(x1)|; the built-ins stay in log space, where Phi cannot overflow."""
+    """log |Phi_k3(x1)|; the built-ins stay in log space, where Phi cannot overflow.
+
+    There k3^2 |x1| may overflow, or underflow below the normal floats, where its log does not.
+    """
     if dgf._log_phi is None:
         return _log_abs(nu1(dgf, k3, x1))  # nu1 is precisely the scaled map Phi_k3
-    x = k3 * k3 * abs(x1)
-    if x == 0.0:
+    if x1 == 0.0:
         return -math.inf
-    lx = math.log(x) if x < math.inf else 2.0 * math.log(k3) + math.log(abs(x1))
+    x = k3 * k3 * abs(x1)
+    normal = sys.float_info.min <= x < math.inf
+    lx = math.log(x) if normal else 2.0 * math.log(k3) + math.log(abs(x1))
     return dgf._log_phi(x, lx) - math.log(k3)
 
 
@@ -500,9 +502,10 @@ def t0_exact(
     Evaluates integral_0^inf (1/2) Psi'(e1^T e^(A tau) g(x0)) d tau where
     g(x0) = (Phi_k3(x0_1), x0_2); absolute tolerance tol. The error estimate
     is the sum of the panels' |Kronrod - Gauss| plus the certified tail.
-    Raises ValueError for a non-finite x0, and QuadratureError where the
-    estimate stays above tol or the panels would need more than
-    _T0_MAX_NODES nodes. Where logging is loaded and the "ftdiff" logger
+    Raises ValueError for a non-finite x0 or gains that system_matrix
+    rejects, NotAdmissibleError where Psi'_1(w) > 3w at the bottom of
+    _profile's ladder, and QuadratureError where the estimate stays above
+    tol or the panels would need more than _T0_MAX_NODES nodes. Where logging is loaded and the "ftdiff" logger
     takes DEBUG records, logs one: panels, Psi' values, rounds of
     bisection, the error estimate against tol and the tail bound.
     """
@@ -519,14 +522,20 @@ def t0_exact(
     system = system_matrix(kappa.k1, kappa.k2)
     u1 = math.copysign(math.exp(lg - log_s), x1)
     u2 = math.copysign(math.exp(lx - log_s), x2)
-    band = _bend(dgf)
-    # the tail beyond the panels, where |h| <= delta0 and so 1/2 Psi'(h) <= 1.5 |h|,
+    profile = _profile(dgf)
+    if not profile.delta0 > 0.0:
+        raise NotAdmissibleError(
+            f"not admissible: {dgf.name!r} fails generating-function requirement (4), unbounded "
+            "slope at zero: 1/phi'(phi^-1(w)) > 3w already at w = 1e-12")
+    band = profile.band
+    log_k3 = math.log(k3)
+    # the tail beyond the panels, where |h| <= delta0/k3 and so 1/2 Psi'(h) <= 1.5 |h|,
     # takes a tenth of tol
     zeros, graded, width, t_end, far, log_u, log_rest = _t0_layout(
-        system, u1, u2, math.log(tol / 15.0) - log_s, math.log(_delta0(dgf, k3)) - log_s,
-        log_s + math.log(k3), band)
+        system, u1, u2, math.log(tol / 15.0) - log_s,
+        math.log(profile.delta0) - log_k3 - log_s, log_s + log_k3, band)
     t, off, jac, panels = _plan(zeros, graded, width, t_end, far, band,
-                                math.log(_T0_SMALL * tol * k3))
+                                math.log(_T0_SMALL * tol) + log_k3)
     psi = _psi_prime_array(dgf, 1.0)
     weights = (0.5 / k3) * _GK_KG
 
@@ -626,37 +635,37 @@ def t_perturbed_bound(t0: float, L: float, lbar_value: float) -> float:
 # analytic bounds for the worst case over the unit sphere
 
 
-def _discriminant_or_raise(kappa: ParamTriple) -> float:
-    disc = kappa.k1 * kappa.k1 - 8.0 * kappa.k2
-    # snap the repeated-eigenvalue band to exactly zero so both bounds use the
-    # boundary formulas instead of amplifying float residue through sqrt
-    if _repeated(kappa.k1, disc):
-        return 0.0
-    if disc < 0.0:
+def _real_system(kappa: ParamTriple) -> SystemMatrix:
+    """system_matrix of kappa, which the bounds need real; raises BoundNotApplicableError if not."""
+    sys = system_matrix(kappa.k1, kappa.k2)
+    if sys.kind == _COMPLEX:
         raise BoundNotApplicableError(
             f"bound not applicable: k1^2 < 8 k2 (k1={kappa.k1:g}, k2={kappa.k2:g})"
         )
-    return disc
+    return sys
 
 
 def lower_bound(constants: AdmissibilityConstants, kappa: ParamTriple) -> float:
-    """Worst-case convergence time is at least 2B / ((k1 - sqrt(k1^2-8k2)) k3)."""
-    disc = _discriminant_or_raise(kappa)
-    return 2.0 * constants.B / ((kappa.k1 - math.sqrt(disc)) * kappa.k3)
+    """Worst-case convergence time is at least 2B / ((k1 - sqrt(k1^2-8k2)) k3).
+
+    k1 - sqrt(k1^2 - 8 k2) = 4 |lam1|, which system_matrix gives free of cancellation.
+    """
+    return 2.0 * constants.B / (4.0 * -_real_system(kappa).lam1 * kappa.k3)
 
 
 def upper_bound_ttilde(constants: AdmissibilityConstants, kappa: ParamTriple) -> float:
     """Closed-form upper bound for the worst-case unperturbed time.
 
     Continuous across the k1^2 = 8 k2 boundary, where it becomes
-    (C + 6B) / (k1 k3).
+    (C + 6B) / (k1 k3). Its log term takes (k1 + s)/(k1 - s) = lam2/lam1,
+    s = sqrt(k1^2 - 8 k2), free of the cancellation in k1 - s.
     """
-    disc = _discriminant_or_raise(kappa)
+    sys = _real_system(kappa)
     k1, k2, k3 = kappa.k1, kappa.k2, kappa.k3
-    if disc == 0.0:
+    if sys.kind == _REAL_REPEATED:
         return (constants.C + 6.0 * constants.B) / (k1 * k3)
-    s = math.sqrt(disc)
-    log_term = math.log((k1 + s) / (k1 - s)) / (2.0 * k3 * s) * constants.C
+    s = math.sqrt(k1 * k1 - 8.0 * k2)  # finite and positive: system_matrix checked it
+    log_term = math.log(sys.lam2 / sys.lam1) / (2.0 * k3 * s) * constants.C
     tail_term = (k1 * k1 + 4.0 * k2) / (2.0 * k1 * k2 * k3) * constants.B
     return log_term + tail_term
 
@@ -711,31 +720,8 @@ _CHUNK = 1 << 14  # Psi' values per slice of rows: 128 kB per scratch array
 _FAR_ZERO = 100.0  # |lam tz| past which a repeated-case row is walked from t = 0
 _LOOKAHEAD = 16  # blocks drawn at a time while a stride looks for its first row's end
 
-# 1e-12 up to 1e12 in steps of 10^(1/16)
-_RATIO_LADDER = 10.0 ** (np.arange(-192.0, 193.0) / 16.0)
 _FAR_STEP = 0.5  # u across a panel of the far-field table
 _FAR_BOTTOM = math.log(1e-12)  # the table reaches at least this far down in u
-
-
-@functools.lru_cache(maxsize=64)
-def _slope_ratio(dgf: GeneratingFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log w, centre, half): Psi'_1(s)/(2s) lies in centre +/- half for 0 < s <= w.
-
-    On a ladder from 1e-12 to 1e12, the least and greatest ratio at the
-    points up to the first one at or above w, and its limit 1 at s -> 0
-    (Phi ~ sqrt near 0), verified on the grid as the small-slope threshold
-    is. A last entry, with half = inf, stands for w past the ladder; so does
-    every entry from the first ratio that is not a finite number. Built on
-    first use.
-    """
-    w = _RATIO_LADDER
-    with np.errstate(all="ignore"):
-        r = _psi_prime_array(dgf, 1.0)(w) / (2.0 * w)
-        lo = np.minimum.accumulate(np.minimum(r, 1.0))  # nan stays nan
-        hi = np.maximum.accumulate(np.maximum(r, 1.0))
-        half = np.append(0.5 * (hi - lo), math.inf)
-    half[~(half < math.inf)] = math.inf
-    return np.log(w), np.append(0.5 * (hi + lo), 0.0), half
 
 
 class _FarField(NamedTuple):
@@ -802,11 +788,11 @@ def _envelope_bracket(tails: _Tails) -> _Bracket:
     the log of the integral of |E| past it.
 
     1/2 Psi'(h) = Psi'_1(w)/(2w) |h| with w = k3 |h| <= v = k3 e^(la + log_env),
-    so the rest lies in (centre +/- half)(v) of _slope_ratio times the
+    so the rest lies in (centre +/- half)(v) of _profile's ratio times the
     integral e^(la + log_int) of |h|. lo = 0, hi = 1.5 would be the 3w
     bound of the small-slope threshold.
     """
-    log_w, centre, spread = _slope_ratio(tails.dgf)
+    log_w, centre, spread = _profile(tails.dgf).ratio
     log_k3 = math.log(tails.k3)
 
     def at(la: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1437,8 +1423,12 @@ def global_convtime_numeric(
         # Degenerate single-mode profiles are the b -> inf / b -> 0 limits of
         # the family; their full-line values have the closed reduction
         # B / (2 k3 |lam|), entered as explicit candidates so a supremum
-        # attained only in the limit never chases the grid edge outward.
-        b_full = _reciprocal_to(dgf, None, min(1e-3 * inner_tol, 1e-9)).value
+        # attained only in the limit never chases the grid edge outward. B is
+        # the far-field table's total, plus Psi'_1 at its bottom edge for the
+        # part below it, where Psi'_1(w) ~ 2w
+        _probe_tail_divergence(dgf.phi)
+        far = _far_field(dgf)
+        b_full = float(far.rest[0] + far.psi[0])
         lim_slow = b_full / (2.0 * kappa.k3 * -sys.lam1)
         lim_fast = b_full / (2.0 * kappa.k3 * -sys.lam2)
 

@@ -130,7 +130,7 @@ class GeneratingFunction:
     )
     # built-ins only: (x, log x) |-> log phi(x) for x > 0, finite wherever
     # log phi is, so that t0_exact can enter from initial errors whose phi
-    # overflows; x may be inf where log x is finite
+    # overflows; x may be inf, or below the normal floats, where log x is finite
     _log_phi: Optional[Callable[[float, float], float]] = field(default=None, repr=False)
     # built-ins only: source of one step of sim's Euler loop that sets p = phi(z)
     # and n2 = 0.0 if e == 0.0 else 2.0 * p * phi'(z) with the float operations
@@ -184,9 +184,12 @@ n2 = 0.0 if e == 0.0 else 2.0 * p * (0.5 / sqrt(ax))
 """
 
 
+# The built-ins' phi_second divide by |x| and by sqrt|x| in turn, so that no
+# power of |x| overflows or underflows on its own: they give inf where the
+# value overflows, as near 0, and 0 where it underflows
 def _sqrt_phi_second(x: float) -> float:
-    s = 1.0 if x > 0.0 else -1.0
-    return s * (-0.25) * abs(x) ** -1.5
+    ax = abs(x)
+    return math.copysign(0.25, -x) / ax / math.sqrt(ax)
 
 
 def _sqrt_inverse(z: float) -> float:
@@ -221,8 +224,7 @@ n2 = 0.0 if e == 0.0 else 2.0 * p * (0.5 / s + 1.5 * s)
 
 def _ured_phi_second(x: float) -> float:
     ax = abs(x)
-    sgn = 1.0 if x > 0.0 else -1.0
-    return sgn * 0.25 * (3.0 * ax - 1.0) / ax ** 1.5
+    return math.copysign(0.25, x) * (3.0 - 1.0 / ax) / math.sqrt(ax)
 
 
 def _ured_inverse(z: float) -> float:
@@ -328,7 +330,7 @@ def _exp_phi_second(x: float) -> float:
         # (em^2 - 1)/(4 em^1.5) -> e^(ax/2)/4; the ratio form overflows past ~355
         return sgn * 0.25 * math.exp(0.5 * ax)
     em = math.expm1(ax)
-    return sgn * (1.0 + em) * (em - 1.0) / (4.0 * em ** 1.5)
+    return sgn * (1.0 + em) * (em - 1.0) / (4.0 * em) / math.sqrt(em)
 
 
 def _exp_inverse(z: float) -> float:
@@ -352,7 +354,10 @@ def _exp_inverse_slope(w: np.ndarray, out: Optional[np.ndarray] = None) -> np.nd
 
 
 def _exp_log_phi(x: float, lx: float) -> float:
-    # log sqrt(e^x - 1) = (x + log(1 - e^-x)) / 2, which does not overflow
+    # log sqrt(e^x - 1) = (x + log(1 - e^-x)) / 2, which does not overflow; below
+    # 1e-300, where x may have lost bits or underflowed to 0, it is lx / 2 to within x / 4
+    if x < 1e-300:
+        return 0.5 * lx
     return 0.5 * (x + math.log(-math.expm1(-x)))
 
 

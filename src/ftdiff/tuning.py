@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .convtime import _discriminant_or_raise, lbar, upper_bound_ttilde
+from .convtime import _COMPLEX, _real_system, lbar, system_matrix, upper_bound_ttilde
 from .dgf import AdmissibilityConstants, ParamTriple, builtin_dgf
 from .errors import InfeasibleError, NotAdmissibleError
 
@@ -141,7 +141,7 @@ def tune(
     )
     d = max(co.D, 1.0)
     tight: Optional[float] = None
-    if nt.k1 * nt.k1 >= 8.0 * nt.k2 * (1.0 - 1e-12):
+    if system_matrix(nt.k1, nt.k2).kind != _COMPLEX:
         tight = tightness_ratio_bound(req, co.B)
     return TuningResult(
         kappa=kappa,
@@ -155,14 +155,15 @@ def tightness_ratio_bound(req: TuningRequest, B_exact: float) -> float:
     """Upper bound on how far the guarantee T overshoots the true worst case.
 
     ((k1~ - sqrt(k1~^2 - 8 k2~)) k3~ ttilde / (2 B)) * gamma/(gamma - L);
-    needs real eigenvalues of the normalized triple.
+    needs real eigenvalues of the normalized triple. k1~ - sqrt(k1~^2 - 8 k2~)
+    is 4 |lam1|, free of cancellation.
     """
     if not B_exact > 0.0:
         raise ValueError("B_exact must be positive")
     nt = req.normalized_triple
-    disc = _discriminant_or_raise(nt)
+    lam1 = _real_system(nt).lam1
     g = req.resolved_gamma
-    core = (nt.k1 - math.sqrt(disc)) * nt.k3 * req.ttilde / (2.0 * B_exact)
+    core = 4.0 * -lam1 * nt.k3 * req.ttilde / (2.0 * B_exact)
     return core * g / (g - req.L)
 
 

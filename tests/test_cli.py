@@ -31,7 +31,7 @@ def test_imports_only_stdlib_numpy_and_ftdiff():
         "formatter = 'ftdiff._gfmt' in sys.modules\n"
         "import ftdiff._gfmt as g\n"
         "from ftdiff import convtime as c\n"
-        "built = [f.cache_info().currsize for f in (g._tables, g._layouts, c._bend,\n"
+        "built = [f.cache_info().currsize for f in (g._tables, g._layouts, c._profile,\n"
         "                                           c._graded_edges)]\n"
         "print(json.dumps([sorted(after - before), formatter, built]))\n"
     )
@@ -45,7 +45,7 @@ def test_imports_only_stdlib_numpy_and_ftdiff():
     # cli and convtime import logging only where a record is made or -v is given
     assert "logging" not in added
     # result_to_csv imports its formatter, which builds its tables on first use;
-    # t0_exact's band of each function and its graded panel ends are cached on first use
+    # each function's Psi'_1 profile and t0_exact's graded panel ends are cached on first use
     assert not formatter and built == [0, 0, 0, 0]
     assert not added & {"fractions", "decimal"}
 

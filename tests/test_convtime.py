@@ -45,7 +45,8 @@ from ftdiff.dgf import (
     nu1,
     psi_prime,
 )
-from ftdiff.errors import BoundNotApplicableError, InfeasibleError, QuadratureError
+from ftdiff.errors import (BoundNotApplicableError, InfeasibleError, NotAdmissibleError,
+                           QuadratureError)
 from ftdiff.expr import compile_expression
 
 SQRT8 = math.sqrt(8.0)
@@ -313,6 +314,20 @@ class TestSystemMatrix:
         assert out.value == pytest.approx(0.5 * math.pi * k1 / k2, rel=1e-12)
         assert math.isinf(out.argmax)
 
+    @pytest.mark.parametrize("k1, k2", [(1e200, 1.0), (1.0, 1e308)])
+    def test_discriminant_past_the_float_range_raises(self, ured, k1, k2):
+        # (1e200, 1) once counted as repeated with lam = -2.5e199, and t0_exact then
+        # divided by zero
+        kappa = ParamTriple(k1, k2, 1.0)
+        for call in (lambda: system_matrix(k1, k2),
+                     lambda: t0_exact(ured, kappa, (0.0, 1e200)),
+                     lambda: global_convtime_numeric(ured, kappa, grid_points=16),
+                     lambda: lbar_integral(k1, k2, 1.0)):
+            with pytest.raises(ValueError, match="not a finite float"):
+                call()
+        with pytest.raises(ValueError, match="not a finite float"):
+            lbar_integral(1e300, 1e300, 1.0)
+
     def test_eigenvalues_satisfy_characteristic(self):
         for k1, k2 in [(5.0, 1.0), (10.0, 3.0), (4.0, 2.0)]:
             sys = system_matrix(k1, k2)
@@ -436,6 +451,38 @@ class TestT0Exact:
         got = t0_exact(ured, kappa, x0)
         assert limit * (1.0 + 0.99 / log_g) <= got <= limit * (1.0 + 1.0 / log_g)
         assert got < t0_exact(ured, kappa, (1e300, 0.0))
+
+    @pytest.mark.parametrize("name", ["ured", "exp"])
+    @pytest.mark.parametrize("k3", [1e-160, 1e-300])
+    def test_tiny_k3_tends_to_super_twisting(self, name, k3):
+        # Phi_k3(x) = Phi(k3^2 x) / k3 tends to sqrt(x), so t0 tends to its closed
+        # form at these repeated gains, h = e^(-1.5 t) (1 - t) from (1, 1): the
+        # integral of |h|. delta0 / k3 overflowed at k3 = 1e-300, and k3^2 x1 lost
+        # bits below the normal floats (2.5e-6 off at 1e-160), then underflowed to 0
+        # (the start became (0, 1), 0.222)
+        a = 1.5
+        want = 1.0 / a - (1.0 - math.exp(-a)) / a ** 2 + math.exp(-a) / a ** 2
+        got = t0_exact(builtin_dgf(name), ParamTriple(6.0, 4.5, k3), (1.0, 1.0))
+        assert abs(got - want) <= 1e-8
+
+    def test_no_small_slope_threshold_is_not_admissible(self):
+        # Phi'(0) = 1 for tanh, so 1/Phi'(Phi^-1(w)) > 3w near 0 and delta0 is 0,
+        # whose log raised a bare ValueError
+        tanh = GeneratingFunction("tanh", math.tanh, lambda x: 1.0 / math.cosh(x) ** 2,
+                                  lambda x: -2.0 * math.tanh(x) / math.cosh(x) ** 2)
+        with pytest.raises(NotAdmissibleError, match=r"requirement \(4\), unbounded slope"):
+            t0_exact(tanh, ParamTriple(6.0, 4.5, 1.0), (1.0, 1.0))
+
+    def test_profile_of_ured(self, ured):
+        # one Psi'_1 pass: Psi'_1(w) <= 2w on the whole ladder, so delta0 is half its top;
+        # the band runs from the second difference's first to its last point over _BEND
+        profile = convtime._profile(ured)
+        assert profile.delta0 == 5e11
+        assert profile.band[:2] == pytest.approx((-5.1808, 4.6052), abs=1e-4)
+        log_w, centre, half = profile.ratio
+        assert log_w.size == centre.size - 1 == half.size - 1 == 385
+        # Psi'_1(s)/(2s) falls from 1 toward 0 for ured
+        assert (half[:-1] <= 0.5 + 1e-15).all() and half[-1] == math.inf
 
     @pytest.mark.parametrize("name", ["ured", "exp"])
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
@@ -691,6 +738,25 @@ class TestBounds:
             lower_bound(c, ParamTriple(1.0, 1.0, 1.0))
         with pytest.raises(BoundNotApplicableError):
             upper_bound_ttilde(c, ParamTriple(1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("k1, k2", [(5.0, 1.0), (20.0, 1.0), (1e3, 1e-3), (1e4, 1e-4),
+                                        (1e8, 1.0), (1e8, 1e-3)])
+    def test_against_decimal_reference(self, k1, k2):
+        # k1 - sqrt(k1^2 - 8 k2) cancels: lower_bound was 0.105 off at (1e8, 1), and
+        # both bounds divided by zero at (1e8, 1e-3)
+        c = builtin_dgf("ured").claimed_constants
+        k3 = 0.7
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d1, d2, d3 = decimal.Decimal(k1), decimal.Decimal(k2), decimal.Decimal(k3)
+            b, cc = decimal.Decimal(c.B), decimal.Decimal(c.C)
+            s = (d1 * d1 - 8 * d2).sqrt()
+            lower = 2 * b / ((d1 - s) * d3)
+            upper = (((d1 + s) / (d1 - s)).ln() / (2 * d3 * s) * cc
+                     + (d1 * d1 + 4 * d2) / (2 * d1 * d2 * d3) * b)
+        kappa = ParamTriple(k1, k2, k3)
+        assert lower_bound(c, kappa) == pytest.approx(float(lower), rel=1e-15, abs=0.0)
+        assert upper_bound_ttilde(c, kappa) == pytest.approx(float(upper), rel=1e-15, abs=0.0)
 
     def test_k3_scaling(self, ured):
         c = compute_admissibility(ured)

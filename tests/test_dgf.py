@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftdiff import convtime
 from ftdiff import dgf as dgf_module
 from ftdiff.convtime import t0_exact
 from ftdiff.dgf import (
@@ -123,6 +124,20 @@ class TestBuiltins:
             fd2 = (dgf.phi_prime(x + h) - dgf.phi_prime(x - h)) / (2.0 * h)
             assert fd2 == pytest.approx(dgf.phi_second(x), rel=1e-6)
 
+    @pytest.mark.parametrize("name", ["sqrt", "ured", "exp"])
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-200, 1e200, 1e300, 1.7976931348623157e308])
+    def test_phi_second_at_extreme_arguments(self, name, x):
+        # the float value of the closed form, inf where it overflows; a power of x
+        # raised at 5e-324 and 1e-300 for all three, and at 1e300 and up for ured
+        want = float(_phi_second_reference(name, x))
+        dgf = builtin_dgf(name)
+        for sign in (1.0, -1.0):
+            got = dgf.phi_second(sign * x)
+            if want == 0.0 or math.isinf(want):
+                assert got == sign * want
+            else:
+                assert got == pytest.approx(sign * want, rel=5e-16, abs=0.0)
+
     def test_exp_large_argument_branches(self, expdgf):
         # asymptotic branches must join continuously with the exact forms
         for x in (349.9, 350.1, 699.9, 700.1):
@@ -154,6 +169,22 @@ def _ured_slope_60_digits(w: float) -> decimal.Decimal:
         ctx.prec = 60
         s = _ured_root_60_digits(w)
         return 2 * s / (1 + 3 * s * s)
+
+
+def _phi_second_reference(name: str, x: float) -> decimal.Decimal:
+    """phi'' of a built-in at x > 0, in 400-digit decimal arithmetic, with no exponent limit."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Overflow] = False  # e^x past MAX_EMAX is inf
+        d = decimal.Decimal(x)
+        if name == "sqrt":
+            return -(d ** decimal.Decimal(-1.5)) / 4
+        if name == "ured":
+            return (3 * d - 1) / (4 * d * d.sqrt())
+        # exp: e^x (em - 1) / (4 em^1.5), em = e^x - 1, arranged so that em = inf gives inf
+        em = d.exp() - 1
+        return em.sqrt() * (1 - 1 / em) / (4 * (1 - (-d).exp()))
 
 
 class TestUredInverseSlope:
@@ -594,11 +625,16 @@ class TestReciprocalPinned:
         assert dgf_module._reciprocal_to(fn, w, tol).value == float.fromhex(value)
 
     def test_b_full_and_b(self):
-        # global_convtime_numeric's b_full at the default inner_tol, and B
-        for name, value in (("ured", "0x1.921fb54442d17p+1"), ("exp", "0x1.921fb54442d19p+1")):
+        # the whole line at the tolerance that global_convtime_numeric once took B
+        # to; the far-field table's total that it reads now, with Psi'_1 at the
+        # table's bottom edge for the part below; and B
+        for name, value, total in (("ured", "0x1.921fb54442d17p+1", "0x1.921fb54442d19p+1"),
+                                   ("exp", "0x1.921fb54442d19p+1", "0x1.921fb54442d19p+1")):
             fn = builtin_dgf(name)
             assert dgf_module._reciprocal_to(fn, None, min(1e-3 * 1e-6, 1e-9)).value \
                 == float.fromhex(value)
+            far = convtime._far_field(fn)
+            assert far.rest[0] + far.psi[0] == float.fromhex(total)
         custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
         assert compute_admissibility(custom).B == float.fromhex("0x1.921fb54442d19p+1")
 

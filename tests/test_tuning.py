@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import pytest
@@ -164,6 +165,20 @@ class TestTightnessStandalone:
         req = make_request()
         got = tightness_ratio_bound(req, math.pi)
         assert got == pytest.approx(3.9935459452397346, rel=1e-12)
+
+    @pytest.mark.parametrize("k1", [20.0, 1e4, 1e8])
+    def test_against_decimal_reference(self, k1):
+        # k1~ - sqrt(k1~^2 - 8 k2~) cancels as k1~ grows; at 1e8 it lost 0.105 of itself
+        req = make_request(normalized_triple=ParamTriple(k1, 1.0, 1.0))
+        g = req.resolved_gamma
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d1 = decimal.Decimal(k1)
+            core = (d1 - (d1 * d1 - 8).sqrt()) * decimal.Decimal(req.ttilde) / (
+                2 * decimal.Decimal(math.pi))
+            want = core * decimal.Decimal(g) / (decimal.Decimal(g) - decimal.Decimal(req.L))
+        got = tightness_ratio_bound(req, math.pi)
+        assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
     def test_gamma_dependence(self):
         # ratio grows as gamma approaches L from above
