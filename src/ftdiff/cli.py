@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -93,6 +94,7 @@ def _float_list(text: str) -> list[float]:
     return vals
 
 
+@functools.lru_cache(maxsize=1)  # parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="DIR", default=None,
@@ -778,10 +780,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         finally:
             log.removeHandler(handler)
             log.setLevel(level)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExpressionError as exc:
+    except (_UsageError, ExpressionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:
@@ -791,9 +790,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             NotAdmissibleError, BoundNotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -505,21 +504,29 @@ def t0_exact(
     Raises ValueError for a non-finite x0 or gains that system_matrix
     rejects, NotAdmissibleError where Psi'_1(w) > 3w at the bottom of
     _profile's ladder, and QuadratureError where the estimate stays above
-    tol or the panels would need more than _T0_MAX_NODES nodes. Where logging is loaded and the "ftdiff" logger
-    takes DEBUG records, logs one: panels, Psi' values, rounds of
-    bisection, the error estimate against tol and the tail bound.
+    tol, the panels would need more than _T0_MAX_NODES nodes, or k3 is too
+    small for Psi' to resolve t0 within tol. Where logging is loaded and
+    the "ftdiff" logger takes DEBUG records, logs one: panels, Psi' values,
+    rounds of bisection, the error estimate against tol and the tail bound.
     """
     x1, x2 = float(x0[0]), float(x0[1])
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError("initial error x0 must be finite")
     k3 = kappa.k3
+    system = system_matrix(kappa.k1, kappa.k2)
+    # a root solve's Psi'_1 loses its bits below w = Phi(smallest normal float), and the part
+    # of t0 where k3 |h| < w, about 1.5 w / (k3 |rate|), has to stay within tol
+    floor = 0.0 if dgf._inverse_slope else dgf.phi(sys.float_info.min)
+    rate = -(system.mu if system.kind == _COMPLEX else system.lam1)
+    if (x1 or x2) and not (0.5 / k3 < math.inf and 1.5 * floor <= tol * rate * k3):
+        raise QuadratureError(f"quadrature failure: k3 = {k3:g} is too small for Psi' of "
+                              f"{dgf.name!r} to give t0 within tol = {tol:g}")
     lg, lx = _log_initial(dgf, k3, x1), _log_abs(x2)
     if lg == -math.inf and lx == -math.inf:
         return 0.0
     if not lg < math.inf:
         raise QuadratureError(f"quadrature failure: Phi_k3({x1:g}) is not a finite float")
     log_s = max(lg, lx)
-    system = system_matrix(kappa.k1, kappa.k2)
     u1 = math.copysign(math.exp(lg - log_s), x1)
     u2 = math.copysign(math.exp(lx - log_s), x2)
     profile = _profile(dgf)
@@ -705,20 +712,16 @@ class GlobalConvtime:
 # s = omega t - phase, distinct real ones E(t) = e^(lam1 t) +/- e^(lam2 t),
 # a repeated one E(t) = t e^(lam t) with t measured from the zero of h
 # (a row whose zero lies far out gets its own shape, see _circle_values). The
-# kernel evaluates 1/2 Psi'(A E) for all rows at once on Gauss-Kronrod
-# panels whose nodes every row shares, in log|h| so that neither A nor E
-# overflows, and walks outward a stride of blocks of panels at a time. A
-# row's walk ends where a closed-form bracket holds the rest of its tail
-# (every right side, and the left side of distinct real eigenvalues), or
-# where its block sums decay geometrically. Rows over tolerance then have
-# only their worst blocks redone with more panels.
+# kernel evaluates 1/2 Psi'(A E) for all rows at once, in log|h| so that
+# neither A nor E overflows, on blocks of Gauss-Kronrod panels outward that
+# each side of a shape plans once per search and panel level (_Plan).
 
 _GRADED_PANELS = 8  # GK15 panels, halving toward a zero of h, per graded stretch
 _MAX_LEVEL = 3  # blocks over their share are redone with 2x, 4x, 8x the panels
 _MAX_BLOCKS = 2000  # blocks per side before a row counts as unconverged
-_CHUNK = 1 << 14  # Psi' values per slice of rows: 128 kB per scratch array
+_FIRST_PANELS = 64  # panels a walk lays out at least; it doubles while rows need more
+_CHUNK = 1 << 14  # Psi' values per call: 128 kB per scratch array
 _FAR_ZERO = 100.0  # |lam tz| past which a repeated-case row is walked from t = 0
-_LOOKAHEAD = 16  # blocks drawn at a time while a stride looks for its first row's end
 
 _FAR_STEP = 0.5  # u across a panel of the far-field table
 _FAR_BOTTOM = math.log(1e-12)  # the table reaches at least this far down in u
@@ -734,6 +737,18 @@ class _FarField(NamedTuple):
     first: int  # the lowest edge from which Psi'_1 falls at every node and edge above
 
 
+def _psi_rows(psi: Callable[..., np.ndarray], x: np.ndarray, tally=None) -> np.ndarray:
+    """psi(e^x) on the rows of x, (m, k), in calls of at most _CHUNK values (one row at least)."""
+    f = np.empty(x.shape)
+    step = max(1, _CHUNK // x.shape[1])
+    for a in range(0, x.shape[0], step):
+        f[a:a + step] = psi(np.exp(x[a:a + step]))
+    if tally is not None:
+        tally.values += f.size
+        tally.psi_calls += -(-x.shape[0] // step)
+    return f
+
+
 @functools.lru_cache(maxsize=64)
 def _far_field(dgf: GeneratingFunction) -> _FarField:
     """The far-field table of dgf: panels _FAR_STEP wide from _S_MAX down past _FAR_BOTTOM.
@@ -745,7 +760,7 @@ def _far_field(dgf: GeneratingFunction) -> _FarField:
     u, wk, wg = _gk_panels(edges[:-1], edges[1:])
     psi = _psi_prime_array(dgf, 1.0)
     with np.errstate(all="ignore"):
-        f, at = psi(np.exp(u)), psi(np.exp(edges))
+        f, at = _psi_rows(psi, u), _psi_rows(psi, edges[:, None])[:, 0]
         k = (f * wk).sum(axis=1)
         d = np.abs(k - (f * wg).sum(axis=1))
         rest = np.append(np.cumsum(k[::-1])[::-1], 0.0)
@@ -758,15 +773,16 @@ def _far_field(dgf: GeneratingFunction) -> _FarField:
 
 
 class _Tails(NamedTuple):
-    """One search's Psi' of the scaled map, and what its tail brackets read."""
+    """One search's Psi' of the scaled map, what its tail brackets read, and its walk plans."""
 
     psi: Callable[..., np.ndarray]
     dgf: GeneratingFunction
     k3: float
+    plans: dict
 
 
 def _tails(dgf: GeneratingFunction, k3: float) -> _Tails:
-    return _Tails(_psi_prime_array(dgf, k3), dgf, k3)
+    return _Tails(_psi_prime_array(dgf, k3), dgf, k3, {})
 
 
 class _Bracket(NamedTuple):
@@ -810,7 +826,8 @@ def _envelope_bracket(tails: _Tails) -> _Bracket:
 
 
 def _far_field_bracket(tails: _Tails, lam2: float) -> _Bracket:
-    """Left tails of two-exponential rows. A block's d is (|lam2| t, e^(-(lam1 - lam2) t)).
+    """Left tails of two-exponential rows. A block's d is (|lam2| t, eps, log(1 - eps),
+    atanh(eps)), eps = e^(-(lam1 - lam2) t).
 
     Past a block whose outer end lies t left of the zero, k3 |h| at a time
     s further out is w e^(|lam2| s) (1 +/- eps), w = k3 e^(la + |lam2| t),
@@ -827,70 +844,41 @@ def _far_field_bracket(tails: _Tails, lam2: float) -> _Bracket:
     scale = 1.0 / (2.0 * tails.k3 * -lam2)
     top = far.edges.size - 1
 
-    def below(u: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def below(u: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the edge at or below log w (1 - eps), and whether Psi'_1 falls from it on
-        i = np.searchsorted(far.edges, u + np.log1p(-eps), side="right") - 1
+        i = np.searchsorted(far.edges, u + d[:, 2], side="right") - 1
         return np.maximum(i, 0), i >= far.first
 
     def half(la: np.ndarray, d: np.ndarray) -> np.ndarray:
         u = la + log_k3 + d[:, 0]
-        i, falls = below(u, d[:, 1])
+        i, falls = below(u, d)
         j = np.minimum(np.searchsorted(far.edges, u), top)
-        return np.where(falls, (np.arctanh(d[:, 1]) * far.psi[i] + far.err[j]) * scale, np.inf)
+        return np.where(falls, (d[:, 3] * far.psi[i] + far.err[j]) * scale, np.inf)
 
     def close(la: np.ndarray, d: np.ndarray, tally: "_Tally") -> tuple[np.ndarray, np.ndarray]:
-        eps = d[:, 1]
         u = la + log_k3 + d[:, 0]
-        m = far.psi[below(u, eps)[0]]
+        m = far.psi[below(u, d)[0]]
         u = np.minimum(u, far.edges[-1])
         j = np.searchsorted(far.edges, u)
         h = 0.5 * (far.edges[j] - u)
-        x = (u + h)[:, None] + h[:, None] * _GK_X
-        f = np.empty(x.shape)
-        step = max(1, _CHUNK // _GK_X.size)
-        for a in range(0, u.size, step):
-            f[a:a + step] = psi(np.exp(x[a:a + step]))
-        tally.values += f.size
+        f = _psi_rows(psi, (u + h)[:, None] + h[:, None] * _GK_X, tally)
         k = h * np.sum(f * _GK_WK, axis=1)
         g = h * np.sum(f * _GK_WG, axis=1)
-        mid = (far.rest[j] + k - 0.5 * np.log1p(-eps * eps) * m) * scale
-        return mid, (np.arctanh(eps) * m + far.err[j] + np.abs(k - g)) * scale
+        mid = (far.rest[j] + k - 0.5 * np.log1p(-d[:, 1] * d[:, 1]) * m) * scale
+        return mid, (d[:, 3] * m + far.err[j] + np.abs(k - g)) * scale
 
     return _Bracket(half, close)
 
 
-class _Side(NamedTuple):
-    """The blocks of panels of one side of a walk, outward.
-
-    blocks yields one cheap descriptor (key, d) per block, at most
-    _MAX_BLOCKS of them: d is the block's row of bracket descriptors, or
-    None on a side without a bracket. nodes(keys) gives log|E| at the
-    nodes of a run of n consecutive blocks of P panels each, and the
-    Kronrod and Gauss weights, which carry the panel Jacobians and the
-    factor 1/2 of 1/2 Psi', shapes (n, P, 15) and (n or 1, P, 15). A
-    first block graded toward a zero (key None) comes in a run of its own.
-    values is the Psi' values a row of the first block; no later block
-    takes more.
-    """
-
-    blocks: Iterator[tuple[object, Optional[tuple[float, ...]]]]
-    nodes: Callable[[list], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    right: bool
-    bracket: Optional[_Bracket]
-    values: int
-
-
 class _Tally:
     """Work counts of one worst-case search, for its debug record, and the
-    scratch arrays that its Psi' slices write into.
-
-    The scratch is allocated once, at the size of the first slice or
-    _CHUNK values, whichever is larger, so that a search's slices reuse the
-    same memory instead of growing and trimming the heap for each one.
+    scratch arrays that its Psi' calls write into: allocated once, at the
+    size of the first call or _CHUNK values, whichever is larger, so that a
+    search's calls reuse the same memory.
     """
 
-    COUNTS = ("calls", "blocks", "passes", "values", "level", "refined", "refined_values",
-              "right_closed", "right_width", "left_closed", "left_width")
+    COUNTS = ("calls", "blocks", "passes", "psi_calls", "values", "level", "refined",
+              "refined_values", "right_closed", "right_width", "left_closed", "left_width")
     __slots__ = COUNTS + ("_scratch",)
 
     def __init__(self) -> None:
@@ -930,83 +918,96 @@ def _graded(length: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return out
 
 
-def _complex_blocks(tails: _Tails, mu: float, omega: float, level: int, right: bool) -> _Side:
+class _Plan:
+    """One side of a shape's walk at one panel level, laid out for its first n blocks.
+
+    log_e, wk and wg hold log|E| at the GK15 nodes of the blocks' panels and
+    the Kronrod and Gauss weights, which carry the panel Jacobians and the
+    factor 1/2 of 1/2 Psi', each (panels, 15): `head` panels for the first
+    block, then `per` for each later one. desc holds the blocks' bracket
+    descriptors (n, k), or is None on a side without a bracket; ends holds
+    the distance of each block's outer end from the start of the walk.
+    grow(n) lays out at least n blocks, twice as many as before and
+    _FIRST_PANELS worth, up to _MAX_BLOCKS; the blocks laid out before keep
+    their bits.
+    """
+
+    def __init__(self, layout: Callable[[int], tuple], right: bool,
+                 bracket: Optional[_Bracket], head: int, per: int) -> None:
+        self.layout, self.right, self.bracket = layout, right, bracket
+        self.head, self.per, self.n = head, per, 0
+
+    def grow(self, n: int) -> None:
+        self.n = min(max(n, 2 * self.n, _FIRST_PANELS // self.per), _MAX_BLOCKS)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.log_e, self.wk, self.wg, self.desc, self.ends = self.layout(self.n)
+
+    def edge(self, b: int) -> int:
+        """The row of the tables where block b starts."""
+        return self.head + (b - 1) * self.per if b else 0
+
+
+def _plans(tails: _Tails, build: Callable[..., _Plan], *shape) -> Callable[[int, bool], _Plan]:
+    """The plans build(tails, *shape, level, right) of one shape, each made once a search."""
+    return lambda *at: (tails.plans.get((build, *shape, *at))
+                        or tails.plans.setdefault((build, *shape, *at), build(tails, *shape, *at)))
+
+
+def _complex_plan(tails: _Tails, mu: float, omega: float, level: int, right: bool) -> _Plan:
     """Half periods between the zeros s = -pi/2 + n pi of cos s, outward from s = -pi/2.
 
     Every half period has the same nodes, graded toward both of its zeros;
-    |cos| there is the sine of the offset, free of cancellation. A block's
-    key is the zero it starts from.
+    |cos| there is the sine of the offset, free of cancellation.
     """
     off, wk, wg = _graded(0.5 * math.pi, level)
     d = np.concatenate([off, math.pi - off])
     log_sin = np.log(np.sin(np.concatenate([off, off])))
-    wk = np.concatenate([wk, wk])[None] / omega
-    wg = np.concatenate([wg, wg])[None] / omega
+    wk, wg = (np.concatenate([w, w]) / omega for w in (wk, wg))
     rate = mu / omega
     # integral_0^pi sin(x) e^(rate x) dx = (1 + e^(rate pi)) / (1 + rate^2), and each
     # half period after it e^(rate pi) times the one before; dt = ds / omega
     shrink = math.exp(rate * math.pi)
     log_rest = math.log((1.0 + shrink) / ((1.0 + rate * rate) * (1.0 - shrink) * omega))
 
-    def blocks() -> Iterator[tuple[float, Optional[tuple[float, float]]]]:
-        for n in range(_MAX_BLOCKS):
-            z = -0.5 * math.pi + (n if right else -1 - n) * math.pi
-            end = rate * (z + math.pi)
-            yield z, (end, end + log_rest) if right else None
+    def layout(n: int) -> tuple:
+        z = -0.5 * math.pi + (np.arange(n) if right else -1.0 - np.arange(n)) * math.pi
+        end = rate * (z + math.pi)
+        return ((rate * (z[:, None, None] + d) + log_sin).reshape(-1, d.shape[1]),
+                np.tile(wk, (n, 1)), np.tile(wg, (n, 1)),
+                np.stack([end, end + log_rest], axis=1) if right else None,
+                (z + math.pi if right else -z) / omega)
 
-    def nodes(zs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return rate * (np.array(zs)[:, None, None] + d) + log_sin, wk, wg
-
-    return _Side(blocks(), nodes, right, _envelope_bracket(tails) if right else None, d.size)
+    size = d.shape[0]
+    return _Plan(layout, right, _envelope_bracket(tails) if right else None, size, size)
 
 
-def _walk(
-    log_e: Callable[[np.ndarray], np.ndarray],
-    graded: float,
-    widths: Iterator[float],
-    level: int,
-    right: bool,
-    bound: Optional[Callable[[float], tuple[float, float]]],
-    bracket: Optional[_Bracket],
-    zero: bool = True,
-) -> _Side:
-    """A first block `graded` long, then panels of the given widths.
+def _walk(log_e: Callable, graded: float, widths: Callable, level: int, right: bool,
+          bound: Optional[Callable], bracket: Optional[_Bracket], zero: bool = True) -> _Plan:
+    """A first block `graded` long, then blocks widths(m) wide, an array for the next m.
 
-    Where E has a zero at t = 0, the first block is graded toward it and
-    its key is None; otherwise it is a plain block. Every other block's
-    key is its start and width. bound maps the distance of a block's outer
-    end from 0 to its bracket descriptor.
+    Where E has a zero at t = 0, the first block is graded toward it;
+    otherwise it is a plain block. bound maps the outer ends of blocks, as
+    distances from 0, to their bracket descriptors.
     """
     sign = 1.0 if right else -1.0
-    if zero:
-        off, wk0, wg0 = _graded(graded, level)
     frac = np.arange((1 << level) + 1.0) / (1 << level)
+    first = _graded(graded, level) if zero else ()
 
-    def blocks() -> Iterator[tuple[object, Optional[tuple[float, float]]]]:
-        yield None if zero else (0.0, graded), bound and bound(graded)
-        pos = graded
-        for _ in range(_MAX_BLOCKS - 1):
-            width = next(widths)
-            key = pos, width
-            pos += width
-            yield key, bound and bound(pos)
-
-    def nodes(keys: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if keys[0] is None:
-            return log_e(sign * off)[None], wk0[None], wg0[None]
-        pos, width = np.array(keys).T[:, :, None]  # each (n, 1)
-        edges = pos + width * frac
+    def layout(n: int) -> tuple:
+        width = np.append(graded, widths(n - 1))
+        ends = np.cumsum(width)
+        edges = (np.append(0.0, ends[:-1])[:, None] + width[:, None] * frac)[int(zero):]
         t, wk, wg = _gk_panels(edges[:, :-1].ravel(), edges[:, 1:].ravel())
-        shape = len(keys), -1, t.shape[-1]
-        return (log_e(sign * t).reshape(shape), (0.5 * wk).reshape(shape),
-                (0.5 * wg).reshape(shape))
+        nodes = t, 0.5 * wk, 0.5 * wg
+        t, wk, wg = (np.concatenate(pair) for pair in zip(first, nodes)) if zero else nodes
+        return log_e(sign * t), wk, wg, bound and bound(ends), ends
 
-    return _Side(blocks(), nodes, right, bracket,
-                 off.size if zero else (frac.size - 1) * _GK_X.size)
+    per = frac.size - 1
+    return _Plan(layout, right, bracket, first[0].shape[0] if zero else per, per)
 
 
-def _distinct_blocks(tails: _Tails, lam1: float, lam2: float, sign: float, level: int,
-                     right: bool) -> _Side:
+def _distinct_plan(tails: _Tails, lam1: float, lam2: float, sign: float, level: int,
+                   right: bool) -> _Plan:
     """E(t) = e^(lam1 t) + sign e^(lam2 t); its only possible zero is t = 0."""
     gap = lam1 - lam2
 
@@ -1016,42 +1017,45 @@ def _distinct_blocks(tails: _Tails, lam1: float, lam2: float, sign: float, level
         rest = np.log1p(np.exp(x)) if sign > 0.0 else np.log(-np.expm1(x))
         return (lam1 if right else lam2) * t + rest
 
-    def bound(t: float) -> tuple[float, float]:
+    def bound(t: np.ndarray) -> np.ndarray:
         if not right:
-            return -lam2 * t, math.exp(-gap * t)
+            eps = np.exp(-gap * t)
+            return np.stack([-lam2 * t, eps, np.log1p(-eps), np.arctanh(eps)], axis=1)
         # integral_t^inf |E| = e^(lam1 t) (-lam2 + sign (-lam1) e^x) / (lam1 lam2), x = -gap t,
         # and for sign < 0 that numerator is gap - lam1 (1 - e^x), free of cancellation
         x = -gap * t
-        mass = gap + lam1 * math.expm1(x) if sign < 0.0 else -lam2 - lam1 * math.exp(x)
-        return lam1 * t + math.log1p(math.exp(x)), lam1 * t + math.log(mass / (lam1 * lam2))
+        mass = gap + lam1 * np.expm1(x) if sign < 0.0 else -lam2 - lam1 * np.exp(x)
+        return np.stack([lam1 * t + np.log1p(np.exp(x)), lam1 * t + np.log(mass / (lam1 * lam2))],
+                        axis=1)
 
     graded = min(1.0 / gap, 1.0 / -lam1)
     if right:
-        widths = (min(graded * 2.0 ** k, 1.0 / -lam1) for k in itertools.count())
-        bracket = _envelope_bracket(tails)
-    else:
-        widths = itertools.repeat(1.0 / -lam2)
-        bracket = _far_field_bracket(tails, lam2)
-    return _walk(log_e, graded, widths, level, right, bound, bracket, sign < 0.0)
+        def widths(m: int) -> np.ndarray:
+            return np.minimum(np.ldexp(graded, np.arange(m)), 1.0 / -lam1)
+
+        return _walk(log_e, graded, widths, level, right, bound, _envelope_bracket(tails),
+                     sign < 0.0)
+    return _walk(log_e, graded, functools.partial(np.full, fill_value=1.0 / -lam2), level, right,
+                 bound, _far_field_bracket(tails, lam2), sign < 0.0)
 
 
-def _repeated_blocks(tails: _Tails, lam: float, level: int, right: bool) -> _Side:
+def _repeated_plan(tails: _Tails, lam: float, level: int, right: bool) -> _Plan:
     """E(t) = t e^(lam t): the zero is at t = 0 and |E| peaks at t = 1/|lam|."""
     scale = 1.0 / -lam
 
     def log_e(t: np.ndarray) -> np.ndarray:
         return np.log(np.abs(t)) + lam * t
 
-    def bound(t: float) -> tuple[float, float]:
-        if t < scale:
-            return math.inf, math.inf  # envelope still rising: no bracket yet
-        return math.log(t) + lam * t, lam * t + math.log(t * scale + scale * scale)
+    def bound(t: np.ndarray) -> np.ndarray:
+        d = np.stack([np.log(t) + lam * t, lam * t + np.log(t * scale + scale * scale)], axis=1)
+        d[t < scale] = math.inf  # envelope still rising: no bracket yet
+        return d
 
-    return _walk(log_e, scale, itertools.repeat(scale), level, right,
+    return _walk(log_e, scale, functools.partial(np.full, fill_value=scale), level, right,
                  *((bound, _envelope_bracket(tails)) if right else (None, None)))
 
 
-def _far_zero_blocks(tails: _Tails, lam: float, eps: float, level: int, right: bool) -> _Side:
+def _far_zero_plan(tails: _Tails, lam: float, eps: float, level: int, right: bool) -> _Plan:
     """E(t) = e^(lam t) (1 + eps t) with |eps| < |lam| / _FAR_ZERO.
 
     The zero -1/eps lies where |h| is negligible (right) or far past the
@@ -1065,231 +1069,242 @@ def _far_zero_blocks(tails: _Tails, lam: float, eps: float, level: int, right: b
     def log_e(t: np.ndarray) -> np.ndarray:
         return lam * t + np.log(np.abs(1.0 + eps * t))
 
-    def bound(t: float) -> tuple[float, float]:
+    def bound(t: np.ndarray) -> np.ndarray:
         # integral_t^inf E = e^(lam t) g(t), g(t) = (1 + eps t) scale + eps scale^2; from
         # before the zero tz, |E| adds twice the part past it, 2 |eps| scale^2 e^(lam tz)
         g = (1.0 + eps * t) * scale + eps * scale * scale
-        if t < tz:
-            g += 2.0 * -eps * scale * scale * math.exp(lam * (tz - t))
-        return lam * t + math.log(1.0 + abs(eps) * t), lam * t + math.log(g)
+        before = t < tz
+        g[before] += 2.0 * -eps * scale * scale * np.exp(lam * (tz - t[before]))
+        return np.stack([lam * t + np.log(1.0 + abs(eps) * t), lam * t + np.log(g)], axis=1)
 
-    return _walk(log_e, scale, itertools.repeat(scale), level, right,
+    return _walk(log_e, scale, functools.partial(np.full, fill_value=scale), level, right,
                  *((bound, _envelope_bracket(tails)) if right else (None, None)), False)
 
 
-def _panel_sums(
-    psi: Callable[..., np.ndarray],
-    loga: np.ndarray,
-    upto: np.ndarray,
-    log_e: np.ndarray,
-    wk: np.ndarray,
-    wg: np.ndarray,
-    tally: _Tally,
-) -> np.ndarray:
-    """Each row's Kronrod sum and summed |Kronrod - Gauss| per block of a stride, (2, rows, n).
+def _block_sums(psi: Callable[..., np.ndarray], groups: list, tally: _Tally) -> list:
+    """Kronrod sum and summed |Kronrod - Gauss| of each row's blocks, (2, rows, count) a group.
 
-    upto[i] (non-increasing) counts the blocks that rows i, i+1, ... need;
-    beyond what a slice of rows needs, both are 0. Rows go through Psi' in
-    slices of at most _CHUNK values, which bounds the temporaries whatever
-    the batch size; every slice is worked in the search's scratch arrays.
+    A group (plan, la, first, count) takes blocks first to first + count - 1
+    of the plan, which grows to reach them, for rows of log amplitude la.
+    The groups' blocks go through Psi' together, in calls of at most _CHUNK
+    values (one block at least), each worked in the search's scratch arrays.
     """
-    n, panels, per_panel = log_e.shape
-    sums = np.zeros((2, loga.size, n))
-    i = 0
-    while i < loga.size:
-        m = int(upto[i])
-        la = loga[i:i + max(1, _CHUNK // (m * panels * per_panel))]
-        j = i + la.size
-        shape = la.size, m, panels, per_panel
-        x, g, p = tally.scratch(math.prod(shape))
-        x, g = x.reshape(shape), g.reshape(shape)
-        np.add(la[:, None, None, None], log_e[:m], out=x)
+    out, step = [], max(1, _CHUNK // _GK_X.size)  # panels a call
+    for plan, la, first, count in groups:
+        if first + count > plan.n:
+            plan.grow(first + count)
+        out.append(np.empty((2, la.size, count)))
+
+    def call(runs: list, n: int) -> None:
+        # runs of rows r to s and blocks b to e of a group, their n panels one after the other
+        x, h, y = (v.reshape(n, -1) for v in tally.scratch(n * _GK_X.size))
+        views, at = [], 0
+        for g, r, s, b, e in runs:
+            plan, la, first = groups[g][:3]
+            p, q = plan.edge(first + b), plan.edge(first + e)
+            k = (s - r) * (q - p)
+            views.append((plan, p, q, *(v[at:at + k].reshape(s - r, q - p, -1) for v in (x, h, y))))
+            np.add(plan.log_e[p:q], la[r:s, None, None], out=views[-1][3])
+            at += k
         np.exp(x, out=x)
-        psi(x, out=g)
-        tally.values += g.size
-        k, d = p[:2 * g.size // per_panel].reshape(2, *shape[:-1])
-        np.sum(np.multiply(g, wk[:m], out=x), axis=-1, out=k)
-        np.sum(np.multiply(g, wg[:m], out=x), axis=-1, out=d)
-        np.subtract(k, d, out=d)
-        np.abs(d, out=d)
-        np.sum(k, axis=-1, out=sums[0, i:j, :m])
-        np.sum(d, axis=-1, out=sums[1, i:j, :m])
-        i = j
-    return sums
+        psi(x, out=h)
+        sums = np.empty((2, n))  # per panel
+        for j in (0, 1):
+            for plan, p, q, _, hv, yv in views:
+                np.multiply(hv, (plan.wk, plan.wg)[j][p:q], out=yv)
+            np.sum(y, axis=-1, out=sums[j])
+        np.subtract(sums[0], sums[1], out=sums[1])
+        np.abs(sums[1], out=sums[1])
+        at = 0
+        for (g, r, s, b, e), (plan, p, q, *_) in zip(runs, views):
+            seg = sums[:, at:at + (s - r) * (q - p)].reshape(2, s - r, q - p)
+            at += (s - r) * (q - p)
+            if p == 0 < plan.head - plan.per:  # a graded first block
+                out[g][:, r:s, b] = seg[..., :plan.head].sum(axis=-1)
+                seg, b = seg[..., plan.head:], b + 1
+            out[g][:, r:s, b:e] = (seg.reshape(2, s - r, -1, plan.per).sum(axis=-1)
+                                   if plan.per > 1 else seg)
+        tally.psi_calls += 1
+        tally.values += y.size
+
+    runs, room = [], step
+    for g, (plan, la, first, count) in enumerate(groups):
+        r = b = 0
+        width = plan.edge(first + count) - plan.edge(first)  # panels a row
+        while r < la.size:
+            size = plan.edge(first + b + 1) - plan.edge(first + b)  # of the next block
+            if size > room and runs:
+                call(runs, step - room)
+                runs, room = [], step
+            if not b and width <= room:
+                s, e = min(la.size, r + room // width), count
+            else:  # as many blocks of one row as fit, one at least
+                s, e = r + 1, min(count, b + 1 + max(0, room - size) // plan.per)
+            runs.append((g, r, s, b, e))
+            room -= (s - r) * (plan.edge(first + e) - plan.edge(first + b))
+            r, b = (s, 0) if e == count else (r, e)
+    if runs:
+        call(runs, step - room)
+    return out
 
 
+def _bracket_ends(plan: _Plan, la: np.ndarray, q: float) -> np.ndarray:
+    """Each row's last block, the first past which its bracket is below q; -1 if none is.
 
-class _SideWalk(NamedTuple):
-    """One side's walk for every row of a batch.
+    Rows come in the order of the blocks they need, so each row's end is
+    looked for between the last row's and the first row's only. The plan
+    grows while the first row needs more blocks, up to _MAX_BLOCKS.
+    """
+    while True:
+        if plan.n:
+            done = plan.bracket.half(la[[0, -1], None], plan.desc) < q
+            if done[0].any() or plan.n == _MAX_BLOCKS:
+                break
+        plan.grow(plan.n + 1)
+    lo, hi = sorted(map(int, done.argmax(axis=1))) if done[0].any() else (0, plan.n - 1)
+    if lo == hi:
+        return np.full(la.size, hi)
+    done = plan.bracket.half(la[:, None], plan.desc[lo:hi + 1]) < q
+    return np.where(done.any(axis=1), lo + done.argmax(axis=1), -1)
 
-    value and err include the tail term, the bracket's midpoint and
-    half-width or the left remainder; tail is the term's share of err;
-    count is the number of blocks the row took. passes holds one (keys,
-    rows, sums, last) entry per Psi' pass: the pass's block keys, the rows
-    it evaluated, their per-block Kronrod sums and |Kronrod - Gauss| (2,
-    rows, n) as _panel_sums gave them, and each row's last block in it.
+
+class _Side:
+    """One side's walk on a plan for the rows of a batch, a pass at a time.
+
+    ask() gives the next pass as _block_sums groups, none once the walk is
+    over; add() takes their sums. Per row, sum holds the value and error,
+    each with the tail term: a bracket's midpoint and half-width, or the
+    left remainder; tail is the term, count the blocks taken. With a
+    bracket, a row ends at the first block past which it is below the
+    side's share of tol, a tenth on the right and a quarter on the left,
+    known before any Psi' value: one pass takes the side, rows in the order
+    of the blocks they need, in slices of _CHUNK values each up to the end
+    of its first row, a graded first block for every row. Without one (the
+    left side of complex and repeated rows), a row ends after two blocks
+    below tol/4 whose geometric remainder is below tol/4 (or both 0): the
+    first block goes alone, then each pass to where the decay so far would
+    end the walk, or twice as far as the last, with at most _CHUNK values
+    or one block. A walk stops at an error estimate that is not finite;
+    rows past _MAX_BLOCKS raise QuadratureError.
     """
 
-    value: np.ndarray
-    err: np.ndarray
-    tail: np.ndarray
-    count: np.ndarray
-    passes: list
+    def __init__(self, plan: _Plan, loga: np.ndarray, tol: float) -> None:
+        self.plan, self.loga, self.q = plan, loga, (0.1 if plan.right else 0.25) * tol
+        self.sum, self.tail = np.zeros((2, loga.size)), np.zeros(loga.size)
+        self.count = np.zeros(loga.size, dtype=np.int64)
+        # a bracket ends larger rows later on the right and sooner on the left
+        self.rows = np.argsort(-loga if plan.right else loga, kind="stable")
+        self.start, self.over, self.passes = 0, False, []
+        if plan.bracket is None:
+            self.prev = np.full(loga.size, math.inf)  # the last block's sum
+            self.ratio = np.zeros(loga.size)  # and its ratio to the one before
+
+    def ask(self) -> list:
+        plan, rows = self.plan, self.rows
+        if self.over or not rows.size:
+            return []
+        la = self.loga[rows]
+        if plan.bracket is not None:
+            self.last = _bracket_ends(plan, la, self.q)
+            stuck = int(np.count_nonzero(self.last < 0))
+        else:
+            want = 1
+            if self.start:
+                # blocks counted at the size of the last pass's
+                cap = _CHUNK // (rows.size * _GK_X.size
+                                 * (plan.head if self.start == 1 else plan.per))
+                want = 2 * self.n
+                c0, rho = float(self.prev[rows].max()), float(self.ratio[rows].max())
+                if cap > 1 and 0.0 < c0 < math.inf and 0.0 < rho < 1.0:
+                    # the block where the rule would end a row whose last sum were the
+                    # largest and whose sums kept shrinking by the largest last ratio:
+                    # the sum before it and the rest c rho / (1 - rho) after it below q
+                    lr = math.log(rho)
+                    want = 1 + math.floor(max(math.log(self.q / c0) / lr + 1.0,
+                                              math.log(self.q * (1.0 - rho) / c0) / lr - 1.0,
+                                              0.0))
+                want = max(1, min(want, cap))
+            if self.start + want > plan.n:
+                plan.grow(self.start + want)
+            self.n = min(want, plan.n - self.start)
+            stuck = 0 if self.n else rows.size
+        if stuck:
+            raise QuadratureError(
+                f"quadrature failure: {'right' if plan.right else 'left'} tail of {stuck} "
+                f"responses did not converge within {_MAX_BLOCKS} blocks")
+        if plan.bracket is None:
+            return [(plan, la, self.start, self.n)]
+        upto = np.maximum.accumulate(self.last[::-1])[::-1] + 1
+        self.n, graded = int(upto[0]), int(plan.head != plan.per)
+        i, go, groups = 0, int(np.count_nonzero(upto > graded)), []
+        while i < go:
+            j = min(go, i + max(1, _CHUNK // ((int(upto[i]) - graded) * plan.per * _GK_X.size)))
+            groups.append((plan, la[i:j], 0, int(upto[i])))
+            i = j
+        return groups + ([(plan, la[go:], 0, 1)] if go < rows.size else [])
+
+    def add(self, results: list, tally: _Tally) -> None:
+        plan, rows, n = self.plan, self.rows, self.n
+        sums = np.zeros((2, rows.size, n))
+        i = 0
+        for got in results:
+            sums[:, i:i + got.shape[1], :got.shape[2]] = got
+            i += got.shape[1]
+        if plan.bracket is None:
+            c = sums[0]
+            p = np.concatenate([self.prev[rows, None], c[:, :-1]], axis=1)
+            shrinking = (0.0 < c) & (c < p)
+            tail = np.where(shrinking, c * c / (p - c), 0.0)  # c rho / (1 - rho)
+            # c < q needs no test: on either branch it follows from p < q
+            done = (p < self.q) & ((shrinking & (tail < self.q)) | ((c == 0.0) & (p == 0.0)))
+            stop = done.any(axis=1)
+            last = np.where(stop, done.argmax(axis=1), n - 1)
+            self.prev[rows], self.ratio[rows] = c[:, -1], c[:, -1] / p[:, -1]
+        else:
+            stop, last = np.ones(rows.size, dtype=bool), self.last
+        tally.blocks += n
+        tally.passes += 1
+        self.passes.append((rows, self.start, sums))
+        self.count[rows] += last + 1
+        # the value and error up to each row's last block, added in block order
+        acc = sums.copy()
+        if self.start:
+            acc[:, :, 0] += self.sum[:, rows]
+        np.add.accumulate(acc, axis=-1, out=acc)
+        self.sum[:, rows] = acc[:, np.arange(rows.size), last]
+        fin = rows[stop]
+        if plan.bracket is not None:
+            mid, rest = plan.bracket.close(self.loga[fin], plan.desc[last], tally)
+            tally.closed(plan.right, rest)
+        else:
+            mid = rest = tail[stop, last[stop]]
+        self.sum[:, fin] += mid, rest
+        self.tail[fin] = rest
+        self.start += n
+        self.over = not np.isfinite(self.sum[1, rows]).all()
+        self.rows = rows[~stop]
+
+    def every(self) -> np.ndarray:
+        out = np.zeros((2, self.loga.size, self.start))
+        for rows, start, sums in self.passes:
+            out[:, rows, start:start + sums.shape[2]] = sums
+        return out
 
 
-def _integrate_side(
-    psi: Callable[..., np.ndarray],
-    loga: np.ndarray,
-    side: _Side,
-    tol: float,
-    tally: _Tally,
-) -> _SideWalk:
-    """integral of 1/2 Psi'(e^loga E) over one side for every row, with error estimates.
-
-    Walks the blocks outward and drops each row once its side is done.
-    With a bracket, a row ends at the first block past which the
-    bracket's half-width is below the side's share of tol, a tenth on the
-    right and a quarter on the left; the midpoint joins the value and the
-    half-width the error. Without one (the left side of complex and
-    repeated rows), a row ends after two blocks below tol/4 whose
-    geometric remainder is below tol/4 (or both exactly zero); the
-    remainder joins the value and the error. Each panel adds |Kronrod -
-    Gauss| to its row's error. The walk stops early once an error
-    estimate is not finite, and returns it so.
-
-    Each pass evaluates a stride of blocks at once and applies those rules
-    block by block, in order, so the result does not depend on the stride.
-    With a bracket a row's last block depends on its amplitude alone: rows
-    go in the order of the blocks they need, a stride runs to the block
-    that ends the first row (looked for _LOOKAHEAD blocks at a time; those
-    past it wait for the next stride), and each row is evaluated up to its
-    own last block, a graded first block in a Psi' call of its own. So one
-    stride usually covers the side. Without a bracket the rule needs the
-    sums, which shrink geometrically once past the peak of Psi': the first
-    block goes alone, then a stride runs to where that decay would end the
-    walk, or twice as far as the last while some row's sums do not shrink
-    yet. No stride takes more than _CHUNK values a row with a bracket or
-    _CHUNK values in all without, so left walks whose every block takes
-    more go one block at a time.
-    """
-    value = np.zeros(loga.size)
-    err = np.zeros(loga.size)
-    tail_term = np.zeros(loga.size)
-    count = np.zeros(loga.size, dtype=np.int64)
-    passes = []
-    prev = np.full(loga.size, math.inf)  # without a bracket: the last block's sum
-    ratio = np.zeros(loga.size)  # and its ratio to the one before
-    bracket = side.bracket
-    q = (0.1 if side.right else 0.25) * tol
-    # a bracket ends larger rows later on the right and sooner on the left
-    rows = np.argsort(-loga if side.right else loga, kind="stable")
-    ahead = []  # blocks drawn but not walked yet
-
-    def draw(k: int) -> list:
-        got = ahead[:k]
-        del ahead[:k]
-        return got + list(itertools.islice(side.blocks, k - len(got)))
-
-    n = per_block = 0
+def _walk_sides(psi: Callable[..., np.ndarray], loga: np.ndarray, plans: Sequence[_Plan],
+                tol: float, tally: _Tally) -> list[_Side]:
+    """The walks of rows e^loga E on the plans' sides, each pass of them all in one Psi' stream."""
+    sides = [_Side(plan, loga, tol) for plan in plans]
     # overflow makes |h| inf (Psi' = 0 there); a diverging integral makes the
     # sums inf or nan, which ends the walk
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while rows.size:
-            la = loga[rows]
-            if bracket is not None:
-                # blocks up to the one that ends the first row
-                cap = max(1, _CHUNK // (per_block or side.values))
-                stride, halves = [], []
-                while len(stride) < cap:
-                    more = draw(min(_LOOKAHEAD, cap - len(stride)))
-                    if not more:
-                        break
-                    halves.append(bracket.half(la[:, None], np.array([d for _, d in more])))
-                    ends = np.flatnonzero(halves[-1][0] < q)
-                    if ends.size:
-                        ahead[:0] = more[ends[0] + 1:]
-                        stride += more[:ends[0] + 1]
-                        break
-                    stride += more
-            elif not n:
-                stride = draw(1)
-            else:
-                cap = _CHUNK // (rows.size * per_block)
-                want = 2 * n
-                if cap > 1:
-                    c0, rho = float(prev[rows].max()), float(ratio[rows].max())
-                    if 0.0 < c0 < math.inf and 0.0 < rho < 1.0:
-                        # the block where the rule would end a row whose last sum were the
-                        # largest and whose sums kept shrinking by the largest last ratio:
-                        # the sum before it and the rest c rho / (1 - rho) after it below q
-                        lr = math.log(rho)
-                        want = 1 + math.floor(max(math.log(q / c0) / lr + 1.0,
-                                                  math.log(q * (1.0 - rho) / c0) / lr - 1.0,
-                                                  0.0))
-                stride = draw(max(1, min(want, cap)))
-            if not stride:
-                break
-            keys, descs = zip(*stride)
-            n = len(stride)
-            if bracket is not None:
-                done = np.concatenate(halves, axis=1)[:, :n] < q
-                stop = done.any(axis=1)
-                last = np.where(stop, done.argmax(axis=1), n - 1)
-                upto = np.maximum.accumulate(last[::-1])[::-1] + 1
-                sums = np.zeros((2, rows.size, n))
-                # a graded first block takes a Psi' pass of its own, over every row
-                first = int(keys[0] is None)
-                if first:
-                    sums[:, :, :1] = _panel_sums(psi, la, np.ones(rows.size, dtype=np.int64),
-                                                 *side.nodes([None]), tally)
-                go = int(np.count_nonzero(upto > first))
-                if go:
-                    log_e, wk, wg = side.nodes(list(keys[first:]))
-                    per_block = log_e[0].size
-                    sums[:, :go, first:] = _panel_sums(psi, la[:go], upto[:go] - first, log_e,
-                                                       wk, wg, tally)
-            else:
-                log_e, wk, wg = side.nodes(list(keys))
-                per_block = log_e[0].size
-                sums = _panel_sums(psi, la, np.full(la.size, n), log_e, wk, wg, tally)
-                c = sums[0]
-                p = np.concatenate([prev[rows, None], c[:, :-1]], axis=1)
-                shrinking = (0.0 < c) & (c < p)
-                tail = np.where(shrinking, c * c / (p - c), 0.0)  # c rho / (1 - rho)
-                # c < q needs no test: on either branch it follows from p < q
-                done = (p < q) & ((shrinking & (tail < q)) | ((c == 0.0) & (p == 0.0)))
-                stop = done.any(axis=1)
-                last = np.where(stop, done.argmax(axis=1), n - 1)
-                prev[rows] = c[:, -1]
-                ratio[rows] = c[:, -1] / p[:, -1]
-            tally.blocks += n
-            tally.passes += 1
-            passes.append((keys, rows, sums, last))
-            count[rows] += last + 1
-            # the value and error up to each row's last block, added in block order
-            acc = sums.copy()
-            acc[0, :, 0] += value[rows]
-            acc[1, :, 0] += err[rows]
-            np.add.accumulate(acc, axis=-1, out=acc)
-            value[rows], err[rows] = acc[:, np.arange(rows.size), last]
-            fin = rows[stop]
-            if bracket is not None:
-                mid, rest = bracket.close(la[stop], np.array(descs)[last[stop]], tally)
-                tally.closed(side.right, rest)
-            else:
-                mid = rest = tail[stop, last[stop]]
-            value[fin] += mid
-            err[fin] += rest
-            tail_term[fin] = rest
-            if not np.isfinite(err[rows]).all():
-                break
-            rows = rows[~stop]
-    if rows.size and np.isfinite(err).all():
-        raise QuadratureError(
-            f"quadrature failure: {'right' if side.right else 'left'} tail of {rows.size} "
-            f"responses did not converge within {_MAX_BLOCKS} blocks"
-        )
-    return _SideWalk(value, err, tail_term, count, passes)
+        while True:
+            asks = [(side, groups) for side in sides for groups in [side.ask()] if groups]
+            if not asks:
+                return sides
+            got = iter(_block_sums(psi, [g for _, groups in asks for g in groups], tally))
+            for side, groups in asks:
+                side.add([next(got) for _ in groups], tally)
 
 
 def _raise_if_not_finite(err: np.ndarray, level: int) -> None:
@@ -1300,93 +1315,81 @@ def _raise_if_not_finite(err: np.ndarray, level: int) -> None:
             f"that is not finite ({err[bad][0]}) at panel level {level}")
 
 
-def _full_line(
-    psi: Callable[..., np.ndarray],
-    blocks: Callable[[int, bool], _Side],
-    loga: np.ndarray,
-    tol: float,
-    tally: _Tally,
-) -> np.ndarray:
+def _full_line(psi: Callable[..., np.ndarray], plans: Callable[[int, bool], _Plan],
+               loga: np.ndarray, tol: float, tally: _Tally) -> np.ndarray:
     """Full-line integrals of 1/2 Psi'(h) for rows h = e^loga E, each within tol.
 
-    Both sides are walked at panel level 0. In a row whose error estimate
-    exceeds tol, each block whose |Kronrod - Gauss| exceeds its share is
-    evaluated again with twice the panels, up to _MAX_LEVEL times, and its
-    new sums replace the old ones in the row's value and error. A block's
-    share is tol less the row's tail terms, split evenly over the row's
-    blocks, as t0_exact splits tol over its panels. A row still over tol
-    raises QuadratureError rather than being accepted, and so does an
+    Both sides are walked on their level-0 plans. In a row whose error
+    estimate exceeds tol, each block whose |Kronrod - Gauss| exceeds its
+    share is evaluated again with twice the panels, up to _MAX_LEVEL times,
+    all of a level's in one Psi' stream, and its new sums replace the old
+    ones in the row's value and error, right side first and in block order.
+    A block's share is tol less the row's tail terms, split evenly over the
+    row's blocks, as t0_exact splits tol over its panels. A row still over
+    tol raises QuadratureError rather than being accepted, and so does an
     estimate that is not finite, at once: more panels cannot make it so.
     """
     tally.calls += 1
-    walks = []
-    for right in (True, False):
-        walks.append(_integrate_side(psi, loga, blocks(0, right), tol, tally))
-        _raise_if_not_finite(walks[-1].err, 0)
-    values = walks[0].value + walks[1].value
-    err = walks[0].err + walks[1].err
+    sides = _walk_sides(psi, loga, [plans(0, True), plans(0, False)], tol, tally)
+    values, err = sides[0].sum + sides[1].sum
+    _raise_if_not_finite(err, 0)
     over = err > tol
-    share = (tol - walks[0].tail - walks[1].tail) / (walks[0].count + walks[1].count)
-    level = 0
-    while over.any():
-        if level == _MAX_LEVEL:
+    if over.any():
+        share = (tol - sides[0].tail - sides[1].tail) / (sides[0].count + sides[1].count)
+        every = [side.every() for side in sides]
+    for level in range(1, _MAX_LEVEL + 2):
+        if not over.any():
+            return values
+        if level > _MAX_LEVEL:
             raise QuadratureError(
                 f"quadrature failure: {int(over.sum())} full-line integrals kept an error "
                 f"estimate up to {err[over].max():.3e} above tolerance {tol:g} at "
                 f"{_MAX_LEVEL + 1} panel levels")
-        level += 1
         tally.level = max(tally.level, level)
-        for right, walk in zip((True, False), walks):
-            nodes = blocks(level, right).nodes
-            for keys, rows, sums, last in walk.passes:
-                redo = ((sums[1] > share[rows, None]) & over[rows, None]
-                        & (np.arange(len(keys)) <= last[:, None]))
-                for b in np.flatnonzero(redo.any(axis=0)):
-                    r = np.flatnonzero(redo[:, b])
-                    at = rows[r]
-                    before = tally.values
-                    new = _panel_sums(psi, loga[at], np.ones(r.size, dtype=np.int64),
-                                      *nodes([keys[b]]), tally)[:, :, 0]
-                    tally.refined += r.size
-                    tally.refined_values += tally.values - before
-                    values[at] += new[0] - sums[0, r, b]
-                    err[at] += new[1] - sums[1, r, b]
-                    sums[:, r, b] = new
+        redo = []  # each side's blocks over their share, by block, then row
+        for right, side, sums in zip((True, False), sides, every):
+            mask = (sums[1] > share[:, None]) & (np.arange(sums.shape[2]) < side.count[:, None])
+            redo.append((right, sums, *np.nonzero((mask & over[:, None]).T)))
+        before = tally.values
+        new = iter(_block_sums(psi, [(plans(level, right), loga[r[b == k]], int(k), 1)
+                                     for right, _, b, r in redo for k in np.unique(b)], tally))
+        tally.refined_values += tally.values - before
+        for _, sums, b, r in redo:
+            got = np.concatenate([next(new)[..., 0] for _ in np.unique(b)] + [np.empty((2, 0))], 1)
+            tally.refined += r.size
+            # row by row in block order, as the blocks were first added
+            np.add.at(values, r, got[0] - sums[0, r, b])
+            np.add.at(err, r, got[1] - sums[1, r, b])
+            sums[:, r, b] = got
         _raise_if_not_finite(err, level)
         over &= err > tol
-    return values
 
 
-def _circle_values(
-    sys: SystemMatrix,
-    tails: _Tails,
-    theta: np.ndarray,
-    tol: float,
-    tally: _Tally,
-) -> np.ndarray:
+def _circle_values(sys: SystemMatrix, tails: _Tails, theta: np.ndarray, tol: float,
+                   tally: _Tally) -> np.ndarray:
     """Full-line integrals from the unit states at angles theta, complex or repeated case."""
     c1, c2 = _coefficients(sys, np.cos(theta), np.sin(theta))
     if sys.kind == _COMPLEX:
         # h = R e^(mu t) cos(omega t - phase), R = |(c1, c2)|
         loga = np.log(np.hypot(c1, c2)) + sys.mu / sys.omega * np.arctan2(c2, c1)
-        blocks = functools.partial(_complex_blocks, tails, sys.mu, sys.omega)
-        return _full_line(tails.psi, blocks, loga, tol, tally)
+        return _full_line(tails.psi, _plans(tails, _complex_plan, sys.mu, sys.omega), loga, tol,
+                          tally)
 
     # h = e^(lam t) (c1 + c2 t) = c2 e^(lam tz) (t - tz) e^(lam (t - tz)),
     # tz = -c1/c2. From the zero, |h| settles only about |lam tz| blocks out,
     # and e^(lam tz) underflows once lam tz < -745; rows whose zero lies past
-    # |lam tz| = _FAR_ZERO are walked from t = 0 instead, one at a time.
+    # |lam tz| = _FAR_ZERO are walked from t = 0 instead, one at a time, each
+    # on plans of its own.
     lam = sys.lam1
     far = np.abs(lam * c1) > _FAR_ZERO * np.abs(c2)
     out = np.empty(theta.size)
     near = ~far
     if near.any():
         loga = np.log(np.abs(c2[near])) - lam * c1[near] / c2[near]
-        blocks = functools.partial(_repeated_blocks, tails, lam)
-        out[near] = _full_line(tails.psi, blocks, loga, tol, tally)
+        out[near] = _full_line(tails.psi, _plans(tails, _repeated_plan, lam), loga, tol, tally)
     for i in np.flatnonzero(far):
-        blocks = functools.partial(_far_zero_blocks, tails, lam, c2[i] / c1[i])
-        out[i] = _full_line(tails.psi, blocks, np.log(np.abs(c1[i:i + 1])), tol, tally)[0]
+        plans = functools.partial(_far_zero_plan, tails, lam, c2[i] / c1[i])
+        out[i] = _full_line(tails.psi, plans, np.log(np.abs(c1[i:i + 1])), tol, tally)[0]
     return out
 
 
@@ -1406,7 +1409,7 @@ def global_convtime_numeric(
     rounds around the best point. Every full-line integral comes from one
     batched Gauss-Kronrod kernel and is accurate to inner_tol by its own
     error estimate. The logger "ftdiff" gets one DEBUG record of the work
-    done: full-line calls, blocks walked, Psi' passes and values, the
+    done: full-line calls, blocks walked, Psi' passes, calls and values, the
     highest panel level, the blocks refined and the Psi' values they
     took, and per side the tails closed by a bracket with the sum of their
     half-widths.
@@ -1417,8 +1420,8 @@ def global_convtime_numeric(
 
     if sys.kind == _REAL_DISTINCT:
         def values(log_b: np.ndarray, sign: float) -> np.ndarray:
-            blocks = functools.partial(_distinct_blocks, tails, sys.lam1, sys.lam2, sign)
-            return _full_line(tails.psi, blocks, math.log(10.0) * log_b, inner_tol, tally)
+            plans = _plans(tails, _distinct_plan, sys.lam1, sys.lam2, sign)
+            return _full_line(tails.psi, plans, math.log(10.0) * log_b, inner_tol, tally)
 
         # Degenerate single-mode profiles are the b -> inf / b -> 0 limits of
         # the family; their full-line values have the closed reduction
@@ -1468,11 +1471,9 @@ def global_convtime_numeric(
     if log.isEnabledFor(logging.DEBUG):
         counts = {name: getattr(tally, name) for name in _Tally.COUNTS}
         log.debug("global_convtime_numeric %s at (%g, %g, %g): %d full-line calls, %d blocks "
-                  "in %d Psi' passes, %d Psi' values, panel level up to %d, %d blocks refined "
-                  "with %d Psi' values; tails closed by brackets: %d right, half-widths "
-                  "summing to %.2e, and %d left, summing to %.2e", dgf.name, kappa.k1,
-                  kappa.k2, kappa.k3, *counts.values(), extra={"counts": counts})
-    return GlobalConvtime(
-        value=val, dgf_name=dgf.name, kappa=kappa, search=search,
-        argmax=argmax, grid_points=grid_points, inner_tol=inner_tol,
-    )
+                  "in %d Psi' passes with %d Psi' calls, %d Psi' values, panel level up to %d, "
+                  "%d blocks refined with %d Psi' values; tails closed by brackets: %d right, "
+                  "half-widths summing to %.2e, and %d left, summing to %.2e", dgf.name,
+                  kappa.k1, kappa.k2, kappa.k3, *counts.values(), extra={"counts": counts})
+    return GlobalConvtime(value=val, dgf_name=dgf.name, kappa=kappa, search=search,
+                          argmax=argmax, grid_points=grid_points, inner_tol=inner_tol)

@@ -376,6 +376,18 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["dgf"] == "ured"
 
+    def test_config_leaves_the_parser_as_it_was(self, capsys, tmp_path):
+        # the parser is built once a process: a --config call, then a plain one,
+        # each give what they give in a fresh interpreter
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dgf": "exp", "T": 2.0}))
+        src = str(Path(ftdiff.__file__).resolve().parents[1])
+        for argv in (("tune", "--config", str(cfg)), ("tune", "--T", "1")):
+            code, out, _ = run_cli(capsys, *argv)
+            fresh = subprocess.run([sys.executable, "-m", "ftdiff.cli", *argv], timeout=60,
+                                   env={"PYTHONPATH": src}, capture_output=True, text=True)
+            assert (code, out) == (fresh.returncode, fresh.stdout)
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

@@ -1,7 +1,6 @@
 import cmath
 import decimal
 import functools
-import itertools
 import logging
 import math
 import subprocess
@@ -23,9 +22,9 @@ from ftdiff.convtime import (
     GlobalConvtime,
     _Tally,
     _circle_values,
-    _integrate_side,
     _psi_prime_array,
     _tails,
+    _walk_sides,
     expm2,
     global_convtime_numeric,
     lbar,
@@ -464,6 +463,33 @@ class TestT0Exact:
         want = 1.0 / a - (1.0 - math.exp(-a)) / a ** 2 + math.exp(-a) / a ** 2
         got = t0_exact(builtin_dgf(name), ParamTriple(6.0, 4.5, k3), (1.0, 1.0))
         assert abs(got - want) <= 1e-8
+
+    @pytest.mark.parametrize("k3", [1e-160, 1e-200, 1e-300])
+    def test_tiny_k3_raises_at_once_where_a_root_solve_cannot_resolve_psi(self, monkeypatch,
+                                                                            k3):
+        # ured written as expressions finds Psi'_1 by a root solve, whose preimages
+        # leave the normal floats below w = 1.5e-154; t0 returned 0.0 at 1e-200 and
+        # 1e-300, and raised after its quadrature at 1e-160
+        custom = _custom_ured()
+        assert t0_exact(custom, ParamTriple(6.0, 4.5, k3), (0.0, 0.0)) == 0.0
+
+        def no_psi(*args):
+            raise AssertionError("Psi' was evaluated")
+
+        monkeypatch.setattr(convtime, "_psi_prime_array", no_psi)
+        with pytest.raises(QuadratureError, match="too small"):
+            t0_exact(custom, ParamTriple(6.0, 4.5, k3), (1.0, 1.0))
+
+    @pytest.mark.parametrize("x0", [(1.0, 1.0), (0.0, 1.0), (-3e-20, 2.0)])
+    def test_tiny_k3_custom_matches_builtin_where_psi_is_resolved(self, ured, x0):
+        kappa = ParamTriple(6.0, 4.5, 1e-140)
+        assert abs(t0_exact(_custom_ured(), kappa, x0) - t0_exact(ured, kappa, x0)) <= 1e-8
+
+    def test_k3_whose_half_reciprocal_overflows_raises(self, ured):
+        # 1/(2 k3) overflowed to inf, whose product with the zero Gauss weights gave
+        # nan and a RuntimeWarning before QuadratureError
+        with pytest.raises(QuadratureError, match="too small"):
+            t0_exact(ured, ParamTriple(6.0, 4.5, 5e-324), (1.0, 1.0))
 
     def test_no_small_slope_threshold_is_not_admissible(self):
         # Phi'(0) = 1 for tanh, so 1/Phi'(Phi^-1(w)) > 3w near 0 and delta0 is 0,
@@ -908,7 +934,7 @@ def _custom_ured():
 
 
 class TestStridedWalk:
-    """The side walks take a stride of blocks per Psi' pass; the stride must not show."""
+    """The side walks batch blocks, rows and sides into few large Psi' calls; that must not show."""
 
     @pytest.mark.parametrize("name, kind", [
         (name, kind) for name in ("ured", "exp", "custom") for kind in EIGEN_KAPPAS
@@ -939,29 +965,33 @@ class TestStridedWalk:
             m.setattr(convtime, "_full_line", record)
             want = search()
         with monkeypatch.context() as m:
-            m.setattr(convtime, "_CHUNK", 1)  # one block a pass, one row a Psi' call
+            m.setattr(convtime, "_CHUNK", 1)  # one row a slice, one block a Psi' call
             got = search()
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-        # per row and side, at two panel levels: the grid and the last zoom round
-        # (far rows come one a call)
+        # per row and side, walked on the plans of two panel levels: the grid and
+        # the last zoom round (far rows come one a call)
         if kind != "far":
             calls = [calls[0], calls[-1]]
-        strided = _Tally()
-        for psi, blocks, loga, tol in calls:
+        strided, single, sizes = _Tally(), _Tally(), []
+        for psi, plans, loga, tol in calls:
             for level in (0, 1):
-                for right in (True, False):
-                    want = _integrate_side(psi, loga, blocks(level, right), tol, strided)
-                    with monkeypatch.context() as m:
-                        m.setattr(convtime, "_CHUNK", 1)
-                        single = _Tally()
-                        got = _integrate_side(psi, loga, blocks(level, right), tol, single)
-                    assert single.passes == single.blocks
-                    # value, error, tail term and block count; the pass records
-                    # differ by construction
-                    for a, b in zip(got[:4], want[:4]):
-                        assert a.tobytes() == b.tobytes()
-        assert strided.passes < strided.blocks
+                sides = [plans(level, True), plans(level, False)]
+                want = _walk_sides(psi, loga, sides, tol, strided)
+
+                def counted(x, out, psi=psi):
+                    sizes.append(x.size / (15 * max(side.head for side in sides)))
+                    return psi(x, out=out)
+
+                with monkeypatch.context() as m:
+                    m.setattr(convtime, "_CHUNK", 1)
+                    got = _walk_sides(counted, loga, sides, tol, single)
+                # value and error, tail term and block count per row and side
+                for a, b in zip(got, want):
+                    for name in ("sum", "tail", "count"):
+                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert max(sizes) <= 1.0  # one block of one row a Psi' call
+        assert strided.passes < strided.blocks and strided.psi_calls < single.psi_calls
 
     @pytest.mark.parametrize("name", ["ured", "exp"])
     def test_stride_does_not_show_in_refined_blocks(self, monkeypatch, caplog, name):
@@ -991,7 +1021,7 @@ class TestStridedWalk:
         got_rows, got, single = search(1)
         assert strided["refined"] > 0 and strided["level"] == 1
         assert single["refined"] == strided["refined"]
-        assert single["passes"] == single["blocks"] > strided["passes"]
+        assert single["psi_calls"] > strided["psi_calls"]
         assert len(got_rows) == len(want_rows)
         for a, b in zip(got_rows, want_rows):
             assert a.tobytes() == b.tobytes()
@@ -1033,28 +1063,37 @@ class TestStridedWalk:
         global_convtime_numeric(ured, ParamTriple(*EIGEN_KAPPAS[kind]))
         assert 0 < max(sizes) <= convtime._CHUNK
 
+    def test_zoom_calls_take_few_psi_calls(self, monkeypatch):
+        # both sides' passes share their Psi' calls, graded first blocks included,
+        # and a left tail's closing panels take one more: at most 3 for each 8-row
+        # zoom call of ured at (5, 1, 1), which took 5
+        calls, full_line = [], convtime._full_line
+
+        def record(psi, plans, loga, tol, tally):
+            before = tally.psi_calls
+            out = full_line(psi, plans, loga, tol, tally)
+            calls.append((loga.size, tally.level, tally.psi_calls - before))
+            return out
+
+        monkeypatch.setattr(convtime, "_full_line", record)
+        global_convtime_numeric(builtin_dgf("ured"), ParamTriple(5.0, 1.0, 1.0))
+        zoom = [(level, n) for rows, level, n in calls if rows == 8]
+        assert len(zoom) == 7 and all(level == 0 and 0 < n <= 3 for level, n in zoom)
+
     def test_block_cap_counts_blocks_not_strides(self, monkeypatch, ured):
-        # the walks of ured at (5, 1, 1) need 25 to 62 blocks
+        # the walks of ured at (5, 1, 1) need 25 to 62 blocks: the plans stop at
+        # the cap, and the search raises before any Psi' value
         monkeypatch.setattr(convtime, "_MAX_BLOCKS", 20)
-        taken = []
-        distinct_blocks = convtime._distinct_blocks
+        laid, grow = [], convtime._Plan.grow
 
-        def counted_blocks(*args):
-            side = distinct_blocks(*args)
-            taken.append(0)
-            i = len(taken) - 1
+        def counted(plan, n):
+            grow(plan, n)
+            laid.append(plan.n)
 
-            def blocks():
-                for blk in side.blocks:
-                    taken[i] += 1
-                    yield blk
-
-            return side._replace(blocks=blocks())
-
-        monkeypatch.setattr(convtime, "_distinct_blocks", counted_blocks)
+        monkeypatch.setattr(convtime._Plan, "grow", counted)
         with pytest.raises(QuadratureError, match="within 20 blocks"):
             global_convtime_numeric(ured, ParamTriple(5.0, 1.0, 1.0), grid_points=16)
-        assert max(taken) == 20
+        assert max(laid) == 20
 
     def test_divergent_search_raises_promptly_on_the_default_grid(self):
         code = (
@@ -1130,6 +1169,10 @@ WORK_BOUNDS = [
     ("exp", (SQRT8, 1.0, 1.0), 215_000), ("ured", (2.0, 1.0, 1.0), 1_530_000),
     ("exp", (2.0, 1.0, 1.0), 939_000),
 ]
+# and the Psi' calls they took while each side of a full-line call made its
+# own, a graded first block one more: they must take fewer
+PSI_CALLS = dict(zip([(name, kappa) for name, kappa, _ in WORK_BOUNDS],
+                     [48, 48, 49, 48, 41, 67, 63, 116, 85]))
 
 
 class TestWorkCounts:
@@ -1141,6 +1184,7 @@ class TestWorkCounts:
             global_convtime_numeric(builtin_dgf(name), ParamTriple(*kappa))
         [record] = caplog.records
         assert record.counts["values"] <= bound
+        assert 0 < record.counts["psi_calls"] < PSI_CALLS[name, kappa]
 
 
 def _tail_reference(name, kappa, h, start, right, step=4.0):
@@ -1174,6 +1218,13 @@ class TestTailBrackets:
         assert far.edges[far.first] - convtime._FAR_STEP < peak <= far.edges[far.first]
         assert far.rest[0] == pytest.approx(math.pi, abs=1e-11)
 
+    def test_far_field_table_is_the_same_in_any_chunks(self, monkeypatch, ured):
+        # its 22,000 nodes go through Psi' in calls of at most _CHUNK values
+        want = convtime._far_field.__wrapped__(ured)
+        monkeypatch.setattr(convtime, "_CHUNK", 7 * 15)
+        for a, b in zip(convtime._far_field.__wrapped__(ured), want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
     @pytest.mark.parametrize("name", ["ured", "exp", "custom"])
     @pytest.mark.parametrize("b, sign", [(1e-3, 1.0), (1.0, -1.0), (1e3, 1.0), (1e3, -1.0)])
     @pytest.mark.parametrize("right", [True, False])
@@ -1186,10 +1237,9 @@ class TestTailBrackets:
         def h(t):
             return b * (math.exp(lam1 * t) + sign * math.exp(lam2 * t))
 
-        side = convtime._distinct_blocks(_tails(dgf, kappa.k3), lam1, lam2, sign, 0, right)
+        plan = convtime._distinct_plan(_tails(dgf, kappa.k3), lam1, lam2, sign, 0, right)
         # ured written as expressions has ured's tails, from its own tables
-        self._check("exp" if name == "exp" else "ured", kappa, side, math.log(b), h,
-                    lambda key: key[0] + key[1])
+        self._check("exp" if name == "exp" else "ured", kappa, plan, math.log(b), h)
 
     @pytest.mark.parametrize("name", ["ured", "exp"])
     @pytest.mark.parametrize("k1", [2.0, SQRT8])
@@ -1206,14 +1256,14 @@ class TestTailBrackets:
             om = sys_.omega
             shift = math.atan2(c2, c1) / om
             la = math.log(math.hypot(c1, c2)) + sys_.mu * shift
-            side = convtime._complex_blocks(tails, sys_.mu, om, 0, True)
-            end, step = (lambda key: (key + math.pi) / om), 0.5 * math.pi / om
+            plan = convtime._complex_plan(tails, sys_.mu, om, 0, True)
+            step = 0.5 * math.pi / om
         else:
             # E(t) = t e^(lam t), t measured from the zero -c1/c2
             shift = -c1 / c2
             la = math.log(abs(c2)) + sys_.lam1 * shift
-            side = convtime._repeated_blocks(tails, sys_.lam1, 0, True)
-            end, step = (lambda key: key[0] + key[1]), 4.0
+            plan = convtime._repeated_plan(tails, sys_.lam1, 0, True)
+            step = 4.0
         # h from numpy's eigenvectors, or the Jordan form at a repeated eigenvalue
         a = np.array([[-0.5 * k1, 0.5], [-1.0, 0.0]])
         v = np.array([math.cos(theta), math.sin(theta)])
@@ -1230,21 +1280,22 @@ class TestTailBrackets:
             def h(t):
                 return math.exp(rate * (t + shift)) * (v[0] + slope * (t + shift))
 
-        self._check(name, kappa, side, la, h, end, step)
+        self._check(name, kappa, plan, la, h, step)
 
     @staticmethod
-    def _check(name, kappa, side, la, h, end, step=4.0):
+    def _check(name, kappa, plan, la, h, step=4.0):
         # each block past which the bracket is narrower than 1e-4, up to the one
-        # that closes the tail; a graded first block (key None) has no simple end
-        share = (0.1 if side.right else 0.25) * 1e-6
+        # that closes the tail, but a first block graded toward a zero of h
+        share = (0.1 if plan.right else 0.25) * 1e-6
         checked = 0
-        for key, d in itertools.islice(side.blocks, 300):
-            half = side.bracket.half(np.array([[la]]), np.array([d]))[0, 0]
-            if key is None or not half < 1e-4:
+        plan.grow(300)
+        for i, d in enumerate(plan.desc[:, None]):
+            half = plan.bracket.half(np.array([[la]]), d)[0, 0]
+            if i == 0 and plan.head != plan.per or not half < 1e-4:
                 continue
-            mid, width = side.bracket.close(np.array([la]), np.array([d]), _Tally())
-            start = end(key) if side.right else -end(key)
-            want = _tail_reference(name, kappa, h, start, side.right, step)
+            mid, width = plan.bracket.close(np.array([la]), d, _Tally())
+            start = plan.ends[i] if plan.right else -plan.ends[i]
+            want = _tail_reference(name, kappa, h, start, plan.right, step)
             assert abs(mid[0] - want) <= width[0] + 1e-13
             checked += 1
             if half < share:
