@@ -1081,16 +1081,16 @@ def _far_zero_plan(tails: _Tails, lam: float, eps: float, level: int, right: boo
                  *((bound, _envelope_bracket(tails)) if right else (None, None)), False)
 
 
-def _block_sums(psi: Callable[..., np.ndarray], groups: list, tally: _Tally) -> list:
+def _block_sums(psi: Callable[..., np.ndarray], plan: _Plan, groups: list, tally: _Tally) -> list:
     """Kronrod sum and summed |Kronrod - Gauss| of each row's blocks, (2, rows, count) a group.
 
-    A group (plan, la, first, count) takes blocks first to first + count - 1
-    of the plan, which grows to reach them, for rows of log amplitude la.
-    The groups' blocks go through Psi' together, in calls of at most _CHUNK
+    A group (la, first, count) takes blocks first to first + count - 1 of
+    the plan, which grows to reach them, for rows of log amplitude la. The
+    groups' blocks go through Psi' together, in calls of at most _CHUNK
     values (one block at least), each worked in the search's scratch arrays.
     """
     out, step = [], max(1, _CHUNK // _GK_X.size)  # panels a call
-    for plan, la, first, count in groups:
+    for la, first, count in groups:
         if first + count > plan.n:
             plan.grow(first + count)
         out.append(np.empty((2, la.size, count)))
@@ -1100,23 +1100,23 @@ def _block_sums(psi: Callable[..., np.ndarray], groups: list, tally: _Tally) -> 
         x, h, y = (v.reshape(n, -1) for v in tally.scratch(n * _GK_X.size))
         views, at = [], 0
         for g, r, s, b, e in runs:
-            plan, la, first = groups[g][:3]
+            la, first = groups[g][:2]
             p, q = plan.edge(first + b), plan.edge(first + e)
             k = (s - r) * (q - p)
-            views.append((plan, p, q, *(v[at:at + k].reshape(s - r, q - p, -1) for v in (x, h, y))))
-            np.add(plan.log_e[p:q], la[r:s, None, None], out=views[-1][3])
+            views.append((p, q, *(v[at:at + k].reshape(s - r, q - p, -1) for v in (x, h, y))))
+            np.add(plan.log_e[p:q], la[r:s, None, None], out=views[-1][2])
             at += k
         np.exp(x, out=x)
         psi(x, out=h)
         sums = np.empty((2, n))  # per panel
-        for j in (0, 1):
-            for plan, p, q, _, hv, yv in views:
-                np.multiply(hv, (plan.wk, plan.wg)[j][p:q], out=yv)
+        for j, w in enumerate((plan.wk, plan.wg)):
+            for p, q, _, hv, yv in views:
+                np.multiply(hv, w[p:q], out=yv)
             np.sum(y, axis=-1, out=sums[j])
         np.subtract(sums[0], sums[1], out=sums[1])
         np.abs(sums[1], out=sums[1])
         at = 0
-        for (g, r, s, b, e), (plan, p, q, *_) in zip(runs, views):
+        for (g, r, s, b, e), (p, q, *_) in zip(runs, views):
             seg = sums[:, at:at + (s - r) * (q - p)].reshape(2, s - r, q - p)
             at += (s - r) * (q - p)
             if p == 0 < plan.head - plan.per:  # a graded first block
@@ -1128,7 +1128,7 @@ def _block_sums(psi: Callable[..., np.ndarray], groups: list, tally: _Tally) -> 
         tally.values += y.size
 
     runs, room = [], step
-    for g, (plan, la, first, count) in enumerate(groups):
+    for g, (la, first, count) in enumerate(groups):
         r = b = 0
         width = plan.edge(first + count) - plan.edge(first)  # panels a row
         while r < la.size:
@@ -1168,143 +1168,131 @@ def _bracket_ends(plan: _Plan, la: np.ndarray, q: float) -> np.ndarray:
     return np.where(done.any(axis=1), lo + done.argmax(axis=1), -1)
 
 
-class _Side:
-    """One side's walk on a plan for the rows of a batch, a pass at a time.
+class _Walk(NamedTuple):
+    """One side's walk for the rows of a batch.
 
-    ask() gives the next pass as _block_sums groups, none once the walk is
-    over; add() takes their sums. Per row, sum holds the value and error,
-    each with the tail term: a bracket's midpoint and half-width, or the
-    left remainder; tail is the term, count the blocks taken. With a
-    bracket, a row ends at the first block past which it is below the
-    side's share of tol, a tenth on the right and a quarter on the left,
-    known before any Psi' value: one pass takes the side, rows in the order
-    of the blocks they need, in slices of _CHUNK values each up to the end
-    of its first row, a graded first block for every row. Without one (the
-    left side of complex and repeated rows), a row ends after two blocks
-    below tol/4 whose geometric remainder is below tol/4 (or both 0): the
-    first block goes alone, then each pass to where the decay so far would
-    end the walk, or twice as far as the last, with at most _CHUNK values
-    or one block. A walk stops at an error estimate that is not finite;
-    rows past _MAX_BLOCKS raise QuadratureError.
+    Per row, sum holds the value and error, each with the tail term: a
+    bracket's midpoint and half-width, or the left remainder; tail is the
+    term and count the blocks taken. sums holds every block's Kronrod sum
+    and |Kronrod - Gauss|, (2, rows, blocks), 0 past a row's last pass.
     """
 
-    def __init__(self, plan: _Plan, loga: np.ndarray, tol: float) -> None:
-        self.plan, self.loga, self.q = plan, loga, (0.1 if plan.right else 0.25) * tol
-        self.sum, self.tail = np.zeros((2, loga.size)), np.zeros(loga.size)
-        self.count = np.zeros(loga.size, dtype=np.int64)
-        # a bracket ends larger rows later on the right and sooner on the left
-        self.rows = np.argsort(-loga if plan.right else loga, kind="stable")
-        self.start, self.over, self.passes = 0, False, []
-        if plan.bracket is None:
-            self.prev = np.full(loga.size, math.inf)  # the last block's sum
-            self.ratio = np.zeros(loga.size)  # and its ratio to the one before
-
-    def ask(self) -> list:
-        plan, rows = self.plan, self.rows
-        if self.over or not rows.size:
-            return []
-        la = self.loga[rows]
-        if plan.bracket is not None:
-            self.last = _bracket_ends(plan, la, self.q)
-            stuck = int(np.count_nonzero(self.last < 0))
-        else:
-            want = 1
-            if self.start:
-                # blocks counted at the size of the last pass's
-                cap = _CHUNK // (rows.size * _GK_X.size
-                                 * (plan.head if self.start == 1 else plan.per))
-                want = 2 * self.n
-                c0, rho = float(self.prev[rows].max()), float(self.ratio[rows].max())
-                if cap > 1 and 0.0 < c0 < math.inf and 0.0 < rho < 1.0:
-                    # the block where the rule would end a row whose last sum were the
-                    # largest and whose sums kept shrinking by the largest last ratio:
-                    # the sum before it and the rest c rho / (1 - rho) after it below q
-                    lr = math.log(rho)
-                    want = 1 + math.floor(max(math.log(self.q / c0) / lr + 1.0,
-                                              math.log(self.q * (1.0 - rho) / c0) / lr - 1.0,
-                                              0.0))
-                want = max(1, min(want, cap))
-            if self.start + want > plan.n:
-                plan.grow(self.start + want)
-            self.n = min(want, plan.n - self.start)
-            stuck = 0 if self.n else rows.size
-        if stuck:
-            raise QuadratureError(
-                f"quadrature failure: {'right' if plan.right else 'left'} tail of {stuck} "
-                f"responses did not converge within {_MAX_BLOCKS} blocks")
-        if plan.bracket is None:
-            return [(plan, la, self.start, self.n)]
-        upto = np.maximum.accumulate(self.last[::-1])[::-1] + 1
-        self.n, graded = int(upto[0]), int(plan.head != plan.per)
-        i, go, groups = 0, int(np.count_nonzero(upto > graded)), []
-        while i < go:
-            j = min(go, i + max(1, _CHUNK // ((int(upto[i]) - graded) * plan.per * _GK_X.size)))
-            groups.append((plan, la[i:j], 0, int(upto[i])))
-            i = j
-        return groups + ([(plan, la[go:], 0, 1)] if go < rows.size else [])
-
-    def add(self, results: list, tally: _Tally) -> None:
-        plan, rows, n = self.plan, self.rows, self.n
-        sums = np.zeros((2, rows.size, n))
-        i = 0
-        for got in results:
-            sums[:, i:i + got.shape[1], :got.shape[2]] = got
-            i += got.shape[1]
-        if plan.bracket is None:
-            c = sums[0]
-            p = np.concatenate([self.prev[rows, None], c[:, :-1]], axis=1)
-            shrinking = (0.0 < c) & (c < p)
-            tail = np.where(shrinking, c * c / (p - c), 0.0)  # c rho / (1 - rho)
-            # c < q needs no test: on either branch it follows from p < q
-            done = (p < self.q) & ((shrinking & (tail < self.q)) | ((c == 0.0) & (p == 0.0)))
-            stop = done.any(axis=1)
-            last = np.where(stop, done.argmax(axis=1), n - 1)
-            self.prev[rows], self.ratio[rows] = c[:, -1], c[:, -1] / p[:, -1]
-        else:
-            stop, last = np.ones(rows.size, dtype=bool), self.last
-        tally.blocks += n
-        tally.passes += 1
-        self.passes.append((rows, self.start, sums))
-        self.count[rows] += last + 1
-        # the value and error up to each row's last block, added in block order
-        acc = sums.copy()
-        if self.start:
-            acc[:, :, 0] += self.sum[:, rows]
-        np.add.accumulate(acc, axis=-1, out=acc)
-        self.sum[:, rows] = acc[:, np.arange(rows.size), last]
-        fin = rows[stop]
-        if plan.bracket is not None:
-            mid, rest = plan.bracket.close(self.loga[fin], plan.desc[last], tally)
-            tally.closed(plan.right, rest)
-        else:
-            mid = rest = tail[stop, last[stop]]
-        self.sum[:, fin] += mid, rest
-        self.tail[fin] = rest
-        self.start += n
-        self.over = not np.isfinite(self.sum[1, rows]).all()
-        self.rows = rows[~stop]
-
-    def every(self) -> np.ndarray:
-        out = np.zeros((2, self.loga.size, self.start))
-        for rows, start, sums in self.passes:
-            out[:, rows, start:start + sums.shape[2]] = sums
-        return out
+    sum: np.ndarray
+    tail: np.ndarray
+    count: np.ndarray
+    sums: np.ndarray
 
 
-def _walk_sides(psi: Callable[..., np.ndarray], loga: np.ndarray, plans: Sequence[_Plan],
-                tol: float, tally: _Tally) -> list[_Side]:
-    """The walks of rows e^loga E on the plans' sides, each pass of them all in one Psi' stream."""
-    sides = [_Side(plan, loga, tol) for plan in plans]
+def _walk_side(psi: Callable[..., np.ndarray], plan: _Plan, loga: np.ndarray, tol: float,
+               tally: _Tally) -> _Walk:
+    """The walk of rows e^loga E on one side's plan, a Psi' pass at a time.
+
+    With a bracket, a row ends at the first block past which it is below
+    the side's share of tol, a tenth on the right and a quarter on the
+    left, known before any Psi' value: one pass takes the side, rows in the
+    order of the blocks they need, in slices of _CHUNK values each up to
+    the end of its first row, a graded first block for every row. Without
+    one (the left side of complex and repeated rows), a row ends after two
+    blocks below tol/4 whose geometric remainder is below tol/4 (or both
+    0): the first block goes alone, then each pass to where the decay so
+    far would end the walk, or twice as far as the last, with at most
+    _CHUNK values or one block. The walk stops at an error estimate that
+    is not finite; rows past _MAX_BLOCKS raise QuadratureError.
+    """
+    q = (0.1 if plan.right else 0.25) * tol
+    total, tail = np.zeros((2, loga.size)), np.zeros(loga.size)
+    count = np.zeros(loga.size, dtype=np.int64)
+    # a bracket ends larger rows later on the right and sooner on the left
+    rows = np.argsort(-loga if plan.right else loga, kind="stable")
+    prev = np.full(loga.size, math.inf)  # without a bracket: the last block's sum
+    ratio = np.zeros(loga.size)  # and its ratio to the one before
+    start, n, passes = 0, 0, []
     # overflow makes |h| inf (Psi' = 0 there); a diverging integral makes the
     # sums inf or nan, which ends the walk
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            asks = [(side, groups) for side in sides for groups in [side.ask()] if groups]
-            if not asks:
-                return sides
-            got = iter(_block_sums(psi, [g for _, groups in asks for g in groups], tally))
-            for side, groups in asks:
-                side.add([next(got) for _ in groups], tally)
+        while rows.size:
+            la = loga[rows]
+            if plan.bracket is not None:
+                last = _bracket_ends(plan, la, q)
+                stuck = int(np.count_nonzero(last < 0))
+                upto = np.maximum.accumulate(last[::-1])[::-1] + 1
+                n, graded = int(upto[0]), int(plan.head != plan.per)
+                i, go, groups = 0, int(np.count_nonzero(upto > graded)), []
+                while i < go:
+                    j = min(go, i + max(1, _CHUNK // ((int(upto[i]) - graded) * plan.per
+                                                      * _GK_X.size)))
+                    groups.append((la[i:j], 0, int(upto[i])))
+                    i = j
+                if go < rows.size:
+                    groups.append((la[go:], 0, 1))
+            else:
+                want = 1
+                if start:
+                    # blocks counted at the size of the last pass's
+                    cap = _CHUNK // (rows.size * _GK_X.size
+                                     * (plan.head if start == 1 else plan.per))
+                    want = 2 * n
+                    c0, rho = float(prev[rows].max()), float(ratio[rows].max())
+                    if cap > 1 and 0.0 < c0 < math.inf and 0.0 < rho < 1.0:
+                        # the block where the rule would end a row whose last sum were the
+                        # largest and whose sums kept shrinking by the largest last ratio:
+                        # the sum before it and the rest c rho / (1 - rho) after it below q
+                        lr = math.log(rho)
+                        want = 1 + math.floor(max(math.log(q / c0) / lr + 1.0,
+                                                  math.log(q * (1.0 - rho) / c0) / lr - 1.0,
+                                                  0.0))
+                    want = max(1, min(want, cap))
+                if start + want > plan.n:
+                    plan.grow(start + want)
+                n = min(want, plan.n - start)
+                stuck = 0 if n else rows.size
+                groups = [(la, start, n)]
+            if stuck:
+                raise QuadratureError(
+                    f"quadrature failure: {'right' if plan.right else 'left'} tail of {stuck} "
+                    f"responses did not converge within {_MAX_BLOCKS} blocks")
+            sums, i = np.zeros((2, rows.size, n)), 0
+            for got in _block_sums(psi, plan, groups, tally):
+                sums[:, i:i + got.shape[1], :got.shape[2]] = got
+                i += got.shape[1]
+            if plan.bracket is None:
+                c = sums[0]
+                p = np.concatenate([prev[rows, None], c[:, :-1]], axis=1)
+                shrinking = (0.0 < c) & (c < p)
+                rem = np.where(shrinking, c * c / (p - c), 0.0)  # c rho / (1 - rho)
+                # c < q needs no test: on either branch it follows from p < q
+                done = (p < q) & ((shrinking & (rem < q)) | ((c == 0.0) & (p == 0.0)))
+                stop = done.any(axis=1)
+                last = np.where(stop, done.argmax(axis=1), n - 1)
+                prev[rows], ratio[rows] = c[:, -1], c[:, -1] / p[:, -1]
+            else:
+                stop = np.ones(rows.size, dtype=bool)
+            tally.blocks += n
+            tally.passes += 1
+            passes.append((rows, start, sums))
+            count[rows] += last + 1
+            # the value and error up to each row's last block, added in block order
+            acc = sums.copy()
+            if start:
+                acc[:, :, 0] += total[:, rows]
+            np.add.accumulate(acc, axis=-1, out=acc)
+            total[:, rows] = acc[:, np.arange(rows.size), last]
+            fin = rows[stop]
+            if plan.bracket is not None:
+                mid, rest = plan.bracket.close(loga[fin], plan.desc[last], tally)
+                tally.closed(plan.right, rest)
+            else:
+                mid = rest = rem[stop, last[stop]]
+            total[:, fin] += mid, rest
+            tail[fin] = rest
+            start += n
+            if not np.isfinite(total[1, rows]).all():
+                break
+            rows = rows[~stop]
+    every = np.zeros((2, loga.size, start))
+    for rows, first, sums in passes:
+        every[:, rows, first:first + sums.shape[2]] = sums
+    return _Walk(total, tail, count, every)
 
 
 def _raise_if_not_finite(err: np.ndarray, level: int) -> None:
@@ -1319,24 +1307,25 @@ def _full_line(psi: Callable[..., np.ndarray], plans: Callable[[int, bool], _Pla
                loga: np.ndarray, tol: float, tally: _Tally) -> np.ndarray:
     """Full-line integrals of 1/2 Psi'(h) for rows h = e^loga E, each within tol.
 
-    Both sides are walked on their level-0 plans. In a row whose error
-    estimate exceeds tol, each block whose |Kronrod - Gauss| exceeds its
-    share is evaluated again with twice the panels, up to _MAX_LEVEL times,
-    all of a level's in one Psi' stream, and its new sums replace the old
-    ones in the row's value and error, right side first and in block order.
-    A block's share is tol less the row's tail terms, split evenly over the
-    row's blocks, as t0_exact splits tol over its panels. A row still over
-    tol raises QuadratureError rather than being accepted, and so does an
-    estimate that is not finite, at once: more panels cannot make it so.
+    The right side and then the left are walked on their level-0 plans. In
+    a row whose error estimate exceeds tol, each block whose |Kronrod -
+    Gauss| exceeds its share is evaluated again with twice the panels, up
+    to _MAX_LEVEL times, all of a side's in one pass, and its new sums
+    replace the old ones in the row's value and error, right side first
+    and in block order. A block's share is tol less the row's tail terms,
+    split evenly over the row's blocks, as t0_exact splits tol over its
+    panels. A row still over tol raises QuadratureError rather than being
+    accepted, and so does an estimate that is not finite, at once: more
+    panels cannot make it so.
     """
     tally.calls += 1
-    sides = _walk_sides(psi, loga, [plans(0, True), plans(0, False)], tol, tally)
-    values, err = sides[0].sum + sides[1].sum
-    _raise_if_not_finite(err, 0)
+    walks = []
+    for right in (True, False):
+        walks.append(_walk_side(psi, plans(0, right), loga, tol, tally))
+        _raise_if_not_finite(walks[-1].sum[1], 0)
+    values, err = walks[0].sum + walks[1].sum
     over = err > tol
-    if over.any():
-        share = (tol - sides[0].tail - sides[1].tail) / (sides[0].count + sides[1].count)
-        every = [side.every() for side in sides]
+    share = (tol - walks[0].tail - walks[1].tail) / (walks[0].count + walks[1].count)
     for level in range(1, _MAX_LEVEL + 2):
         if not over.any():
             return values
@@ -1346,17 +1335,17 @@ def _full_line(psi: Callable[..., np.ndarray], plans: Callable[[int, bool], _Pla
                 f"estimate up to {err[over].max():.3e} above tolerance {tol:g} at "
                 f"{_MAX_LEVEL + 1} panel levels")
         tally.level = max(tally.level, level)
-        redo = []  # each side's blocks over their share, by block, then row
-        for right, side, sums in zip((True, False), sides, every):
-            mask = (sums[1] > share[:, None]) & (np.arange(sums.shape[2]) < side.count[:, None])
-            redo.append((right, sums, *np.nonzero((mask & over[:, None]).T)))
-        before = tally.values
-        new = iter(_block_sums(psi, [(plans(level, right), loga[r[b == k]], int(k), 1)
-                                     for right, _, b, r in redo for k in np.unique(b)], tally))
-        tally.refined_values += tally.values - before
-        for _, sums, b, r in redo:
-            got = np.concatenate([next(new)[..., 0] for _ in np.unique(b)] + [np.empty((2, 0))], 1)
+        for right, walk in zip((True, False), walks):
+            sums = walk.sums
+            redo = ((sums[1] > share[:, None]) & over[:, None]
+                    & (np.arange(sums.shape[2]) < walk.count[:, None]))
+            b, r = np.nonzero(redo.T)  # by block, then row
+            plan, blocks = plans(level, right), np.unique(b)
+            before = tally.values
+            got = _block_sums(psi, plan, [(loga[r[b == k]], int(k), 1) for k in blocks], tally)
+            tally.refined_values += tally.values - before
             tally.refined += r.size
+            got = np.concatenate([g[..., 0] for g in got] + [np.empty((2, 0))], axis=1)
             # row by row in block order, as the blocks were first added
             np.add.at(values, r, got[0] - sums[0, r, b])
             np.add.at(err, r, got[1] - sums[1, r, b])

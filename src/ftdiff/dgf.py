@@ -646,13 +646,11 @@ def _psi_prime_array(dgf: GeneratingFunction, k3: float) -> Callable[..., np.nda
     slope = dgf._inverse_slope or functools.partial(_slope_at_preimage, dgf)
 
     def psi(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        # at k3 = 1 both scalings are exact and are skipped
-        w = np.multiply(z, k3, out=None if out is None else z) if k3 != 1.0 or out is None else z
+        w = np.multiply(z, k3, out=None if out is None else z)
         # the slopes give 0 at w = 0; inf and nan are zeroed here
         bad = None if w.max(initial=0.0) < math.inf else ~(w < math.inf)
         g = slope(w, out)
-        if k3 != 1.0:
-            g /= k3
+        g /= k3
         if bad is not None:
             g[bad] = 0.0
         return g

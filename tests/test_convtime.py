@@ -1,6 +1,7 @@
 import cmath
 import decimal
 import functools
+import itertools
 import logging
 import math
 import subprocess
@@ -24,7 +25,7 @@ from ftdiff.convtime import (
     _circle_values,
     _psi_prime_array,
     _tails,
-    _walk_sides,
+    _walk_side,
     expm2,
     global_convtime_numeric,
     lbar,
@@ -934,7 +935,7 @@ def _custom_ured():
 
 
 class TestStridedWalk:
-    """The side walks batch blocks, rows and sides into few large Psi' calls; that must not show."""
+    """The side walks batch blocks and rows into few large Psi' calls; that must not show."""
 
     @pytest.mark.parametrize("name, kind", [
         (name, kind) for name in ("ured", "exp", "custom") for kind in EIGEN_KAPPAS
@@ -973,24 +974,36 @@ class TestStridedWalk:
         # the last zoom round (far rows come one a call)
         if kind != "far":
             calls = [calls[0], calls[-1]]
-        strided, single, sizes = _Tally(), _Tally(), []
-        for psi, plans, loga, tol in calls:
-            for level in (0, 1):
-                sides = [plans(level, True), plans(level, False)]
-                want = _walk_sides(psi, loga, sides, tol, strided)
+        strided, single, pairs, sizes = _Tally(), _Tally(), [], []
+        block_sums = convtime._block_sums
 
-                def counted(x, out, psi=psi):
-                    sizes.append(x.size / (15 * max(side.head for side in sides)))
+        def counted_sums(psi, plan, groups, tally):
+            pairs.append(sum(la.size * count for la, _, count in groups))
+            return block_sums(psi, plan, groups, tally)
+
+        for psi, plans, loga, tol in calls:
+            for level, right in itertools.product((0, 1), (True, False)):
+                plan = plans(level, right)
+                want = _walk_side(psi, plan, loga, tol, strided)
+
+                def counted(x, out, psi=psi, plan=plan):
+                    sizes.append(x.size in (15 * plan.head, 15 * plan.per))
                     return psi(x, out=out)
 
                 with monkeypatch.context() as m:
                     m.setattr(convtime, "_CHUNK", 1)
-                    got = _walk_sides(counted, loga, sides, tol, single)
-                # value and error, tail term and block count per row and side
-                for a, b in zip(got, want):
-                    for name in ("sum", "tail", "count"):
-                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert max(sizes) <= 1.0  # one block of one row a Psi' call
+                    m.setattr(convtime, "_block_sums", counted_sums)
+                    got = _walk_side(counted, plan, loga, tol, single)
+                # value and error with the tail term, tail term and block count
+                # per row, and the sums of the blocks each row took
+                for a, b in zip(got[:3], want[:3]):
+                    assert a.tobytes() == b.tobytes()
+                k = got.count.max()
+                took = np.arange(k) < got.count[:, None]
+                assert got.sums[..., :k][:, took].tobytes() == want.sums[..., :k][:, took].tobytes()
+        # one block of one row a Psi' call: a call for each (row, block) pair
+        # evaluated, each that block's values
+        assert len(sizes) == sum(pairs) and all(sizes)
         assert strided.passes < strided.blocks and strided.psi_calls < single.psi_calls
 
     @pytest.mark.parametrize("name", ["ured", "exp"])
@@ -1026,6 +1039,26 @@ class TestStridedWalk:
         for a, b in zip(got_rows, want_rows):
             assert a.tobytes() == b.tobytes()
         assert (got.value, got.argmax) == (want.value, want.argmax)
+
+    def test_refinement_asks_for_each_plan_once(self, monkeypatch):
+        # exp at (2, 1, 0.3) redoes several blocks of a side at level 1; a call
+        # asks for each side's plan once a level, so plans that nothing keeps
+        # (far-zero rows) are laid out once, whatever the number of blocks redone
+        asked, full_line = [], convtime._full_line
+
+        def record(psi, plans, *args):
+            asked.append([])
+
+            def counted(level, right):
+                asked[-1].append((level, right))
+                return plans(level, right)
+
+            return full_line(psi, counted, *args)
+
+        monkeypatch.setattr(convtime, "_full_line", record)
+        global_convtime_numeric(builtin_dgf("exp"), ParamTriple(2.0, 1.0, 0.3))
+        assert any(level for seen in asked for level, _ in seen)
+        assert all(len(seen) == len(set(seen)) for seen in asked)
 
     def test_psi_values_per_search(self, caplog):
         def counts(name, kappa):
@@ -1064,9 +1097,9 @@ class TestStridedWalk:
         assert 0 < max(sizes) <= convtime._CHUNK
 
     def test_zoom_calls_take_few_psi_calls(self, monkeypatch):
-        # both sides' passes share their Psi' calls, graded first blocks included,
-        # and a left tail's closing panels take one more: at most 3 for each 8-row
-        # zoom call of ured at (5, 1, 1), which took 5
+        # a pass a side, graded first blocks included, and one more call for the
+        # left tails' closing panels: at most 3 for each 8-row zoom call of ured
+        # at (5, 1, 1), which took 5
         calls, full_line = [], convtime._full_line
 
         def record(psi, plans, loga, tol, tally):
@@ -1116,6 +1149,30 @@ class TestStridedWalk:
         # the sums overflow in the level-0 walk; more panels cannot mend that
         with pytest.raises(QuadratureError, match="not finite .* at panel level 0"):
             global_convtime_numeric(sqrtdgf, ParamTriple(2.0, 1.0, 1.0), grid_points=8)
+
+    @pytest.mark.parametrize("k1", [1.0, 2.0])
+    def test_right_walk_not_finite_raises_before_the_left_walk(self, monkeypatch, ured, k1):
+        # a Psi' of nan makes the right walk's estimate not finite: the call
+        # raises then, without walking the left side (geometric at the
+        # complex gains (1, 1, 1), bracketed at (2, 1, 1))
+        sides, walk_side, tails = [], convtime._walk_side, convtime._tails
+
+        def record(psi, plan, *args):
+            sides.append(plan.right)
+            return walk_side(psi, plan, *args)
+
+        def nan_psi(z, out):
+            out.fill(math.nan)
+            return out
+
+        def nan_tails(dgf, k3):
+            return tails(dgf, k3)._replace(psi=nan_psi)
+
+        monkeypatch.setattr(convtime, "_walk_side", record)
+        monkeypatch.setattr(convtime, "_tails", nan_tails)
+        with pytest.raises(QuadratureError, match=r"not finite \(nan\) at panel level 0"):
+            global_convtime_numeric(ured, ParamTriple(k1, 1.0, 1.0), grid_points=8)
+        assert sides == [True]
 
     def test_search_logs_its_work(self, caplog, ured):
         kappa = ParamTriple(5.0, 1.0, 1.0)
@@ -1169,8 +1226,10 @@ WORK_BOUNDS = [
     ("exp", (SQRT8, 1.0, 1.0), 215_000), ("ured", (2.0, 1.0, 1.0), 1_530_000),
     ("exp", (2.0, 1.0, 1.0), 939_000),
 ]
-# and the Psi' calls they took while each side of a full-line call made its
-# own, a graded first block one more: they must take fewer
+# and the Psi' calls they took while a graded first block took a Psi' call
+# of its own: the real-eigenvalue sets must take fewer. The complex sets
+# (2, 1, 1) had no graded first block, and their calls are full _CHUNKs but
+# for each pass's last: they take as many
 PSI_CALLS = dict(zip([(name, kappa) for name, kappa, _ in WORK_BOUNDS],
                      [48, 48, 49, 48, 41, 67, 63, 116, 85]))
 
@@ -1184,7 +1243,8 @@ class TestWorkCounts:
             global_convtime_numeric(builtin_dgf(name), ParamTriple(*kappa))
         [record] = caplog.records
         assert record.counts["values"] <= bound
-        assert 0 < record.counts["psi_calls"] < PSI_CALLS[name, kappa]
+        calls, before = record.counts["psi_calls"], PSI_CALLS[name, kappa]
+        assert 0 < calls <= before and (calls < before or kappa == (2.0, 1.0, 1.0))
 
 
 def _tail_reference(name, kappa, h, start, right, step=4.0):
