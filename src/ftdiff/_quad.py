@@ -9,7 +9,7 @@ arrays; the Gauss-Kronrod panels here serve every array integral.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -238,69 +238,6 @@ def _refine(sums: Callable, panels: np.ndarray, k: np.ndarray, g: np.ndarray, bu
                           f"after {rounds} rounds of bisection")
 
 
-# Integrals over the whole log axis, of functions that decay toward both of
-# its ends, go on unit panels from the upper limit down to about _S_MIN, near
-# which x = e^s leaves the positive floats; without an upper limit they start
-# at _S_MAX, the log of the largest float.
-_S_MIN = -744.0
-_S_MAX = math.log(1.7976931348623157e308)  # the largest float
-_LOG_STRIDE = 4  # panels per probe interval
-_LOG_REL = 1e-16  # of the integral: the most the tail may take, below its rounding
-_LOG_MAX_NODES = 1 << 18
-
-
-class _Integral(NamedTuple):
-    value: float
-    error: float  # the panels' |Kronrod - Gauss| plus the tail
-    panels: int
-    values: int  # integrand values, probes included
-
-
-def _log_axis_integral(
-    f: Callable[[np.ndarray], np.ndarray], top: Optional[float], tol: float
-) -> _Integral:
-    """integral_{-inf}^{top} f(s) ds of an array function f >= 0 decaying toward both ends.
-
-    top=None means +inf. f is probed every _LOG_STRIDE. Where f is monotone,
-    a stretch between probes holds at most its length times the larger one;
-    past an open end, the bound is a stride times the last probe. On either
-    side, the outer stretches whose bounds add up to at most half a tenth of
-    tol, or of _LOG_REL of the integral if less, are the tail. The rest goes
-    on unit GK15 panels in one array pass, and _refine bisects those over
-    their share of tol. Raises QuadratureError where f is not finite and
-    nonnegative, or the error estimate stays above tol.
-    """
-    end = _S_MAX if top is None else top
-    probes = end - _LOG_STRIDE * np.arange(max(math.floor((end - _S_MIN) / _LOG_STRIDE), 1) + 1.0)
-    with np.errstate(all="ignore"):
-        p = f(probes)
-        ends = p[-1] + (p[0] if top is None else 0.0)
-        c = np.cumsum(_LOG_STRIDE * np.maximum(p[:-1], p[1:]))
-        mass = float(c[-1])
-        if not ((p >= 0.0).all() and math.isfinite(mass)):
-            raise QuadratureError("quadrature failure: integrand is not finite and nonnegative")
-        share = 0.05 * min(tol, _LOG_REL * mass)
-        # the stretches [0, a) and [b, end) hold at most share each
-        a = int(np.searchsorted(c, share, side="right"))
-        b = int(np.searchsorted(c, mass - share, side="left")) + 1
-        tail = (c[a - 1] if a else 0.0) + mass - c[b - 1] + _LOG_STRIDE * ends
-        if a >= b:
-            return _Integral(0.0, tail, 0, p.size)
-        if not tail < tol:
-            raise QuadratureError(f"quadrature failure: tail {tail:.3e} above tolerance {tol:g}")
-        edges = probes[a] - np.arange(_LOG_STRIDE * (b - a) + 1.0)
-
-        def sums(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            lo, hi = span
-            half = 0.5 * (hi - lo)
-            fs = f((0.5 * (hi + lo))[:, None] + half[:, None] * _GK_X)
-            return half * (fs @ _GK_WK), half * (fs @ _GK_WG)
-
-        span = np.array([edges[1:], edges[:-1]])
-        value, error, n, _ = _refine(sums, span, *sums(span), tol - tail, _LOG_MAX_NODES)
-    return _Integral(value, error + tail, n, p.size + 15 * (2 * n - edges.size + 1))
-
-
 _SLOW_TAIL = 0.9  # local exponent of the tail past which B is not bounded
 
 
@@ -309,10 +246,10 @@ def _probe_tail_divergence(phi: Callable[[float], float]) -> None:
     # local growth exponent of G(w) = w^3 phi(w^-2) near w = 0, where
     # integral_1^inf dx/phi = integral_0^1 2/G(w) dw, so exponent >= 1 means
     # divergence. From _SLOW_TAIL up, too much of a converging tail lies past
-    # phi's overflow for the log-axis pass to bound it (at phi ~ x^1.03 it
-    # misses 3.5e-8 of B while reporting an error of 5e-11). A phi that
-    # overflows at these arguments grows far faster than any power, so the
-    # tail certainly converges.
+    # the top of the Psi'_1 table (dgf._far_field) for its tail term to bound
+    # it (at phi ~ x^1.03 the table misses 3.5e-8 of B while reporting an
+    # error of 4.1e-9). A phi that overflows at these arguments grows far
+    # faster than any power, so the tail certainly converges.
     w1, w2 = 1e-6, 1e-9
     p1, p2 = phi(w1 ** -2), phi(w2 ** -2)
     if math.isinf(p1) or math.isinf(p2):
@@ -331,23 +268,3 @@ def _probe_tail_divergence(phi: Callable[[float], float]) -> None:
             f"tail integral of 1/phi converges too slowly to be bounded within the float range"
             f" (local exponent {p:.3f} >= {_SLOW_TAIL} near infinity)"
         )
-
-
-def _x_over_phi(phi: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """s |-> e^s / phi(e^s) for an array phi: 1/phi on the log axis, x = e^s.
-
-    Where rounding flushes phi to zero (exp(x)-1 written out does below
-    2e-16) it takes sqrt(x), the leading behaviour of phi at 0; where phi is
-    nan (softened overflow in an expression, such as inf/inf) it takes 0,
-    as where phi overflows.
-    """
-    def f(s: np.ndarray) -> np.ndarray:
-        x = np.exp(s)
-        p = phi(x)
-        r = x / p
-        odd = ~(r < np.inf)
-        if odd.any():
-            r[odd] = np.where(p[odd] == 0.0, np.sqrt(x[odd]), 0.0)
-        return r
-
-    return f

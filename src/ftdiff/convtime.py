@@ -30,14 +30,17 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._quad import (_GK_WG, _GK_WK, _GK_X, _LOG_STRIDE, _S_MAX, _gk_panels,
-                    _probe_tail_divergence, _refine, zoom_max)
+from ._quad import _GK_WG, _GK_WK, _GK_X, _gk_panels, _refine, zoom_max
 from .dgf import (
     AdmissibilityConstants,
     GeneratingFunction,
     ParamTriple,
+    _check_k3,
+    _far_field,
+    _panel,
+    _profile,
+    _psi_integral,
     _psi_prime_array,
-    _reciprocal_to,
     nu1,
 )
 from .errors import (
@@ -155,65 +158,6 @@ def _coefficients(sys: SystemMatrix, v1, v2) -> tuple:
         return v1, sys.lam1 * v1 + 0.5 * v2
     # e1^T (A - mu I) v = (-k1/2 - mu) v1 + v2/2 and -k1/2 - mu = mu here
     return v1, (sys.mu * v1 + 0.5 * v2) / sys.omega
-
-
-# ---------------------------------------------------------------------------
-# the profile of Psi'_1(w) = 1/Phi'(Phi^-1(w))
-
-# 1e-12 up to 1e12 in steps of 10^(1/16)
-_PROFILE_LADDER = 10.0 ** (np.arange(-192.0, 193.0) / 16.0)
-_BAND_STRIDE = 4  # the band reads every fourth point: steps of 10^(1/4)
-_BEND = 1e-3  # |d^2/du^2 log Psi'_1(e^u)| past which Psi'_1 bends
-
-
-class _Profile(NamedTuple):
-    """What t0_exact and the right-tail bracket read off Psi'_1, see _profile."""
-
-    delta0: float
-    band: tuple
-    ratio: tuple
-
-
-@functools.lru_cache(maxsize=64)
-def _profile(dgf: GeneratingFunction) -> _Profile:
-    """Psi'_1 of dgf, sampled once on a ladder of w from 1e-12 to 1e12. Built on first use.
-
-    delta0: half the largest ladder w with Psi'_1(s) <= 3s at every ladder
-    point s <= w, or 0 if there is none. Near zero the bound holds for every
-    generating function (Phi ~ sqrt there); many hold it globally. Scaling
-    by k3 maps it to delta0/k3 for the scaled family.
-
-    band: (lo, hi, u, c) on every _BAND_STRIDE-th point: from the first to
-    the last point where the second difference of log Psi'_1 exceeds _BEND
-    per unit u^2, and c >= log integral_-inf^u 1/2 Psi'_1(e^s) e^s ds, with
-    Psi'_1(w) <= 3w below the ladder.
-
-    ratio: (log w, centre, half), Psi'_1(s)/(2s) in centre +/- half for
-    0 < s <= w: the least and greatest ratio at the points up to the first
-    one at or above w, and its limit 1 at s -> 0. A last entry, with half =
-    inf, stands for w past the ladder; so does every entry from the first
-    ratio that is not a finite number.
-    """
-    w = _PROFILE_LADDER
-    u = np.log(w)
-    with np.errstate(all="ignore"):
-        g = _psi_prime_array(dgf, 1.0)(w)
-        r = g / (2.0 * w)
-        lo = np.minimum.accumulate(np.minimum(r, 1.0))  # nan stays nan
-        hi = np.maximum.accumulate(np.maximum(r, 1.0))
-        half = np.append(0.5 * (hi - lo), math.inf)
-        n = int(np.count_nonzero(hi <= 1.5))  # hi never falls, and nan stays nan
-        wb, ub, gb = w[::_BAND_STRIDE], u[::_BAND_STRIDE], g[::_BAND_STRIDE]
-        step = ub[1] - ub[0]
-        i = np.flatnonzero(np.abs(np.diff(np.log(gb), 2)) > _BEND * step ** 2)
-        ge = np.where(np.isfinite(gb), 0.5 * gb, 0.0) * wb
-        c = np.log(np.cumsum(np.maximum(ge, np.append(ge[1:], 0.0))) * step
-                   + 0.75 * wb[0] ** 2)
-    half[~(half < math.inf)] = math.inf
-    ends = (ub[i[0]], ub[i[-1] + 2]) if i.size else (0.0, 0.0)  # a pure power (sqrt) has none
-    return _Profile(0.5 * float(w[n - 1]) if n else 0.0,
-                    (float(ends[0]), float(ends[1]), ub.tolist(), c.tolist()),
-                    (u, np.append(0.5 * (hi + lo), 0.0), half))
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +520,17 @@ def single_exp_reduction(
 ) -> float:
     """integral_0^inf Psi'(c e^(lam tau)) d tau for lam < 0, in reduced form.
 
-    Equals (1/(k3 |lam|)) integral_0^{Phi^-1(k3 |c|)} dx / Phi(x); evenness
-    of Psi' makes the sign of c irrelevant. As |c| grows the value tends to
-    B / (k3 |lam|).
+    Equals (1/(k3 |lam|)) integral_0^{Phi^-1(k3 |c|)} dx / Phi(x), off the
+    Psi'_1 table within tol (_psi_integral); evenness of Psi' makes the sign
+    of c irrelevant. As |c| grows the value tends to B / (k3 |lam|), which
+    c = +/-inf gives. c = nan raises ValueError.
     """
     if not lam < 0.0:
         raise ValueError("lam must be negative (stable mode)")
-    if not (math.isfinite(k3) and k3 > 0.0):
-        raise ValueError("k3 must be a positive finite scalar")
-    if c == 0.0:
-        return 0.0
-    return _reciprocal_to(dgf, k3 * abs(c), tol).value / (k3 * -lam)
+    _check_k3(k3)
+    if math.isnan(c):
+        raise ValueError("c must be a number, got nan")
+    return _psi_integral(dgf, k3 * abs(c), tol)[0] / (k3 * -lam)
 
 
 # ---------------------------------------------------------------------------
@@ -723,54 +667,6 @@ _FIRST_PANELS = 64  # panels a walk lays out at least; it doubles while rows nee
 _CHUNK = 1 << 14  # Psi' values per call: 128 kB per scratch array
 _FAR_ZERO = 100.0  # |lam tz| past which a repeated-case row is walked from t = 0
 
-_FAR_STEP = 0.5  # u across a panel of the far-field table
-_FAR_BOTTOM = math.log(1e-12)  # the table reaches at least this far down in u
-
-
-class _FarField(NamedTuple):
-    """T(u) = integral_u^inf Psi'_1(e^s) ds on a table of u, ascending to _S_MAX."""
-
-    edges: np.ndarray
-    rest: np.ndarray  # T at the edges, by GK15 panels down from the top
-    err: np.ndarray  # their summed |Kronrod - Gauss|, plus the tail past the top as B bounds it
-    psi: np.ndarray  # Psi'_1(e^u) at the edges
-    first: int  # the lowest edge from which Psi'_1 falls at every node and edge above
-
-
-def _psi_rows(psi: Callable[..., np.ndarray], x: np.ndarray, tally=None) -> np.ndarray:
-    """psi(e^x) on the rows of x, (m, k), in calls of at most _CHUNK values (one row at least)."""
-    f = np.empty(x.shape)
-    step = max(1, _CHUNK // x.shape[1])
-    for a in range(0, x.shape[0], step):
-        f[a:a + step] = psi(np.exp(x[a:a + step]))
-    if tally is not None:
-        tally.values += f.size
-        tally.psi_calls += -(-x.shape[0] // step)
-    return f
-
-
-@functools.lru_cache(maxsize=64)
-def _far_field(dgf: GeneratingFunction) -> _FarField:
-    """The far-field table of dgf: panels _FAR_STEP wide from _S_MAX down past _FAR_BOTTOM.
-
-    Built on first use, by the first two-exponential search.
-    """
-    n = math.ceil((_S_MAX - _FAR_BOTTOM) / _FAR_STEP)
-    edges = _S_MAX - _FAR_STEP * np.arange(n, -1.0, -1.0)
-    u, wk, wg = _gk_panels(edges[:-1], edges[1:])
-    psi = _psi_prime_array(dgf, 1.0)
-    with np.errstate(all="ignore"):
-        f, at = _psi_rows(psi, u), _psi_rows(psi, edges[:, None])[:, 0]
-        k = (f * wk).sum(axis=1)
-        d = np.abs(k - (f * wg).sum(axis=1))
-        rest = np.append(np.cumsum(k[::-1])[::-1], 0.0)
-        err = np.append(np.cumsum(d[::-1])[::-1], 0.0) + _LOG_STRIDE * at[-1]
-        # each edge, then its panel's nodes, ascending; rising or not a number breaks the fall
-        seq = np.append(np.concatenate([at[:-1, None], f], axis=1), at[-1])
-        rises = np.flatnonzero(~(np.diff(seq) <= 0.0))
-    first = -(-(int(rises[-1]) + 1) // (f.shape[1] + 1)) if rises.size else 0
-    return _FarField(edges, rest, err, at, first)
-
 
 class _Tails(NamedTuple):
     """One search's Psi' of the scaled map, what its tail brackets read, and its walk plans."""
@@ -860,10 +756,7 @@ def _far_field_bracket(tails: _Tails, lam2: float) -> _Bracket:
         m = far.psi[below(u, d)[0]]
         u = np.minimum(u, far.edges[-1])
         j = np.searchsorted(far.edges, u)
-        h = 0.5 * (far.edges[j] - u)
-        f = _psi_rows(psi, (u + h)[:, None] + h[:, None] * _GK_X, tally)
-        k = h * np.sum(f * _GK_WK, axis=1)
-        g = h * np.sum(f * _GK_WG, axis=1)
+        k, g = _panel(psi, u, far.edges[j], tally)
         mid = (far.rest[j] + k - 0.5 * np.log1p(-d[:, 1] * d[:, 1]) * m) * scale
         return mid, (d[:, 3] * m + far.err[j] + np.abs(k - g)) * scale
 
@@ -1416,11 +1309,8 @@ def global_convtime_numeric(
         # the family; their full-line values have the closed reduction
         # B / (2 k3 |lam|), entered as explicit candidates so a supremum
         # attained only in the limit never chases the grid edge outward. B is
-        # the far-field table's total, plus Psi'_1 at its bottom edge for the
-        # part below it, where Psi'_1(w) ~ 2w
-        _probe_tail_divergence(dgf.phi)
-        far = _far_field(dgf)
-        b_full = float(far.rest[0] + far.psi[0])
+        # the total of the Psi'_1 table, as compute_admissibility takes it
+        b_full = _psi_integral(dgf, math.inf, inner_tol)[0]
         lim_slow = b_full / (2.0 * kappa.k3 * -sys.lam1)
         lim_fast = b_full / (2.0 * kappa.k3 * -sys.lam2)
 

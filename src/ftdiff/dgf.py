@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._quad import (_Integral, _array_form, _log_axis_integral, _probe_tail_divergence,
-                    _x_over_phi, zoom_max)
+from ._quad import (_GK_WG, _GK_WK, _GK_X, _array_form, _gk_panels, _probe_tail_divergence,
+                    zoom_max)
 from .errors import (
     InversionRangeError,
     NotAdmissibleError,
@@ -422,14 +422,20 @@ def _check_k3(k3: float) -> None:
         raise ValueError("k3 must be a positive finite scalar")
 
 
+_NORMAL_MIN = 2.2250738585072014e-308  # below it k3^2 x has lost bits: Phi ~ sqrt takes over
+
+
 def nu1(dgf: GeneratingFunction, k3: float, x: float) -> float:
-    """First injection nu1(x) = Phi(k3^2 x) / k3."""
+    """First injection nu1(x) = Phi(k3^2 x) / k3; sign(x) sqrt|x| where k3^2 |x| is not normal."""
     _check_k3(k3)
-    return dgf.phi(k3 * k3 * x) / k3
+    u = k3 * k3 * x
+    if abs(u) < _NORMAL_MIN:
+        return math.copysign(math.sqrt(abs(x)), x)
+    return dgf.phi(u) / k3
 
 
 def nu2(dgf: GeneratingFunction, k3: float, x: float) -> float:
-    """Second injection nu2(x) = 2 Phi(k3^2 x) Phi'(k3^2 x).
+    """Second injection nu2(x) = 2 Phi(k3^2 x) Phi'(k3^2 x); sign(x) where k3^2 |x| is not normal.
 
     At x = 0 the injection is set-valued with limits [-1, 1]; evaluation
     there raises SetValuedPointError.
@@ -440,6 +446,8 @@ def nu2(dgf: GeneratingFunction, k3: float, x: float) -> float:
             "nu2 is set-valued at x = 0; use the interval [-1, 1] of limit values"
         )
     u = k3 * k3 * x
+    if abs(u) < _NORMAL_MIN:
+        return math.copysign(1.0, x)
     return 2.0 * dgf.phi(u) * dgf.phi_prime(u)
 
 
@@ -683,6 +691,182 @@ def psi_prime(dgf: GeneratingFunction, k3: float, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the profile of Psi'_1(w) = 1/Phi'(Phi^-1(w)), and the table of its integral
+
+# 1e-12 up to 1e12 in steps of 10^(1/16)
+_PROFILE_LADDER = 10.0 ** (np.arange(-192.0, 193.0) / 16.0)
+_BAND_STRIDE = 4  # the band reads every fourth point: steps of 10^(1/4)
+_BEND = 1e-3  # |d^2/du^2 log Psi'_1(e^u)| past which Psi'_1 bends
+
+
+class _Profile(NamedTuple):
+    """What t0_exact and the right-tail bracket read off Psi'_1, see _profile."""
+
+    delta0: float
+    band: tuple
+    ratio: tuple
+
+
+@functools.lru_cache(maxsize=64)
+def _profile(dgf: GeneratingFunction) -> _Profile:
+    """Psi'_1 of dgf, sampled once on a ladder of w from 1e-12 to 1e12. Built on first use.
+
+    delta0: half the largest ladder w with Psi'_1(s) <= 3s at every ladder
+    point s <= w, or 0 if there is none. Near zero the bound holds for every
+    generating function (Phi ~ sqrt there); many hold it globally. Scaling
+    by k3 maps it to delta0/k3 for the scaled family.
+
+    band: (lo, hi, u, c) on every _BAND_STRIDE-th point: from the first to
+    the last point where the second difference of log Psi'_1 exceeds _BEND
+    per unit u^2, and c >= log integral_-inf^u 1/2 Psi'_1(e^s) e^s ds, with
+    Psi'_1(w) <= 3w below the ladder.
+
+    ratio: (log w, centre, half), Psi'_1(s)/(2s) in centre +/- half for
+    0 < s <= w: the least and greatest ratio at the points up to the first
+    one at or above w, and its limit 1 at s -> 0. A last entry, with half =
+    inf, stands for w past the ladder; so does every entry from the first
+    ratio that is not a finite number.
+    """
+    w = _PROFILE_LADDER
+    u = np.log(w)
+    with np.errstate(all="ignore"):
+        g = _psi_prime_array(dgf, 1.0)(w)
+        r = g / (2.0 * w)
+        lo = np.minimum.accumulate(np.minimum(r, 1.0))  # nan stays nan
+        hi = np.maximum.accumulate(np.maximum(r, 1.0))
+        half = np.append(0.5 * (hi - lo), math.inf)
+        n = int(np.count_nonzero(hi <= 1.5))  # hi never falls, and nan stays nan
+        wb, ub, gb = w[::_BAND_STRIDE], u[::_BAND_STRIDE], g[::_BAND_STRIDE]
+        step = ub[1] - ub[0]
+        i = np.flatnonzero(np.abs(np.diff(np.log(gb), 2)) > _BEND * step ** 2)
+        ge = np.where(np.isfinite(gb), 0.5 * gb, 0.0) * wb
+        c = np.log(np.cumsum(np.maximum(ge, np.append(ge[1:], 0.0))) * step
+                   + 0.75 * wb[0] ** 2)
+    half[~(half < math.inf)] = math.inf
+    ends = (ub[i[0]], ub[i[-1] + 2]) if i.size else (0.0, 0.0)  # a pure power (sqrt) has none
+    return _Profile(0.5 * float(w[n - 1]) if n else 0.0,
+                    (float(ends[0]), float(ends[1]), ub.tolist(), c.tolist()),
+                    (u, np.append(0.5 * (hi + lo), 0.0), half))
+
+
+# Psi' values per call of _psi_rows: 32 kB per array, which keeps the root
+# solve's temporaries small while a custom function's table is built
+_PSI_SLICE = 1 << 12
+
+
+def _psi_rows(psi: Callable[..., np.ndarray], x: np.ndarray, tally=None) -> np.ndarray:
+    """psi(e^x) on the rows of x, (m, k), in calls of at most _PSI_SLICE values (one row at
+    least); tally, if given, counts them in its values and psi_calls."""
+    f = np.empty(x.shape)
+    step = max(1, _PSI_SLICE // x.shape[1])
+    for a in range(0, x.shape[0], step):
+        f[a:a + step] = psi(np.exp(x[a:a + step]))
+    if tally is not None:
+        tally.values += f.size
+        tally.psi_calls += -(-x.shape[0] // step)
+    return f
+
+
+def _panel(psi: Callable[..., np.ndarray], lo: np.ndarray, hi: np.ndarray,
+           tally=None) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod and Gauss sums of psi(e^s) on one GK15 panel [lo, hi] a row."""
+    h = 0.5 * (hi - lo)
+    f = _psi_rows(psi, (lo + h)[:, None] + h[:, None] * _GK_X, tally)
+    return h * np.sum(f * _GK_WK, axis=1), h * np.sum(f * _GK_WG, axis=1)
+
+
+_FAR_STEP = 0.5  # u across a panel of the table
+_FAR_BOTTOM = math.log(1e-12)  # the table reaches at least this far down in u
+_S_MAX = math.log(1.7976931348623157e308)  # the log of the largest float: the table's top
+_TOP_TAIL = 4.0  # times Psi'_1 at the top edge: the error estimate of the rest past it
+
+
+class _FarField(NamedTuple):
+    """integral Psi'_1(e^s) ds on a table of u = log w, ascending to _S_MAX, see _far_field."""
+
+    edges: np.ndarray
+    below: np.ndarray  # integral_-inf^u at the edges, summed from the bottom up
+    below_err: np.ndarray  # their summed |Kronrod - Gauss|, plus the bottom's half-width
+    rest: np.ndarray  # T(u) = integral_u^inf at the edges, by GK15 panels down from the top
+    err: np.ndarray  # their summed |Kronrod - Gauss|, plus the tail past the top
+    psi: np.ndarray  # Psi'_1(e^u) at the edges
+    first: int  # the lowest edge from which Psi'_1 falls at every node and edge above
+    ratio: tuple  # (centre, half): Psi'_1(s)/(2s) in centre +/- half for all s <= e^edges[0]
+
+
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """np.cumsum(x) plus the exact rounding errors of its additions (TwoSum), summed in turn:
+    each prefix sum within about an ulp, where a plain cumsum drifts by several."""
+    s = np.cumsum(x)
+    a, t = s[:-1], s[1:]
+    z = t - a
+    return s + np.append(0.0, np.cumsum((a - (t - z)) + (x[1:] - z)))
+
+
+@functools.lru_cache(maxsize=64)
+def _far_field(dgf: GeneratingFunction) -> _FarField:
+    """The table of dgf's Psi'_1: GK15 panels _FAR_STEP wide from _S_MAX down past _FAR_BOTTOM.
+
+    The only integrator of Psi'_1 = 1/Phi'(Phi^-1(w)), whose integral over u
+    = log w is integral_0^{Phi^-1(w)} dx / Phi(x). Below the lowest edge e0
+    the mass is 2 e^e0 (centre +/- half) of _profile's ratio, with no Psi'
+    value; B is below[-1]. A panel with a negative Psi' value gets an
+    infinite |Kronrod - Gauss|. The worst-case search's far-field brackets
+    read rest and err. Built on first use.
+    """
+    n = math.ceil((_S_MAX - _FAR_BOTTOM) / _FAR_STEP)
+    edges = _S_MAX - _FAR_STEP * np.arange(n, -1.0, -1.0)
+    u, wk, wg = _gk_panels(edges[:-1], edges[1:])
+    psi = _psi_prime_array(dgf, 1.0)
+    log_w, centre, spread = _profile(dgf).ratio
+    i = int(np.searchsorted(log_w, edges[0]))
+    ratio = float(centre[i]), float(spread[i])
+    bottom = 2.0 * math.exp(edges[0])
+    with np.errstate(all="ignore"):
+        f, at = _psi_rows(psi, u), _psi_rows(psi, edges[:, None])[:, 0]
+        k = (f * wk).sum(axis=1)
+        d = np.abs(k - (f * wg).sum(axis=1))
+        d[(f < 0.0).any(axis=1)] = math.inf
+        below = _prefix_sums(np.append(bottom * ratio[0], k))
+        below_err = np.cumsum(np.append(bottom * ratio[1], d))
+        rest = np.append(np.cumsum(k[::-1])[::-1], 0.0)
+        err = np.append(np.cumsum(d[::-1])[::-1], 0.0) + _TOP_TAIL * at[-1]
+        # each edge, then its panel's nodes, ascending; rising or not a number breaks the fall
+        seq = np.append(np.concatenate([at[:-1, None], f], axis=1), at[-1])
+        rises = np.flatnonzero(~(np.diff(seq) <= 0.0))
+    first = -(-(int(rises[-1]) + 1) // (f.shape[1] + 1)) if rises.size else 0
+    return _FarField(edges, below, below_err, rest, err, at, first, ratio)
+
+
+def _psi_integral(dgf: GeneratingFunction, w: float, tol: float) -> tuple[float, float]:
+    """integral_0^{Phi^-1(w)} dx / Phi(x) off _far_field, and its error estimate, for w >= 0.
+
+    The integral of Psi'_1(e^s) up to s = log w: 2w (centre +/- half) below
+    the table; above its bottom, the sum from the bottom up to the edge below
+    log w plus one GK15 panel from there. w = inf gives B, with the tail past
+    the table's top. Raises QuadratureError where the error estimate exceeds
+    tol, and for w = inf where the tail of 1/Phi diverges or converges too
+    slowly to be bounded.
+    """
+    if w == math.inf:
+        _probe_tail_divergence(dgf.phi)
+    far = _far_field(dgf)
+    u = math.log(w) if w > 0.0 else -math.inf
+    if u <= far.edges[0]:
+        value, error = 2.0 * w * far.ratio[0], 2.0 * w * far.ratio[1]
+    elif u >= far.edges[-1]:
+        value, error = far.below[-1], far.below_err[-1] + far.err[-1]
+    else:
+        j = int(np.searchsorted(far.edges, u))  # edges[j - 1] < u <= edges[j]
+        k, g = _panel(_psi_prime_array(dgf, 1.0), far.edges[j - 1:j], np.array([u]))
+        value, error = far.below[j - 1] + k[0], far.below_err[j - 1] + abs(k[0] - g[0])
+    if not error <= tol:
+        raise QuadratureError(f"quadrature failure: error estimate {error:.3e} above tolerance "
+                              f"{tol:g}")
+    return float(value), float(error)
+
+
+# ---------------------------------------------------------------------------
 # definition checks
 
 
@@ -828,27 +1012,6 @@ _SCAN_LOG = np.array([-9.0 + i * _SCAN_STEP for i in range(2001)])
 _SCAN_GRID = np.array([10.0 ** t for t in _SCAN_LOG.tolist()])
 
 
-def _reciprocal_to(dgf: GeneratingFunction, w: Optional[float], tol: float) -> _Integral:
-    """integral_0^{Phi^-1(w)} dx / Phi(x) in one pass on the log axis; w=None gives B.
-
-    The built-ins integrate 1/Phi'(Phi^-1(e^u)) over u = log Phi(x) < log w,
-    with no scalar calls; other functions x/Phi(x) over log x. For the whole
-    line, raises QuadratureError when the tail diverges.
-    """
-    slope = dgf._inverse_slope
-    if w is None or w == math.inf:
-        _probe_tail_divergence(dgf.phi)
-        top = None
-    else:
-        end = w if slope is not None else invert_phi(dgf, w)  # in log Phi(x), else in log x
-        if end == 0.0:
-            return _Integral(0.0, 0.0, 0, 0)
-        top = math.log(end)
-    if slope is None:
-        return _log_axis_integral(_x_over_phi(_arrays(dgf).phi), top, tol)
-    return _log_axis_integral(lambda u: slope(np.exp(u)), top, tol)
-
-
 def _c_and_d(d_c: np.ndarray, d_d: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Rows 1/phi' (inf where phi' <= 0) and |phi''| / (2 |phi'|^3) (nan where phi''
     overflows), from phi' at their points and phi'' at the second's; nan is -inf.
@@ -872,18 +1035,20 @@ def compute_admissibility(
 ) -> AdmissibilityConstants:
     """Compute (B, C, D) numerically and reconcile with claimed constants.
 
-    B is the reciprocal integral of phi; C and D are suprema over a log grid
-    spanning [1e-9, 1e9], from one scan of phi' and phi'', refined side by
-    side by batched zoom rounds. If the claimed constants agree within
-    match_rel_tol the claimed (exact) values are returned; otherwise the
-    computed ones, flagged inexact. The result is computed once per (dgf,
+    B is the reciprocal integral of phi, the total of the Psi'_1 table
+    (_far_field), within quad_tol by its error estimate; C and D are suprema
+    over a log grid spanning [1e-9, 1e9], from one scan of phi' and phi'',
+    refined side by side by batched zoom rounds. If the claimed constants
+    agree within match_rel_tol the claimed (exact) values are returned;
+    otherwise the computed ones, flagged inexact. The result is computed once per (dgf,
     quad_tol, match_rel_tol) and shared: the callables of dgf are taken to
     be pure, as the other per-function caches take them. Each computation
     logs one DEBUG record on the "ftdiff" logger: B's panels, values and
     error estimate, where C and D peak, zoom rounds that moved, grid edges.
 
     Raises NotAdmissibleError, which is not cached, when the reciprocal
-    integral diverges or cannot be bounded, or a supremum is unbounded.
+    integral diverges or cannot be bounded within quad_tol, or a supremum
+    is unbounded.
     """
     report = check_dgf(dgf)
     if not report.passed:
@@ -893,7 +1058,7 @@ def compute_admissibility(
         )
 
     try:
-        b = _reciprocal_to(dgf, None, quad_tol)
+        b, b_error = _psi_integral(dgf, math.inf, quad_tol)
     except QuadratureError as exc:
         raise NotAdmissibleError(
             f"not admissible: item (i) fails, reciprocal integral of {dgf.name!r}: {exc}"
@@ -926,22 +1091,22 @@ def compute_admissibility(
     if log.isEnabledFor(logging.DEBUG):
         edges = [f"{row} at the {'lower' if j == 0 else 'upper'} end"
                  for row, j in zip("CD", i.tolist()) if j in (0, v.shape[1] - 1)]
-        info = {"b": b._asdict(), "c_at": 10.0 ** c_at, "d_at": 10.0 ** d_at,
-                "moved": moved.tolist(), "edges": edges}
+        panels = _far_field(dgf).edges.size - 1  # with 15 nodes each, and their edges
+        info = {"b": {"value": b, "panels": panels, "values": 16 * panels + 1, "error": b_error},
+                "c_at": 10.0 ** c_at, "d_at": 10.0 ** d_at, "moved": moved.tolist(),
+                "edges": edges}
         log.debug("compute_admissibility %s: B %.17g from %d panels, %d values, error "
                   "estimate %.2e; C peaks at x = %.6g, D at x = %.6g; zoom rounds moved %d "
-                  "(C), %d (D); grid edge: %s", dgf.name, b.value, b.panels, b.values,
-                  b.error, info["c_at"], info["d_at"], *info["moved"],
-                  ", ".join(edges) or "none", extra=info)
+                  "(C), %d (D); grid edge: %s", dgf.name, *info["b"].values(), info["c_at"],
+                  info["d_at"], *info["moved"], ", ".join(edges) or "none", extra=info)
 
-    b_val = b.value
     claimed = dgf.claimed_constants
     if claimed is not None:
-        db = abs(b_val - claimed.B) / claimed.B
+        db = abs(b - claimed.B) / claimed.B
         dc = abs(c_val - claimed.C) / claimed.C
         dd = abs(d_val - claimed.D) / claimed.D
         if max(db, dc, dd) <= match_rel_tol:
             return AdmissibilityConstants(
                 B=claimed.B, C=claimed.C, D=claimed.D, exact=claimed.exact, d_raw=d_raw
             )
-    return AdmissibilityConstants(B=b_val, C=c_val, D=d_val, exact=False, d_raw=d_raw)
+    return AdmissibilityConstants(B=b, C=c_val, D=d_val, exact=False, d_raw=d_raw)

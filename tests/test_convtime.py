@@ -683,6 +683,32 @@ class TestSingleExpReduction:
             single_exp_reduction(ured, 1.0, 0.5, 1.0)  # lam must be negative
         with pytest.raises(ValueError):
             single_exp_reduction(ured, -1.0, -0.5, 1.0)
+        with pytest.raises(ValueError, match="nan"):
+            single_exp_reduction(ured, 1.0, -0.5, math.nan)
+
+    @pytest.mark.parametrize("name", ["ured", "exp", "custom"])
+    def test_extreme_amplitudes(self, name):
+        # tiny |c|: the integral is 2 k3 |c| (Psi'_1(w) ~ 2w at 0), down to the
+        # smallest subnormal; infinite |c|: B / (k3 |lam|)
+        dgf = _custom_ured() if name == "custom" else builtin_dgf(name)
+        for k3, lam, c in ((1.0, -1.0, 5e-324), (1.3, -0.7, 1e-300), (1.3, -0.7, 1e-20)):
+            want = 2.0 * k3 * c / (k3 * -lam)
+            for sign in (1.0, -1.0):
+                assert abs(single_exp_reduction(dgf, k3, lam, sign * c) - want) <= 1e-12 * want
+        for c in (math.inf, -math.inf):
+            assert single_exp_reduction(dgf, 1.3, -0.7, c) == math.pi / (1.3 * 0.7)
+
+    def test_tolerance_gates_the_error_estimate(self, ured, sqrtdgf):
+        # the table's error estimate for ured is about 3e-16; sqrt's 2e8 up to
+        # c = 1e8 carries the rounding of its panels, about 3e-8
+        with pytest.raises(QuadratureError, match="error estimate"):
+            single_exp_reduction(ured, 1.0, -1.0, 2.0, tol=1e-17)
+        with pytest.raises(QuadratureError, match="error estimate"):
+            single_exp_reduction(sqrtdgf, 1.0, -1.0, 1e8)
+        assert single_exp_reduction(sqrtdgf, 1.0, -1.0, 1e8, tol=1e-7) \
+            == pytest.approx(2e8, rel=1e-14)
+        with pytest.raises(QuadratureError):
+            single_exp_reduction(sqrtdgf, 1.0, -1.0, math.inf)  # B does not exist
 
 
 # -- Lipschitz ceiling ------------------------------------------------------
@@ -847,7 +873,6 @@ class TestGlobalConvtime:
     @pytest.mark.parametrize("k1", [2.0, 2.0 * math.tan(78.0 * math.pi / 256.0)])
     @pytest.mark.parametrize("name", ["ured", "exp"])
     def test_circle_supremum_matches_quad_reference(self, name, k1):
-        pytest.importorskip("scipy.integrate")
         dgf = builtin_dgf(name)
         kappa = ParamTriple(k1, 1.0 if k1 == 2.0 else k1 * k1 / 8.0, 1.0)
         out = global_convtime_numeric(dgf, kappa)
@@ -858,7 +883,6 @@ class TestGlobalConvtime:
     def test_repeated_rows_with_distant_zero(self, ured, offset):
         # offsets from the pure-mode angle put the zero of h at |lam tz| from
         # infinity down to about 50, on both sides of the walk's switch at 100
-        pytest.importorskip("scipy.integrate")
         k1 = 2.0 * math.tan(78.0 * math.pi / 256.0)
         kappa = ParamTriple(k1, k1 * k1 / 8.0, 1.0)
         theta = 78.0 * math.pi / 256.0 + offset
@@ -890,7 +914,6 @@ class TestGlobalConvtime:
     def test_two_exponential_rows_match_quad_reference(self, monkeypatch, name):
         # the grid's edges b = 1e-8 and 1e8 of both signs: on a 4-point grid
         # they are the search's first two batches, one per sign
-        pytest.importorskip("scipy.integrate")
         kappa = (5.0, 1.0, 1.0)
         batches = []
         full_line = convtime._full_line
@@ -909,7 +932,6 @@ class TestGlobalConvtime:
 
     def test_interior_two_exponential_supremum_matches_quad_reference(self):
         # exp at (5, 1, 1) peaks inside the family, at b ~ -295.43
-        pytest.importorskip("scipy.integrate")
         out = numeric_sup("exp", (5.0, 1.0, 1.0))
         assert out.argmax == pytest.approx(-295.43, abs=0.05)
         want = two_exp_oracle("exp", (5.0, 1.0, 1.0), -out.argmax, -1.0)
@@ -1275,13 +1297,16 @@ class TestTailBrackets:
         # Psi'_1 peaks at w = 4/(3 sqrt 3) for ured and at w = 1 for exp
         far = convtime._far_field(builtin_dgf(name))
         peak = math.log(4.0 / (3.0 * math.sqrt(3.0)) if name == "ured" else 1.0)
-        assert far.edges[far.first] - convtime._FAR_STEP < peak <= far.edges[far.first]
+        assert far.edges[far.first] - ftdiff.dgf._FAR_STEP < peak <= far.edges[far.first]
+        # the panels hold all but the 2e-12 below the bottom edge, where Psi'_1(w) ~ 2w;
+        # with that part, summed from the bottom up, the total is pi correctly rounded
         assert far.rest[0] == pytest.approx(math.pi, abs=1e-11)
+        assert far.below[-1] == math.pi
 
     def test_far_field_table_is_the_same_in_any_chunks(self, monkeypatch, ured):
-        # its 22,000 nodes go through Psi' in calls of at most _CHUNK values
+        # its 22,000 nodes go through Psi' in calls of at most _PSI_SLICE values
         want = convtime._far_field.__wrapped__(ured)
-        monkeypatch.setattr(convtime, "_CHUNK", 7 * 15)
+        monkeypatch.setattr(ftdiff.dgf, "_PSI_SLICE", 7 * 15)
         for a, b in zip(convtime._far_field.__wrapped__(ured), want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -1289,7 +1314,6 @@ class TestTailBrackets:
     @pytest.mark.parametrize("b, sign", [(1e-3, 1.0), (1.0, -1.0), (1e3, 1.0), (1e3, -1.0)])
     @pytest.mark.parametrize("right", [True, False])
     def test_two_exponential_tails(self, name, b, sign, right):
-        pytest.importorskip("scipy.integrate")
         dgf = _custom_ured() if name == "custom" else builtin_dgf(name)
         kappa = ParamTriple(5.0, 1.0, 1.5)
         lam1, lam2 = (lam.real for lam in system_matrix(kappa.k1, kappa.k2).eigenvalues)
@@ -1305,7 +1329,6 @@ class TestTailBrackets:
     @pytest.mark.parametrize("k1", [2.0, SQRT8])
     @pytest.mark.parametrize("theta", [0.3, 2.0])
     def test_complex_and_repeated_right_tails(self, name, k1, theta):
-        pytest.importorskip("scipy.integrate")
         dgf = builtin_dgf(name)
         kappa = ParamTriple(k1, 1.0, 1.5)
         sys_ = system_matrix(kappa.k1, kappa.k2)

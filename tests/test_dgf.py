@@ -335,6 +335,19 @@ class TestInjections:
             assert nu1(ured, k3, x) == pytest.approx(
                 ured.phi(k3 * k3 * x) / k3, rel=1e-15)
 
+    @pytest.mark.parametrize("name", ["ured", "exp", "sqrt", "custom"])
+    def test_limits_where_the_argument_is_not_normal(self, name):
+        # k3^2 x underflows, or lands below the normal floats: the limits at 0,
+        # sign(x) sqrt|x| and sign(x), whatever Phi, which is sqrt-like there
+        fn = (GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
+              if name == "custom" else builtin_dgf(name))
+        for k3, x in ((1e-300, 1.0), (1e-300, 4.0), (1e-160, 1.0), (1.0, 1e-310)):
+            for sign in (1.0, -1.0):
+                assert nu1(fn, k3, sign * x) == sign * math.sqrt(x)
+                assert nu2(fn, k3, sign * x) == sign
+        # from the smallest normal argument up, Phi itself
+        assert nu1(fn, 1.0, 2.2250738585072014e-308) == fn.phi(2.2250738585072014e-308)
+
     def test_nu2_definition(self, expdgf):
         k3 = 1.5
         for x in (0.5, -3.0):
@@ -605,38 +618,44 @@ def _counted(name, exprs):
 
 class TestReciprocalPinned:
     # B and the reciprocal integrals that the worst-case search and the bounds
-    # read, as the log-axis pass computed them before _refine spliced halves in
-    # place; sqrt up to 1e8 takes six rounds of bisection
+    # read, off the Psi'_1 table: summed from the bottom up, with each sum's
+    # rounding errors added back, B is pi correctly rounded for all three
+    # functions. Each error estimate is within tol: sqrt's 2e8 up to 1e8
+    # carries the rounding of its panels, about 1.4e-16 of it
     @pytest.mark.parametrize("name,w,tol,value", [
-        ("ured", None, 1e-9, "0x1.921fb54442d17p+1"),
-        ("ured", 2.0, 1e-9, "0x1.921fb54442d19p+0"),
-        ("ured", 1e3, 1e-9, "0x1.78861f6820cb6p+1"),
-        ("exp", None, 1e-9, "0x1.921fb54442d19p+1"),
+        ("ured", None, 1e-9, "0x1.921fb54442d18p+1"),
+        ("ured", 2.0, 1e-9, "0x1.921fb54442d18p+0"),
+        ("ured", 1e3, 1e-9, "0x1.78861f6820cb5p+1"),
+        ("exp", None, 1e-9, "0x1.921fb54442d18p+1"),
         ("exp", 2.0, 1e-9, "0x1.1b6e192ebbe44p+1"),
         ("exp", 1e3, 1e-9, "0x1.91de2c0e658bcp+1"),
-        ("custom", None, 1e-9, "0x1.921fb54442d19p+1"),
+        ("custom", None, 1e-9, "0x1.921fb54442d18p+1"),
         ("custom", 2.0, 1e-9, "0x1.921fb54442d18p+0"),
         ("custom", 1e3, 1e-9, "0x1.78861f6820cb5p+1"),
-        ("sqrt", 1e8, 1e-9, "0x1.7d7840000000bp+27"),
+        ("sqrt", 1e8, 1e-7, "0x1.7d7840000000bp+27"),
     ])
     def test_reciprocal_to(self, name, w, tol, value):
         fn = (GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
               if name == "custom" else builtin_dgf(name))
-        assert dgf_module._reciprocal_to(fn, w, tol).value == float.fromhex(value)
+        got, error = dgf_module._psi_integral(fn, math.inf if w is None else w, tol)
+        assert got == float.fromhex(value) and error <= tol
 
     def test_b_full_and_b(self):
-        # the whole line at the tolerance that global_convtime_numeric once took B
-        # to; the far-field table's total that it reads now, with Psi'_1 at the
-        # table's bottom edge for the part below; and B
-        for name, value, total in (("ured", "0x1.921fb54442d17p+1", "0x1.921fb54442d19p+1"),
-                                   ("exp", "0x1.921fb54442d19p+1", "0x1.921fb54442d19p+1")):
-            fn = builtin_dgf(name)
-            assert dgf_module._reciprocal_to(fn, None, min(1e-3 * 1e-6, 1e-9)).value \
-                == float.fromhex(value)
-            far = convtime._far_field(fn)
-            assert far.rest[0] + far.psi[0] == float.fromhex(total)
+        # the table's rest at its bottom edge lacks the 2e-12 below it, which
+        # _profile's ratio closes; B is the same float in compute_admissibility,
+        # in the worst-case search (its slow single-mode limit at (10, 1, 1)) and
+        # in single_exp_reduction at c = 1e300, where the rest is below 1e-99
+        kappa = ParamTriple(10.0, 1.0, 1.0)
+        lam1 = convtime.system_matrix(kappa.k1, kappa.k2).lam1
         custom = GeneratingFunction("custom", *(compile_expression(t) for t in URED_EXPRESSIONS))
-        assert compute_admissibility(custom).B == float.fromhex("0x1.921fb54442d19p+1")
+        for fn in (builtin_dgf("ured"), builtin_dgf("exp"), custom):
+            far = convtime._far_field(fn)
+            assert far.rest[0] == pytest.approx(math.pi - 2e-12, rel=1e-14)
+            b = compute_admissibility(dataclasses.replace(fn, claimed_constants=None)).B
+            assert b == float.fromhex("0x1.921fb54442d18p+1") == math.pi
+            assert convtime.single_exp_reduction(fn, 1.0, -1.0, 1e300) == b
+            search = convtime.global_convtime_numeric(fn, kappa, grid_points=4)
+            assert search.argmax == math.inf and search.value == b / (2.0 * -lam1)
 
 
 class TestAdmissibilityCache:
@@ -664,6 +683,12 @@ class TestAdmissibilityCache:
         assert finer is not first and counts["phi"] > spent
         assert compute_admissibility(custom, quad_tol=1e-11) is finer
         assert abs(finer.B - math.pi) <= 1e-11
+
+    def test_quad_tol_gates_the_error_estimate(self):
+        # B's error estimate for ured written as expressions is about 4e-16
+        custom, _ = _counted("counted", URED_EXPRESSIONS)
+        with pytest.raises(NotAdmissibleError, match="error estimate"):
+            compute_admissibility(custom, quad_tol=1e-17)
 
     def test_not_admissible_raises_on_every_call(self):
         for _ in range(3):

@@ -1,25 +1,30 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from ftdiff._quad import (_array_form, _log_axis_integral, _x_over_phi, adaptive_simpson,
-                          golden_max)
-from ftdiff.dgf import GeneratingFunction, _reciprocal_to
+from ftdiff._quad import adaptive_simpson, golden_max
+from ftdiff.convtime import single_exp_reduction
+from ftdiff.dgf import GeneratingFunction
 from ftdiff.errors import QuadratureError
 
 
-def b_route(phi, upper=None, *, tol=1e-9):
-    """integral_0^upper dx/phi(x) on B's route for a function without a closed-form slope.
+def b_route(dgf, upper=None, *, tol=1e-9):
+    """integral_0^upper dx/phi(x) off the Psi'_1 table of dgf, its error estimate within tol.
 
-    The whole line (upper None or inf) is _reciprocal_to of a function
-    with phi alone, divergence probe included; finite uppers are the same
-    log-axis pass of x/phi(x), cut at log(upper).
+    single_exp_reduction at k3 = 1, lam = -1 and c = phi(upper) is that
+    integral; the whole line (upper None or inf) is B, divergence probe
+    included.
     """
-    if upper is None or upper == math.inf:
-        bare = GeneratingFunction("bare", phi, phi, phi)  # only phi is read
-        return _reciprocal_to(bare, upper, tol).value
-    return _log_axis_integral(_x_over_phi(_array_form(phi)), math.log(upper), tol).value
+    with np.errstate(over="ignore"):  # phi(upper) may overflow: the whole line then
+        c = math.inf if upper is None else dgf.phi(upper)
+    return single_exp_reduction(dgf, 1.0, -1.0, c, tol=tol)
+
+
+def root_solved(dgf):
+    """dgf without its inverse and closed-form slopes: Psi'_1 from the array root solve."""
+    return GeneratingFunction(dgf.name, dgf.phi, dgf.phi_prime, dgf.phi_second)
 
 
 class TestAdaptiveSimpson:
@@ -68,32 +73,38 @@ class TestReciprocalIntegral:
 
     def test_ured_full_line_is_pi(self, ured):
         # integral_0^inf dx / (sqrt(x)(1+x)) = pi
-        val = b_route(ured.phi, None, tol=1e-10)
-        assert val == pytest.approx(math.pi, rel=1e-9)
+        for dgf in (ured, root_solved(ured)):
+            val = b_route(dgf, None, tol=1e-10)
+            assert val == pytest.approx(math.pi, rel=1e-9)
 
     def test_ured_partial(self, ured):
         # integral_0^1 dx / (sqrt(x)(1+x)) = 2 atan(1) = pi/2
-        val = b_route(ured.phi, 1.0, tol=1e-10)
-        assert val == pytest.approx(math.pi / 2.0, rel=1e-9)
+        for dgf in (ured, root_solved(ured)):
+            val = b_route(dgf, 1.0, tol=1e-10)
+            assert val == pytest.approx(math.pi / 2.0, rel=1e-9)
 
     def test_exp_full_line_is_pi(self, expdgf):
         # integral_0^inf dx / sqrt(e^x - 1) = pi
-        val = b_route(expdgf.phi, None, tol=1e-10)
-        assert val == pytest.approx(math.pi, rel=1e-9)
+        for dgf in (expdgf, root_solved(expdgf)):
+            val = b_route(dgf, None, tol=1e-10)
+            assert val == pytest.approx(math.pi, rel=1e-9)
 
     def test_sqrt_partial(self, sqrtdgf):
         # integral_0^4 dx / sqrt(x) = 4
-        val = b_route(sqrtdgf.phi, 4.0, tol=1e-10)
-        assert val == pytest.approx(4.0, rel=1e-9)
+        for dgf in (sqrtdgf, root_solved(sqrtdgf)):
+            val = b_route(dgf, 4.0, tol=1e-10)
+            assert val == pytest.approx(4.0, rel=1e-9)
 
     def test_sqrt_full_line_diverges(self, sqrtdgf):
         with pytest.raises(QuadratureError):
-            b_route(sqrtdgf.phi, None, tol=1e-8)
+            b_route(sqrtdgf, None, tol=1e-8)
 
     def test_linear_tail_diverges(self):
         # phi(x) = x: the tail of 1/x is logarithmic
+        linear = GeneratingFunction("linear", lambda x: x, lambda x: 0.0 * x + 1.0,
+                                    lambda x: 0.0 * x)
         with pytest.raises(QuadratureError):
-            b_route(lambda x: x, None, tol=1e-8)
+            b_route(linear, None, tol=1e-8)
 
     # Phi(x) = sign(x)(sqrt|x| + |x|^a): with x = t^2 the integral up to U is
     # that of 2/(1 + t^(2a-1)) up to sqrt U, 2T 2F1(1, 1/p; 1 + 1/p; -T^p) with
@@ -102,7 +113,6 @@ class TestReciprocalIntegral:
 
     @staticmethod
     def _power_reference(a, upper):
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             p = mpmath.mpf(2 * a - 1)
             if upper is None:
@@ -112,32 +122,40 @@ class TestReciprocalIntegral:
 
     @pytest.mark.parametrize("a", [1.1, 1.5, 3.0])
     def test_power_tails_against_mpmath(self, a):
-        phi = lambda x: np.sign(x) * (np.sqrt(np.abs(x)) + np.abs(x) ** a)  # takes arrays
+        # the callables take arrays; phi'' is not read
+        phi = lambda x: np.sign(x) * (np.sqrt(np.abs(x)) + np.abs(x) ** a)
+        phi_prime = lambda x: 0.5 / np.sqrt(np.abs(x)) + a * np.abs(x) ** (a - 1.0)
+        power = GeneratingFunction(f"power {a}", phi, phi_prime, phi_prime)
         for upper in self.UPPERS:
             want = self._power_reference(a, upper)
-            got = b_route(phi, upper, tol=1e-10)
+            got = b_route(power, upper, tol=1e-10)
             assert abs(got - want) <= 1e-10 * want, (upper, got, want)
 
     def test_exp_against_mpmath(self, expdgf):
-        # integral_0^U dx / sqrt(e^x - 1) = 2 atan(sqrt(e^U - 1)); phi takes floats only
-        mpmath = pytest.importorskip("mpmath")
+        # integral_0^U dx / sqrt(e^x - 1) = 2 atan(sqrt(e^U - 1)); the callables
+        # take floats only
+        floats_only = root_solved(expdgf)
         for upper in self.UPPERS:
             with mpmath.workdps(40):
                 want = float(mpmath.pi if upper is None else
                              2 * mpmath.atan(mpmath.sqrt(mpmath.expm1(mpmath.mpf(upper)))))
-            got = b_route(expdgf.phi, upper, tol=1e-10)
+            got = b_route(floats_only, upper, tol=1e-10)
             assert abs(got - want) <= 1e-10 * want, (upper, got, want)
 
     def test_nan_past_overflow_counts_as_overflow(self):
-        # ured written so that phi is inf/inf = nan far out, as softened
-        # overflow in an expression can be
-        phi = lambda x: (np.sign(x) * np.sqrt(np.abs(x)) * (1.0 + np.abs(x))
-                         * np.exp(np.abs(x) / 1e300) / np.exp(np.abs(x) / 1e300))
+        # ured written so that phi and phi' are inf/inf = nan far out, as
+        # softened overflow in an expression can be
+        def soft(x):
+            return np.exp(np.abs(x) / 1e300) / np.exp(np.abs(x) / 1e300)
+
+        phi = lambda x: np.sign(x) * np.sqrt(np.abs(x)) * (1.0 + np.abs(x)) * soft(x)
+        phi_prime = lambda x: (0.5 / np.sqrt(np.abs(x)) + 1.5 * np.sqrt(np.abs(x))) * soft(x)
         with np.errstate(over="ignore", invalid="ignore"):
             assert math.isnan(phi(np.array([1e308]))[0])
-        assert b_route(phi, None, tol=1e-10) == pytest.approx(math.pi, rel=1e-12)
+        soft_ured = GeneratingFunction("soft ured", phi, phi_prime, phi_prime)
+        assert b_route(soft_ured, None, tol=1e-10) == pytest.approx(math.pi, rel=1e-12)
 
     def test_infinite_upper_is_the_whole_line(self, ured, sqrtdgf):
-        assert b_route(ured.phi, math.inf) == b_route(ured.phi)
+        assert b_route(ured, math.inf) == b_route(ured)
         with pytest.raises(QuadratureError):
-            b_route(sqrtdgf.phi, math.inf)
+            b_route(sqrtdgf, math.inf)
